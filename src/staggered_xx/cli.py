@@ -16,10 +16,11 @@ import configparser
 import csv
 import math
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from . import entanglement, ground, thermo
+from . import correlations, entanglement, ground, thermo
 from .model import ChainParams, Thermal
 from .oracle import FiniteChainSpec, dense_ed, finite_free_fermion
 from .quadrature import DEFAULT_QUAD, QuadSpec, ToleranceNotReached
@@ -38,21 +39,81 @@ __all__ = [
     "main",
 ]
 
-QUANTITIES = (
-    "u",
-    "m",
-    "m_s",
-    "e_mw",
-    "c1_odd",
-    "c1_even",
-    "c2_odd",
-    "c2_even",
-    "witness_lhs",
-    "energy_t0",
-    "m_t0",
-)
-# functions of ChainParams only; constant along a temperature axis
-T0_ONLY_QUANTITIES = frozenset({"e_mw", "energy_t0", "m_t0"})
+
+@dataclass(frozen=True)
+class _Quantity:
+    """How the CLI computes one named quantity.
+
+    ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
+    by the quantities of that point.  ``ed``/``fermion`` read it from a
+    ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out of
+    oracle-compare, no ``fermion`` leaves its free_fermion column blank.
+    Library functions are looked up through their modules at call time.
+    """
+
+    value: Callable
+    t0_only: bool = False  # a function of ChainParams only: needs T = 0
+    point: bool = True  # accepted by point and sweep
+    ed: Callable | None = None
+    fermion: Callable | None = None
+
+
+def _sublattice(pair: str, parity: str) -> Callable:
+    """Value of ``entanglement.<pair>`` at ``parity``; one call serves both parities."""
+
+    def value(p, t, quad, memo):
+        if pair not in memo:
+            memo[pair] = getattr(entanglement, pair)(p, t, quad)
+        return memo[pair].at(parity)
+
+    return value
+
+
+_PARITIES = ("odd", "even")
+_TABLE = {
+    "u": _Quantity(
+        lambda p, t, quad, memo: thermo.internal_energy(p, t, quad),
+        ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u,
+    ),
+    "m": _Quantity(
+        lambda p, t, quad, memo: thermo.magnetization(p, t, quad),
+        ed=lambda ed: ed.magnetization, fermion=lambda ff: ff.m,
+    ),
+    "m_s": _Quantity(
+        lambda p, t, quad, memo: thermo.staggered_magnetization(p, t, quad),
+        ed=lambda ed: ed.staggered_magnetization, fermion=lambda ff: ff.m_s,
+    ),
+    "e_mw": _Quantity(lambda p, t, quad, memo: ground.meyer_wallach(p, quad), t0_only=True),
+    **{
+        f"g1_{s}": _Quantity(
+            lambda p, t, quad, memo, s=s: correlations.g_site(p, t, s, 1, quad), point=False,
+            ed=lambda ed, s=s: ed.g[(s, 1)], fermion=lambda ff, s=s: ff.g[1].at(s),
+        )
+        for s in _PARITIES
+    },
+    **{
+        f"zz1_{s}": _Quantity(
+            lambda p, t, quad, memo, s=s: correlations.zz_correlator(p, t, s, 1, quad),
+            point=False, ed=lambda ed, s=s: ed.zz[(s, 1)],
+        )
+        for s in _PARITIES
+    },
+    **{
+        f"c1_{s}": _Quantity(_sublattice("c1", s), ed=lambda ed, s=s: ed.concurrence[(s, 1)])
+        for s in _PARITIES
+    },
+    **{f"c2_{s}": _Quantity(_sublattice("c2", s)) for s in _PARITIES},
+    "witness_lhs": _Quantity(
+        lambda p, t, quad, memo: entanglement.witness(p, t, quad).lhs,
+        ed=lambda ed: ed.witness_lhs,
+    ),
+    "energy_t0": _Quantity(lambda p, t, quad, memo: ground.energy(p, quad), t0_only=True),
+    "m_t0": _Quantity(lambda p, t, quad, memo: ground.magnetization_t0(p), t0_only=True),
+}
+
+QUANTITIES = tuple(name for name, q in _TABLE.items() if q.point)
+T0_ONLY_QUANTITIES = frozenset(name for name, q in _TABLE.items() if q.t0_only)
+_ORACLE_CHOICES = tuple(name for name, q in _TABLE.items() if q.ed is not None)
 
 _AXIS_NAMES = ("B", "b", "j", "T")
 
@@ -61,7 +122,7 @@ class ConfigError(ValueError):
     """Invalid sweep specification or config file."""
 
 
-def _validate_quantities(quantities, thermal: Thermal | None) -> None:
+def _validate_quantities(quantities, thermal: Thermal | None, choices=QUANTITIES) -> None:
     """Reject unknown/duplicate names and ground-state-only quantities at T > 0.
 
     ``thermal`` is None when temperature is swept; the axis-specific bans
@@ -71,8 +132,8 @@ def _validate_quantities(quantities, thermal: Thermal | None) -> None:
         raise ConfigError("at least one quantity is required")
     seen = set()
     for qn in quantities:
-        if qn not in QUANTITIES:
-            raise ConfigError(f"unknown quantity {qn!r}; choose from {', '.join(QUANTITIES)}")
+        if qn not in choices:
+            raise ConfigError(f"unknown quantity {qn!r}; choose from {', '.join(choices)}")
         if qn in seen:
             raise ConfigError(f"duplicate quantity {qn!r}")
         seen.add(qn)
@@ -133,43 +194,6 @@ class SweepSpec:
             raise ConfigError("a fixed temperature is required when T is not a sweep axis")
 
 
-class _PointEvaluator:
-    """Evaluates named quantities at one point, memoizing shared pieces."""
-
-    def __init__(self, p: ChainParams, t: Thermal, quad: QuadSpec):
-        self.p, self.t, self.quad = p, t, quad
-        self._memo = {}
-
-    def _get(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
-
-    def value(self, name: str) -> float:
-        p, t, quad = self.p, self.t, self.quad
-        if name == "u":
-            return thermo.internal_energy(p, t, quad)
-        if name == "m":
-            return thermo.magnetization(p, t, quad)
-        if name == "m_s":
-            return thermo.staggered_magnetization(p, t, quad)
-        if name == "e_mw":
-            return ground.meyer_wallach(p, quad)
-        if name == "energy_t0":
-            return ground.energy(p, quad)
-        if name == "m_t0":
-            return ground.magnetization_t0(p)
-        if name in ("c1_odd", "c1_even"):
-            pair = self._get("c1", lambda: entanglement.c1(p, t, quad))
-            return pair.at(name.rsplit("_", 1)[1])
-        if name in ("c2_odd", "c2_even"):
-            pair = self._get("c2", lambda: entanglement.c2(p, t, quad))
-            return pair.at(name.rsplit("_", 1)[1])
-        if name == "witness_lhs":
-            return entanglement.witness(p, t, quad).lhs
-        raise ConfigError(f"unknown quantity {name!r}")
-
-
 def run_point(
     params: ChainParams,
     thermal: Thermal,
@@ -186,16 +210,14 @@ def run_point(
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal)
-    ev = _PointEvaluator(params, thermal, DEFAULT_QUAD if quad is None else quad)
-    record, flags = {}, []
+    quad = DEFAULT_QUAD if quad is None else quad
+    record, flags, memo = {}, [], {}
     for name in quantities:
         try:
-            record[name] = ev.value(name)
+            record[name] = _TABLE[name].value(params, thermal, quad, memo)
         except ToleranceNotReached:
             record[name] = math.nan
             flags.append(f"{name}:tolerance")
-        except ConfigError:
-            raise
         except (ArithmeticError, ValueError):
             record[name] = math.nan
             flags.append(f"{name}:error")
@@ -283,58 +305,6 @@ def run_qcp_scan(
     return 0
 
 
-_ORACLE_QUANTITIES = (
-    "u",
-    "m",
-    "m_s",
-    "g1_odd",
-    "g1_even",
-    "zz1_odd",
-    "zz1_even",
-    "c1_odd",
-    "c1_even",
-    "witness_lhs",
-)
-
-
-def _oracle_analytic(name: str, p: ChainParams, t: Thermal, quad) -> float:
-    from . import correlations
-
-    if name == "u":
-        return thermo.internal_energy(p, t, quad)
-    if name == "m":
-        return thermo.magnetization(p, t, quad)
-    if name == "m_s":
-        return thermo.staggered_magnetization(p, t, quad)
-    if name.startswith("g1_"):
-        return correlations.g_site(p, t, name.rsplit("_", 1)[1], 1, quad)
-    if name.startswith("zz1_"):
-        return correlations.zz_correlator(p, t, name.rsplit("_", 1)[1], 1, quad)
-    if name.startswith("c1_"):
-        return entanglement.c1(p, t, quad).at(name.rsplit("_", 1)[1])
-    if name == "witness_lhs":
-        return entanglement.witness(p, t, quad).lhs
-    raise ConfigError(f"unknown oracle quantity {name!r}")
-
-
-def _oracle_ed(name: str, ed) -> float:
-    if name == "u":
-        return ed.energy_per_site
-    if name == "m":
-        return ed.magnetization
-    if name == "m_s":
-        return ed.staggered_magnetization
-    if name.startswith("g1_"):
-        return ed.g[(name.rsplit("_", 1)[1], 1)]
-    if name.startswith("zz1_"):
-        return ed.zz[(name.rsplit("_", 1)[1], 1)]
-    if name.startswith("c1_"):
-        return ed.concurrence[(name.rsplit("_", 1)[1], 1)]
-    if name == "witness_lhs":
-        return ed.witness_lhs
-    raise ConfigError(f"unknown oracle quantity {name!r}")
-
-
 def run_oracle_compare(
     params: ChainParams,
     thermal: Thermal,
@@ -350,30 +320,22 @@ def run_oracle_compare(
     by sum-vs-integral), so convergence is asserted on the dense-ED gaps,
     which carry the genuine boundary-term discrepancy.
     """
+    quantities = tuple(quantities)
+    _validate_quantities(quantities, thermal, _ORACLE_CHOICES)
     eds = [dense_ed(FiniteChainSpec(n, params, thermal)) for n in sizes]
     ffs = [finite_free_fermion(FiniteChainSpec(n, params, thermal)) for n in sizes]
     writer = csv.writer(out, lineterminator="\r\n")
     writer.writerow(["quantity", "n_sites", "analytic", "dense_ed", "abs_gap", "free_fermion"])
-    ok = True
+    ok, memo = True, {}
     for name in quantities:
-        exact = _oracle_analytic(name, params, thermal, quad)
+        entry = _TABLE[name]
+        exact = entry.value(params, thermal, quad, memo)
         gaps = []
         for ed, ff in zip(eds, ffs):
-            approx = _oracle_ed(name, ed)
+            approx = entry.ed(ed)
             gap = abs(approx - exact)
             gaps.append(gap)
-            if name == "u":
-                fermion = _fmt(ff.u)
-            elif name == "m":
-                fermion = _fmt(ff.m)
-            elif name == "m_s":
-                fermion = _fmt(ff.m_s)
-            elif name.startswith("g1_"):
-                pair = ff.g[1]
-                sign = -1.0 if name.endswith("odd") else 1.0
-                fermion = _fmt(pair.uniform + sign * pair.staggered)
-            else:
-                fermion = ""
+            fermion = "" if entry.fermion is None else _fmt(entry.fermion(ff))
             writer.writerow(
                 [name, str(ed.n_sites), _fmt(exact), _fmt(approx), _fmt(gap), fermion]
             )
@@ -522,12 +484,6 @@ def _quad_from(args) -> QuadSpec:
     )
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _split_csv_list(text: str) -> tuple:
     return tuple(tok for tok in text.replace(",", " ").split() if tok)
 
@@ -589,60 +545,6 @@ def main(argv=None) -> int:
             writer.writerow([_fmt(v) for v in record.values()] + [";".join(flags)])
             return 3 if flags else 0
 
-        if args.command == "sweep":
-            if args.config is not None:
-                if args.x or args.y or args.q:
-                    raise ConfigError("--config excludes inline --x/--y/--q flags")
-                spec = load_config(args.config)
-            else:
-                if not (args.x and args.y and args.q):
-                    raise ConfigError("sweep needs --config or all of --x, --y, --q")
-                thermal = None
-                axes = {_parse_axis(args.x, "--x").name, _parse_axis(args.y, "--y").name}
-                if "T" not in axes:
-                    thermal = _thermal_from(args)
-                elif args.T is not None or args.beta is not None:
-                    raise ConfigError("fixed --T/--beta must be omitted when T is a sweep axis")
-                spec = SweepSpec(
-                    x=_parse_axis(args.x, "--x"),
-                    y=_parse_axis(args.y, "--y"),
-                    params=_params_from(args),
-                    thermal=thermal,
-                    quantities=_split_csv_list(args.q),
-                    quad=_quad_from(args),
-                )
-            out, close = _open_out(args.out)
-            try:
-                return run_sweep(spec, out, workers=max(1, args.workers))
-            finally:
-                if close:
-                    out.close()
-
-        if args.command == "qcp-scan":
-            out, close = _open_out(args.out)
-            try:
-                return run_qcp_scan(
-                    _params_from(args), args.axis, args.start, args.stop, args.step,
-                    out, _quad_from(args),
-                )
-            finally:
-                if close:
-                    out.close()
-
-        if args.command == "oracle-compare":
-            sizes = tuple(int(s) for s in _split_csv_list(args.sizes))
-            if not sizes:
-                raise ConfigError("--sizes must list at least one ring size")
-            out, close = _open_out(args.out)
-            try:
-                return run_oracle_compare(
-                    _params_from(args), _thermal_from(args), sizes,
-                    _split_csv_list(args.q), out, tol=args.tol, quad=_quad_from(args),
-                )
-            finally:
-                if close:
-                    out.close()
-
         if args.command == "validate-config":
             spec = load_config(args.config)
             t = spec.thermal
@@ -653,11 +555,50 @@ def main(argv=None) -> int:
                 f"x{spec.y.steps}, {t_desc}, quantities: {', '.join(spec.quantities)}"
             )
             return 0
+
+        if args.command == "sweep":
+            if args.config is not None:
+                if args.x or args.y or args.q:
+                    raise ConfigError("--config excludes inline --x/--y/--q flags")
+                spec = load_config(args.config)
+            else:
+                if not (args.x and args.y and args.q):
+                    raise ConfigError("sweep needs --config or all of --x, --y, --q")
+                x, y = _parse_axis(args.x, "--x"), _parse_axis(args.y, "--y")
+                thermal = None
+                if "T" not in (x.name, y.name):
+                    thermal = _thermal_from(args)
+                elif args.T is not None or args.beta is not None:
+                    raise ConfigError("fixed --T/--beta must be omitted when T is a sweep axis")
+                spec = SweepSpec(
+                    x=x,
+                    y=y,
+                    params=_params_from(args),
+                    thermal=thermal,
+                    quantities=_split_csv_list(args.q),
+                    quad=_quad_from(args),
+                )
+            run = lambda out: run_sweep(spec, out, workers=max(1, args.workers))
+        elif args.command == "qcp-scan":
+            run = lambda out: run_qcp_scan(
+                _params_from(args), args.axis, args.start, args.stop, args.step,
+                out, _quad_from(args),
+            )
+        else:
+            sizes = tuple(int(s) for s in _split_csv_list(args.sizes))
+            if not sizes:
+                raise ConfigError("--sizes must list at least one ring size")
+            run = lambda out: run_oracle_compare(
+                _params_from(args), _thermal_from(args), sizes,
+                _split_csv_list(args.q), out, tol=args.tol, quad=_quad_from(args),
+            )
+        if args.out == "-":
+            return run(sys.stdout)
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            return run(out)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -74,15 +74,8 @@ class CorrelatorPair:
         return self.uniform + parity_sign(parity) * self.staggered
 
 
-@dataclass(frozen=True)
-class SigmaZ:
-    """On-site <sz> split into uniform (m) and staggered (m_s) parts."""
-
-    uniform: float
-    staggered: float
-
-    def at(self, parity: str) -> float:
-        return self.uniform + parity_sign(parity) * self.staggered
+# On-site <sz> split into uniform (m) and staggered (m_s) parts.
+SigmaZ = CorrelatorPair
 
 
 @dataclass(frozen=True)

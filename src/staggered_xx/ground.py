@@ -108,6 +108,8 @@ def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
 
 def magnetization_t0(p: ChainParams) -> float:
     """Ground-state uniform magnetization per site (closed form)."""
+    if p.B == 0:
+        return 0.0  # m is odd in B
     babs = abs(p.B)
     sign = -1.0 if p.B < 0 else 1.0
     if babs >= max(critical_fields(p)):
@@ -208,11 +210,10 @@ def qcp_scan(
     threshold = max(5.0 * float(np.median(np.abs(d2e))), floor)
     mag = np.abs(d2e)
     peaks = []
-    for i in np.flatnonzero(mag > threshold):
-        left = mag[i - 1] if i > 0 else -math.inf
-        right = mag[i + 1] if i + 1 < len(mag) else -math.inf
+    # Only points with both neighbours: a window edge is no local maximum.
+    for i in np.flatnonzero(mag[1:-1] > threshold) + 1:
         # >= left, > right: a flat plateau of equal maxima reports once.
-        if mag[i] >= left and mag[i] > right:
+        if mag[i] >= mag[i - 1] and mag[i] > mag[i + 1]:
             peaks.append(float(inner[i]))
     return QcpScan(
         axis=axis,

@@ -156,6 +156,14 @@ def critical_fields(p: ChainParams) -> tuple[float, float]:
     return math.hypot(p.J, p.b), math.hypot(p.j, p.b)
 
 
+def _cos2_crossing(p: ChainParams) -> float | None:
+    """r = cos^2 of the zero-crossing angle, (B^2 - b^2 - j^2)/(J^2 - j^2); None at J = |j|."""
+    den = p.J**2 - p.j**2
+    if den == 0:
+        return None
+    return (p.B**2 - p.b**2 - p.j**2) / den
+
+
 def xi(p: ChainParams) -> float:
     """Zero-crossing angle of the lower band, clamped to [0, pi/2].
 
@@ -166,10 +174,9 @@ def xi(p: ChainParams) -> float:
     half-open intervals.  Undefined at J = |j| (theta is flat in q);
     callers branch on that case before calling.
     """
-    den = p.J**2 - p.j**2
-    if den == 0:
+    r = _cos2_crossing(p)
+    if r is None:
         raise ValueError("xi is undefined at J = |j|; theta(q) is constant there")
-    r = (p.B**2 - p.b**2 - p.j**2) / den
     if r <= 0:
         return math.pi / 2
     if r >= 1:
@@ -207,11 +214,8 @@ def band_crossings(p: ChainParams) -> tuple[float, ...]:
     and the sharp-layer centres at large beta, so integrals register them
     as quadrature breakpoints.
     """
-    den = p.J**2 - p.j**2
-    if den == 0:
-        return ()
-    r = (p.B**2 - p.b**2 - p.j**2) / den
-    if not 0 <= r < 1:
+    r = _cos2_crossing(p)
+    if r is None or not 0 <= r < 1:
         return ()
     x = math.acos(math.sqrt(r))
     if x == math.pi - x:

@@ -251,24 +251,38 @@ def dense_ed(chain: FiniteChainSpec) -> EDResult:
     )
 
 
-def fermion_block(p: ChainParams, k: int, n: int) -> np.ndarray:
-    """2x2 momentum block of the quadratic fermion form at q = 2 pi k / n."""
+def _momentum_blocks(p: ChainParams, k: np.ndarray, n: int):
+    """2x2 momentum blocks at q_k = 2 pi k / n and their closed-form eigenvalues.
+
+    Returns (q, blocks, lam) with blocks[i] the block at q[i] and lam[i] =
+    (2B - 2 theta(q_i), 2B + 2 theta(q_i)).
+    """
+    q = 2.0 * math.pi * k / n
+    blocks = np.empty((len(k), 2, 2), dtype=complex)
+    blocks[:, 0, 0] = 2.0 * p.B - 2.0 * p.J * np.cos(q)
+    blocks[:, 1, 1] = 2.0 * p.B + 2.0 * p.J * np.cos(q)
+    blocks[:, 0, 1] = 2.0 * p.b + 2.0j * p.j * np.sin(q)
+    blocks[:, 1, 0] = np.conj(blocks[:, 0, 1])
+    th = np.sqrt((p.J * np.cos(q)) ** 2 + p.b**2 + (p.j * np.sin(q)) ** 2)
+    lam = np.stack([2.0 * p.B - 2.0 * th, 2.0 * p.B + 2.0 * th], axis=1)
+    return q, blocks, lam
+
+
+def _one_momentum(k: int, n: int) -> np.ndarray:
     if not 1 <= k <= n // 2:
         raise ValueError(f"momentum index must satisfy 1 <= k <= n/2, got k={k}, n={n}")
-    q = 2.0 * math.pi * k / n
-    mu_lo = 2.0 * p.B - 2.0 * p.J * math.cos(q)
-    mu_hi = 2.0 * p.B + 2.0 * p.J * math.cos(q)
-    nu = 2.0 * p.b + 2.0j * p.j * math.sin(q)
-    return np.array([[mu_lo, nu], [np.conj(nu), mu_hi]])
+    return np.array([k])
+
+
+def fermion_block(p: ChainParams, k: int, n: int) -> np.ndarray:
+    """2x2 momentum block of the quadratic fermion form at q = 2 pi k / n."""
+    return _momentum_blocks(p, _one_momentum(k, n), n)[1][0]
 
 
 def block_eigenvalues(p: ChainParams, k: int, n: int) -> tuple[float, float]:
     """Closed-form eigenvalues 2B -+ 2 theta(q_k) of the momentum block."""
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"momentum index must satisfy 1 <= k <= n/2, got k={k}, n={n}")
-    q = 2.0 * math.pi * k / n
-    th = math.sqrt((p.J * math.cos(q)) ** 2 + p.b**2 + (p.j * math.sin(q)) ** 2)
-    return (2.0 * p.B - 2.0 * th, 2.0 * p.B + 2.0 * th)
+    lo, hi = _momentum_blocks(p, _one_momentum(k, n), n)[2][0]
+    return float(lo), float(hi)
 
 
 def finite_free_fermion(chain: FiniteChainSpec, rs: tuple = (1, 2, 3)) -> FreeFermionResult:
@@ -282,15 +296,7 @@ def finite_free_fermion(chain: FiniteChainSpec, rs: tuple = (1, 2, 3)) -> FreeFe
         raise DimensionTooLarge(f"free-fermion sums are capped at {_FERMION_CAP} sites")
     p, t = chain.params, chain.thermal
 
-    k = np.arange(1, n // 2 + 1)
-    q = 2.0 * math.pi * k / n
-    blocks = np.empty((len(k), 2, 2), dtype=complex)
-    blocks[:, 0, 0] = 2.0 * p.B - 2.0 * p.J * np.cos(q)
-    blocks[:, 1, 1] = 2.0 * p.B + 2.0 * p.J * np.cos(q)
-    blocks[:, 0, 1] = 2.0 * p.b + 2.0j * p.j * np.sin(q)
-    blocks[:, 1, 0] = np.conj(blocks[:, 0, 1])
-    th = np.sqrt((p.J * np.cos(q)) ** 2 + p.b**2 + (p.j * np.sin(q)) ** 2)
-    lam = np.stack([2.0 * p.B - 2.0 * th, 2.0 * p.B + 2.0 * th], axis=1)
+    q, blocks, lam = _momentum_blocks(p, np.arange(1, n // 2 + 1), n)
     dev = float(np.max(np.abs(np.linalg.eigvalsh(blocks) - lam)))
     scale = max(1.0, float(np.max(np.abs(lam))))
     if dev > 1e-12 * scale:

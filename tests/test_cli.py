@@ -10,7 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from staggered_xx import ChainParams, Thermal, energy, internal_energy, magnetization
+from staggered_xx import (
+    ChainParams,
+    Thermal,
+    c1,
+    energy,
+    g_site,
+    internal_energy,
+    magnetization,
+    staggered_magnetization,
+    witness,
+    zz_correlator,
+)
+from staggered_xx import cli
 from staggered_xx.cli import main
 from staggered_xx.entanglement import c2
 
@@ -25,6 +37,11 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return header, body
+
+
+def fmt12(v):
+    # the CLI's cell format: 12 significant digits, bare "0" for zero
+    return "0" if v == 0.0 else f"{v:.12g}"
 
 
 def test_point_matches_library(capsys):
@@ -64,6 +81,13 @@ def test_point_unknown_quantity(capsys):
     code, _, err = run_cli(["point", "--T", "0.5", "--q", "entropy"], capsys)
     assert code == 2
     assert "entropy" in err
+    # the error lists the choices in this order
+    assert cli.QUANTITIES == (
+        "u", "m", "m_s", "e_mw", "c1_odd", "c1_even", "c2_odd", "c2_even",
+        "witness_lhs", "energy_t0", "m_t0",
+    )
+    assert ", ".join(cli.QUANTITIES) in err
+    assert cli.T0_ONLY_QUANTITIES == frozenset({"e_mw", "energy_t0", "m_t0"})
 
 
 def test_sweep_csv_shape_and_format(tmp_path):
@@ -196,6 +220,61 @@ def test_oracle_compare_cli(tmp_path):
         assert len(gaps) == 3
         assert gaps[-1] <= gaps[0] + 1e-12
         assert gaps[-1] < 0.1
+
+    # Every oracle quantity: the analytic column is the library value.
+    p = ChainParams(J=1.0, j=0.3, b=0.2, B=0.4)
+    t = Thermal.finite(2.0)
+    library = {
+        "u": internal_energy(p, t),
+        "m": magnetization(p, t),
+        "m_s": staggered_magnetization(p, t),
+        "g1_odd": g_site(p, t, "odd", 1),
+        "g1_even": g_site(p, t, "even", 1),
+        "zz1_odd": zz_correlator(p, t, "odd", 1),
+        "zz1_even": zz_correlator(p, t, "even", 1),
+        "c1_odd": c1(p, t).at("odd"),
+        "c1_even": c1(p, t).at("even"),
+        "witness_lhs": witness(p, t).lhs,
+    }
+    code = main(
+        [
+            "oracle-compare", "--j", "0.3", "--b", "0.2", "--B", "0.4", "--beta", "2",
+            "--sizes", "6,8,10", "--q", ",".join(library), "--tol", "0.1", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["quantity"] for r in rows] == [name for name in library for _ in range(3)]
+    for r in rows:
+        name = r["quantity"]
+        assert r["analytic"] == fmt12(library[name]), name
+        blank = name.startswith(("zz1_", "c1_")) or name == "witness_lhs"
+        assert (r["free_fermion"] == "") == blank, name
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        ("m,foo", "unknown quantity 'foo'"),
+        ("m,m", "duplicate quantity 'm'"),
+        ("", "at least one quantity is required"),
+    ],
+)
+def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path, monkeypatch, capsys):
+    def no_ed(*args, **kwargs):
+        raise AssertionError("dense_ed called before --q was checked")
+
+    monkeypatch.setattr(cli, "dense_ed", no_ed)
+    out = tmp_path / "oracle.csv"
+    for dest in ([], ["--out", str(out)]):
+        code, stdout, err = run_cli(
+            ["oracle-compare", "--beta", "2", "--sizes", "6,8", "--q", q] + dest, capsys
+        )
+        assert code == 2
+        assert message in err
+        assert stdout == ""
+    assert out.read_bytes() == b""
 
 
 def test_config_file_round_trip(tmp_path):

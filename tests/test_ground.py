@@ -137,6 +137,9 @@ def test_qcp_scan_flags_known_transition():
     # scan entirely inside the saturated branch: energy linear, no peaks
     flat = qcp_scan(p, "B", 3.0, 3.5, 5e-3)
     assert flat.peaks == ()
+    # no transition on this line: the window edge is not a local maximum
+    edge = qcp_scan(ChainParams(J=1.0, j=0.22, b=0.2, B=0.11), "b", 0.0, 2.0, 5e-3)
+    assert edge.peaks == ()
 
 
 def test_qcp_scan_validation():

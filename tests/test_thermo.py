@@ -110,6 +110,7 @@ def test_zero_temperature_integrals_match_closed_forms():
         ChainParams(J=1.0, j=0.5, b=0.4, B=1.5),   # above both
         ChainParams(J=1.0, j=1.7, b=0.3, B=1.2),   # j > J ordering
         ChainParams(J=1.0, j=0.0, b=0.0, B=0.5),   # uniform chain
+        ChainParams(J=0.0, j=0.0, b=0.0, B=0.0),   # all-zero chain
     ]
     for p in pts:
         assert math.isclose(internal_energy(p, t0), ground.energy(p), abs_tol=1e-8)
