@@ -5,6 +5,9 @@ digits).  Sweep rows are emitted row-major with the x axis varying
 fastest, and the bytes are identical for any worker count: the grid is
 fixed up front and each point is a pure function of its parameters.
 
+Flags and config files set the same options through the same converters;
+``--out`` is opened only after a command has run, on exit 0 or 3.
+
 Exit codes: 0 success, 2 invalid input/config, 3 numerical-tolerance
 failure (some rows flagged, or an oracle convergence assertion failed).
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import math
 import sys
@@ -123,10 +127,9 @@ class ConfigError(ValueError):
 
 
 def _validate_quantities(quantities, thermal: Thermal | None, choices=QUANTITIES) -> None:
-    """Reject unknown/duplicate names and ground-state-only quantities at T > 0.
+    """Reject unknown/duplicate names and ground-state-only quantities away from T = 0.
 
-    ``thermal`` is None when temperature is swept; the axis-specific bans
-    live in :class:`SweepSpec`.
+    ``thermal`` is None when temperature is swept, which counts as finite.
     """
     if not quantities:
         raise ConfigError("at least one quantity is required")
@@ -137,11 +140,11 @@ def _validate_quantities(quantities, thermal: Thermal | None, choices=QUANTITIES
         if qn in seen:
             raise ConfigError(f"duplicate quantity {qn!r}")
         seen.add(qn)
-    if thermal is not None and not thermal.is_ground:
+    if thermal is None or not thermal.is_ground:
         banned = sorted(seen & T0_ONLY_QUANTITIES)
         if banned:
             raise ConfigError(
-                f"ground-state-only quantities need T = 0, not a finite temperature: "
+                f"ground-state-only quantities need T = 0, not a finite or swept temperature: "
                 f"{', '.join(banned)}"
             )
 
@@ -160,6 +163,9 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A 2-D sweep.  ``thermal`` is the fixed temperature: it must be None
+    when T is a sweep axis, and None means T = 0 when it is not."""
+
     x: AxisSpec
     y: AxisSpec
     params: ChainParams
@@ -179,19 +185,27 @@ class SweepSpec:
                 raise ConfigError("temperature axis values must be >= 0")
         if self.x.name == self.y.name:
             raise ConfigError(f"sweep axes must name distinct parameters, both are {self.x.name!r}")
-        _validate_quantities(self.quantities, self.thermal)
-        has_t_axis = "T" in (self.x.name, self.y.name)
-        if has_t_axis:
-            banned = set(self.quantities) & T0_ONLY_QUANTITIES
-            if banned:
-                raise ConfigError(
-                    f"temperature axis cannot be combined with zero-temperature-only "
-                    f"quantities: {', '.join(sorted(banned))}"
-                )
+        if "T" in (self.x.name, self.y.name):
             if self.thermal is not None:
-                raise ConfigError("fixed temperature must be omitted when T is a sweep axis")
+                raise ConfigError("a fixed T or beta must be omitted when T is a sweep axis")
         elif self.thermal is None:
-            raise ConfigError("a fixed temperature is required when T is not a sweep axis")
+            object.__setattr__(self, "thermal", Thermal.zero())
+        _validate_quantities(self.quantities, self.thermal)
+
+
+def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad) -> tuple[dict, list]:
+    """Values of already validated quantities; a failed one is NaN and flagged."""
+    record, flags, memo = {}, [], {}
+    for name in quantities:
+        try:
+            record[name] = _TABLE[name].value(params, thermal, quad, memo)
+        except ToleranceNotReached:
+            record[name] = math.nan
+            flags.append(f"{name}:tolerance")
+        except (ArithmeticError, ValueError):
+            record[name] = math.nan
+            flags.append(f"{name}:error")
+    return record, flags
 
 
 def run_point(
@@ -210,18 +224,7 @@ def run_point(
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal)
-    quad = DEFAULT_QUAD if quad is None else quad
-    record, flags, memo = {}, [], {}
-    for name in quantities:
-        try:
-            record[name] = _TABLE[name].value(params, thermal, quad, memo)
-        except ToleranceNotReached:
-            record[name] = math.nan
-            flags.append(f"{name}:tolerance")
-        except (ArithmeticError, ValueError):
-            record[name] = math.nan
-            flags.append(f"{name}:error")
-    return record, flags
+    return _evaluate(params, thermal, quantities, quad)
 
 
 def _fmt(v: float) -> str:
@@ -232,47 +235,38 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _point_for(spec: SweepSpec, xv: float, yv: float) -> tuple[ChainParams, Thermal]:
-    p, t = spec.params, spec.thermal
-    for ax, v in ((spec.x, xv), (spec.y, yv)):
-        if ax.name == "T":
-            t = Thermal.from_temperature(v)
-        else:
-            p = replace(p, **{ax.name: v})
-    return p, t
-
-
-def _sweep_row_block(task) -> tuple[bool, list]:
+def _sweep_row_block(task) -> list:
     """All cells for one y value (one task so rows stay contiguous)."""
     spec, yv = task
-    rows, flagged = [], False
+    rows = []
     for xv in spec.x.values():
-        p, t = _point_for(spec, xv, yv)
+        p, t = spec.params, spec.thermal
+        for ax, v in ((spec.x, xv), (spec.y, yv)):
+            if ax.name == "T":
+                t = Thermal.from_temperature(v)
+            else:
+                p = replace(p, **{ax.name: v})
         record, flags = run_point(p, t, spec.quantities, spec.quad)
-        flagged = flagged or bool(flags)
         rows.append(
             [_fmt(xv), _fmt(yv)]
             + [_fmt(record[qn]) for qn in spec.quantities]
             + [";".join(flags)]
         )
-    return flagged, rows
+    return rows
 
 
-def run_sweep(spec: SweepSpec, out, workers: int = 1) -> int:
-    """Write the sweep CSV to the ``out`` stream; 0 ok, 3 if rows flagged."""
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(["x", "y"] + list(spec.quantities) + ["err_flags"])
+def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[int, list]:
+    """Exit code (0 ok, 3 if rows flagged) and the CSV rows, header first."""
     tasks = [(spec, yv) for yv in spec.y.values()]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_sweep_row_block, tasks))
     else:
         blocks = [_sweep_row_block(task) for task in tasks]
-    any_flagged = False
-    for flagged, rows in blocks:
-        any_flagged = any_flagged or flagged
-        writer.writerows(rows)
-    return 3 if any_flagged else 0
+    rows = [["x", "y", *spec.quantities, "err_flags"]]
+    for block in blocks:
+        rows += block
+    return (3 if any(row[-1] for row in rows[1:]) else 0), rows
 
 
 def run_qcp_scan(
@@ -281,19 +275,17 @@ def run_qcp_scan(
     start: float,
     stop: float,
     step: float,
-    out,
     quad: QuadSpec | None = None,
-) -> int:
-    """Write the second-difference scan CSV; peak summary goes to stderr."""
+) -> tuple[int, list]:
+    """Exit code and the second-difference scan rows; peak summary goes to stderr."""
     try:
         scan = ground.qcp_scan(params, axis, start, stop, step, quad)
     except ToleranceNotReached:
         print("qcp-scan: ground-energy quadrature did not reach tolerance", file=sys.stderr)
-        return 3
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(["x", "d2e", "flagged"])
-    for v, d2 in scan.points:
-        writer.writerow([_fmt(v), _fmt(d2), "1" if abs(d2) > scan.threshold else "0"])
+        return 3, []
+    rows = [["x", "d2e", "flagged"]] + [
+        [_fmt(v), _fmt(d2), "1" if abs(d2) > scan.threshold else "0"] for v, d2 in scan.points
+    ]
     if scan.peaks:
         print(
             f"qcp-scan: {len(scan.peaks)} peak(s) along {axis} at "
@@ -302,7 +294,7 @@ def run_qcp_scan(
         )
     else:
         print(f"qcp-scan: no peaks flagged along {axis}", file=sys.stderr)
-    return 0
+    return 0, rows
 
 
 def run_oracle_compare(
@@ -310,35 +302,34 @@ def run_oracle_compare(
     thermal: Thermal,
     sizes,
     quantities,
-    out,
     tol: float = 0.02,
     quad: QuadSpec | None = None,
-) -> int:
-    """Analytic vs finite-ring values per N; 0 iff gaps shrink below tol.
+) -> tuple[int, list]:
+    """Analytic vs finite-ring values per N; exit code 0 iff gaps shrink below tol.
 
     The free-fermion column shares the analytic formulas (it differs only
     by sum-vs-integral), so convergence is asserted on the dense-ED gaps,
-    which carry the genuine boundary-term discrepancy.
+    which carry the genuine boundary-term discrepancy.  A failed analytic
+    value is NaN, so its gaps fail.
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal, _ORACLE_CHOICES)
     eds = [dense_ed(FiniteChainSpec(n, params, thermal)) for n in sizes]
     ffs = [finite_free_fermion(FiniteChainSpec(n, params, thermal)) for n in sizes]
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(["quantity", "n_sites", "analytic", "dense_ed", "abs_gap", "free_fermion"])
-    ok, memo = True, {}
+    record, flags = _evaluate(params, thermal, quantities, quad)
+    if flags:
+        print(f"oracle-compare: analytic values failed: {';'.join(flags)}", file=sys.stderr)
+    rows = [["quantity", "n_sites", "analytic", "dense_ed", "abs_gap", "free_fermion"]]
+    ok = True
     for name in quantities:
-        entry = _TABLE[name]
-        exact = entry.value(params, thermal, quad, memo)
+        entry, exact = _TABLE[name], record[name]
         gaps = []
         for ed, ff in zip(eds, ffs):
             approx = entry.ed(ed)
             gap = abs(approx - exact)
             gaps.append(gap)
             fermion = "" if entry.fermion is None else _fmt(entry.fermion(ff))
-            writer.writerow(
-                [name, str(ed.n_sites), _fmt(exact), _fmt(approx), _fmt(gap), fermion]
-            )
+            rows.append([name, str(ed.n_sites), _fmt(exact), _fmt(approx), _fmt(gap), fermion])
         shrinking = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         if not (shrinking and gaps[-1] < tol):
             ok = False
@@ -347,15 +338,7 @@ def run_oracle_compare(
                 f"fail convergence (tol {tol})",
                 file=sys.stderr,
             )
-    return 0 if ok else 3
-
-
-_CONFIG_SECTIONS = {
-    "model": {"J", "j", "b", "B"},
-    "thermal": {"T", "beta"},
-    "sweep": {"x", "y", "quantities"},
-    "quadrature": {"abs_tol", "rel_tol", "max_subdivisions"},
-}
+    return (0 if ok else 3), rows
 
 
 def _parse_axis(text: str, where: str) -> AxisSpec:
@@ -371,6 +354,77 @@ def _parse_axis(text: str, where: str) -> AxisSpec:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _split_csv_list(text: str) -> tuple:
+    return tuple(text.replace(",", " ").split())
+
+
+@dataclass(frozen=True)
+class _Options:
+    """Option values as text by option name (None: not given), from flags or a config file.
+
+    ``label`` names an option in error messages.  What is not given takes
+    its default from ChainParams, DEFAULT_QUAD or, for the temperature,
+    the caller.
+    """
+
+    values: dict
+    label: Callable[[str], str]
+
+    def _given(self, names, kind=float) -> dict:
+        given = {name: self.values[name] for name in names if self.values.get(name) is not None}
+        for name, text in given.items():
+            try:
+                given[name] = kind(text)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ConfigError(f"{self.label(name)}: not {what}: {text!r}") from None
+        return given
+
+    def params(self) -> ChainParams:
+        return ChainParams(**self._given(("J", "j", "b", "B")))
+
+    def thermal(self) -> Thermal | None:
+        """The fixed temperature; None when neither T nor beta is given."""
+        given = self._given(("T", "beta"))
+        if len(given) == 2:
+            raise ConfigError(f"give {self.label('T')} or {self.label('beta')}, not both")
+        if "beta" in given:
+            return Thermal.finite(given["beta"])
+        return Thermal.from_temperature(given["T"]) if "T" in given else None
+
+    def quad(self) -> QuadSpec:
+        return replace(
+            DEFAULT_QUAD,
+            **self._given(("abs_tol", "rel_tol")),
+            **self._given(("max_subdivisions",), int),
+        )
+
+    def sweep(self) -> SweepSpec:
+        for name in ("x", "y", "q"):
+            if self.values.get(name) is None:
+                raise ConfigError(f"missing {self.label(name)}")
+        return SweepSpec(
+            x=_parse_axis(self.values["x"], self.label("x")),
+            y=_parse_axis(self.values["y"], self.label("y")),
+            params=self.params(),
+            thermal=self.thermal(),
+            quantities=_split_csv_list(self.values["q"]),
+            quad=self.quad(),
+        )
+
+
+# config [section] key -> the option it sets
+_CONFIG_KEYS = {
+    ("model", "J"): "J", ("model", "j"): "j", ("model", "b"): "b", ("model", "B"): "B",
+    ("thermal", "T"): "T", ("thermal", "beta"): "beta",
+    ("sweep", "x"): "x", ("sweep", "y"): "y", ("sweep", "quantities"): "q",
+    ("quadrature", "abs_tol"): "abs_tol", ("quadrature", "rel_tol"): "rel_tol",
+    ("quadrature", "max_subdivisions"): "max_subdivisions",
+}
+_CONFIG_SECTIONS = {section for section, _ in _CONFIG_KEYS}
+_CONFIG_LABEL = {name: f"[{section}] {key}" for (section, key), name in _CONFIG_KEYS.items()}
+
+
 def load_config(path) -> SweepSpec:
     """Parse a [model]/[thermal]/[sweep]/[quadrature] config into a SweepSpec."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -384,108 +438,30 @@ def load_config(path) -> SweepSpec:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
 
+    values = {}
     for section in cp.sections():
         if section not in _CONFIG_SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _CONFIG_SECTIONS[section]:
+        for key, value in cp[section].items():
+            if (section, key) not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    def _float(section, key, default):
-        if not cp.has_option(section, key):
-            return default
-        try:
-            return float(cp[section][key])
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not a number: {cp[section][key]!r}") from None
-
-    try:
-        params = ChainParams(
-            J=_float("model", "J", 1.0),
-            j=_float("model", "j", 0.0),
-            b=_float("model", "b", 0.0),
-            B=_float("model", "B", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[model]: {exc}") from None
-
-    if not cp.has_section("sweep"):
-        raise ConfigError("missing required section [sweep]")
-    for key in ("x", "y", "quantities"):
-        if not cp.has_option("sweep", key):
-            raise ConfigError(f"[sweep] is missing required key {key!r}")
-    x = _parse_axis(cp["sweep"]["x"], "[sweep] x")
-    y = _parse_axis(cp["sweep"]["y"], "[sweep] y")
-    quantities = tuple(cp["sweep"]["quantities"].replace(",", " ").split())
-
-    thermal = None
-    if cp.has_section("thermal") and cp["thermal"]:
-        if cp.has_option("thermal", "T") and cp.has_option("thermal", "beta"):
-            raise ConfigError("[thermal]: give T or beta, not both")
-        if cp.has_option("thermal", "T"):
-            try:
-                thermal = Thermal.from_temperature(_float("thermal", "T", 0.0))
-            except ValueError as exc:
-                raise ConfigError(f"[thermal] T: {exc}") from None
-        else:
-            try:
-                thermal = Thermal.finite(_float("thermal", "beta", 1.0))
-            except ValueError as exc:
-                raise ConfigError(f"[thermal] beta: {exc}") from None
-    elif "T" not in (x.name, y.name):
-        thermal = Thermal.zero()
-
-    try:
-        quad = QuadSpec(
-            abs_tol=_float("quadrature", "abs_tol", DEFAULT_QUAD.abs_tol),
-            rel_tol=_float("quadrature", "rel_tol", DEFAULT_QUAD.rel_tol),
-            max_subdivisions=int(_float("quadrature", "max_subdivisions", DEFAULT_QUAD.max_subdivisions)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[quadrature]: {exc}") from None
-
-    return SweepSpec(x=x, y=y, params=params, thermal=thermal, quantities=quantities, quad=quad)
+            values[_CONFIG_KEYS[section, key]] = value
+    return _Options(values, _CONFIG_LABEL.__getitem__).sweep()
 
 
-def _add_model_args(sub) -> None:
-    sub.add_argument("--J", type=float, default=1.0, help="uniform coupling (default 1)")
-    sub.add_argument("--j", type=float, default=0.0, help="staggered coupling")
-    sub.add_argument("--b", type=float, default=0.0, help="staggered field")
-    sub.add_argument("--B", type=float, default=0.0, help="uniform field")
-
-
-def _add_thermal_args(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--T", type=float, default=None, help="temperature (0 = ground state)")
-    group.add_argument("--beta", type=float, default=None, help="inverse temperature")
-
-
-def _add_quad_args(sub) -> None:
-    sub.add_argument("--abs-tol", type=float, default=DEFAULT_QUAD.abs_tol)
-    sub.add_argument("--rel-tol", type=float, default=DEFAULT_QUAD.rel_tol)
-    sub.add_argument("--max-subdivisions", type=int, default=DEFAULT_QUAD.max_subdivisions)
-
-
-def _params_from(args) -> ChainParams:
-    return ChainParams(J=args.J, j=args.j, b=args.b, B=args.B)
-
-
-def _thermal_from(args) -> Thermal:
-    if args.beta is not None:
-        return Thermal.finite(args.beta)
-    return Thermal.from_temperature(args.T if args.T is not None else 0.0)
-
-
-def _quad_from(args) -> QuadSpec:
-    return QuadSpec(
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        max_subdivisions=args.max_subdivisions,
-    )
-
-
-def _split_csv_list(text: str) -> tuple:
-    return tuple(tok for tok in text.replace(",", " ").split() if tok)
+def _add_options(sub, thermal: bool = True) -> None:
+    """The model, temperature and quadrature flags; values stay text for _Options."""
+    sub.add_argument("--J", help="uniform coupling (default 1)")
+    sub.add_argument("--j", help="staggered coupling")
+    sub.add_argument("--b", help="staggered field")
+    sub.add_argument("--B", help="uniform field")
+    if thermal:
+        group = sub.add_mutually_exclusive_group()
+        group.add_argument("--T", help="temperature (0 = ground state)")
+        group.add_argument("--beta", help="inverse temperature")
+    sub.add_argument("--abs-tol")
+    sub.add_argument("--rel-tol")
+    sub.add_argument("--max-subdivisions")
 
 
 def main(argv=None) -> int:
@@ -496,15 +472,11 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("point", help="evaluate quantities at a single parameter point")
-    _add_model_args(sp)
-    _add_thermal_args(sp)
-    _add_quad_args(sp)
+    _add_options(sp)
     sp.add_argument("--q", required=True, help="comma-separated quantities")
 
     sw = subs.add_parser("sweep", help="2-D parameter sweep to CSV")
-    _add_model_args(sw)
-    _add_thermal_args(sw)
-    _add_quad_args(sw)
+    _add_options(sw)
     sw.add_argument("--config", default=None, help="config file (excludes inline sweep flags)")
     sw.add_argument("--x", default=None, help="x axis: 'name start stop steps'")
     sw.add_argument("--y", default=None, help="y axis: 'name start stop steps'")
@@ -513,8 +485,7 @@ def main(argv=None) -> int:
     sw.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
     qc = subs.add_parser("qcp-scan", help="second derivative of the ground energy")
-    _add_model_args(qc)
-    _add_quad_args(qc)
+    _add_options(qc, thermal=False)
     qc.add_argument("--axis", required=True, choices=("B", "b", "j"))
     qc.add_argument("--start", type=float, required=True)
     qc.add_argument("--stop", type=float, required=True)
@@ -522,9 +493,7 @@ def main(argv=None) -> int:
     qc.add_argument("--out", default="-")
 
     oc = subs.add_parser("oracle-compare", help="analytic vs exact-diagonalization report")
-    _add_model_args(oc)
-    _add_thermal_args(oc)
-    _add_quad_args(oc)
+    _add_options(oc)
     oc.add_argument("--sizes", default="8,10,12", help="ring sizes, e.g. 8,10,12")
     oc.add_argument("--q", default="m,g1_odd,g1_even,c1_odd,c1_even", help="quantities")
     oc.add_argument("--tol", type=float, default=0.02, help="final-gap tolerance")
@@ -534,17 +503,10 @@ def main(argv=None) -> int:
     vc.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
+    opts = _Options(vars(args), lambda name: "--" + name.replace("_", "-"))
 
+    # Each command validates and computes; --out is opened only once it has rows.
     try:
-        if args.command == "point":
-            record, flags = run_point(
-                _params_from(args), _thermal_from(args), _split_csv_list(args.q), _quad_from(args)
-            )
-            writer = csv.writer(sys.stdout, lineterminator="\r\n")
-            writer.writerow(list(record) + ["err_flags"])
-            writer.writerow([_fmt(v) for v in record.values()] + [";".join(flags)])
-            return 3 if flags else 0
-
         if args.command == "validate-config":
             spec = load_config(args.config)
             t = spec.thermal
@@ -556,49 +518,44 @@ def main(argv=None) -> int:
             )
             return 0
 
-        if args.command == "sweep":
+        if args.command == "point":
+            record, flags = run_point(
+                opts.params(), opts.thermal() or Thermal.zero(), _split_csv_list(args.q),
+                opts.quad(),
+            )
+            code = 3 if flags else 0
+            rows = [list(record) + ["err_flags"]]
+            rows.append([_fmt(v) for v in record.values()] + [";".join(flags)])
+        elif args.command == "sweep":
             if args.config is not None:
                 if args.x or args.y or args.q:
                     raise ConfigError("--config excludes inline --x/--y/--q flags")
                 spec = load_config(args.config)
             else:
-                if not (args.x and args.y and args.q):
-                    raise ConfigError("sweep needs --config or all of --x, --y, --q")
-                x, y = _parse_axis(args.x, "--x"), _parse_axis(args.y, "--y")
-                thermal = None
-                if "T" not in (x.name, y.name):
-                    thermal = _thermal_from(args)
-                elif args.T is not None or args.beta is not None:
-                    raise ConfigError("fixed --T/--beta must be omitted when T is a sweep axis")
-                spec = SweepSpec(
-                    x=x,
-                    y=y,
-                    params=_params_from(args),
-                    thermal=thermal,
-                    quantities=_split_csv_list(args.q),
-                    quad=_quad_from(args),
-                )
-            run = lambda out: run_sweep(spec, out, workers=max(1, args.workers))
+                spec = opts.sweep()
+            code, rows = run_sweep(spec, workers=max(1, args.workers))
         elif args.command == "qcp-scan":
-            run = lambda out: run_qcp_scan(
-                _params_from(args), args.axis, args.start, args.stop, args.step,
-                out, _quad_from(args),
+            code, rows = run_qcp_scan(
+                opts.params(), args.axis, args.start, args.stop, args.step, opts.quad()
             )
         else:
             sizes = tuple(int(s) for s in _split_csv_list(args.sizes))
             if not sizes:
                 raise ConfigError("--sizes must list at least one ring size")
-            run = lambda out: run_oracle_compare(
-                _params_from(args), _thermal_from(args), sizes,
-                _split_csv_list(args.q), out, tol=args.tol, quad=_quad_from(args),
+            code, rows = run_oracle_compare(
+                opts.params(), opts.thermal() or Thermal.zero(), sizes,
+                _split_csv_list(args.q), tol=args.tol, quad=opts.quad(),
             )
-        if args.out == "-":
-            return run(sys.stdout)
-        with open(args.out, "w", encoding="utf-8", newline="") as out:
-            return run(out)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_path = getattr(args, "out", "-")
+    with (
+        contextlib.nullcontext(sys.stdout) if out_path == "-"
+        else open(out_path, "w", encoding="utf-8", newline="")
+    ) as out:
+        csv.writer(out, lineterminator="\r\n").writerows(rows)
+    return code
 
 
 if __name__ == "__main__":

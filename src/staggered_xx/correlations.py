@@ -184,11 +184,10 @@ def zz_correlator(
 ) -> float:
     """Full longitudinal correlator <sz_l sz_{l+r}>, l of given parity."""
     r = _check_distance(r)
-    left = sigma_z(p, t, parity, quad)
+    sz = sigma_z_pair(p, t, quad)
     right_parity = parity if r % 2 == 0 else _OTHER_PARITY[parity]
-    right = sigma_z(p, t, right_parity, quad)
     g = g_site(p, t, parity, r, quad)
-    return left * right - g * g
+    return sz.at(parity) * sz.at(right_parity) - g * g
 
 
 def xx_plus_yy(

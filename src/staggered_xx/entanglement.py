@@ -66,7 +66,7 @@ class ConcurrencePair:
     even: float
 
     def at(self, parity: str) -> float:
-        return self.odd if parity == "odd" else self.even
+        return self.odd if parity_sign(parity) < 0 else self.even
 
 
 @dataclass(frozen=True)

@@ -73,22 +73,14 @@ class QcpScan:
         return list(zip(self.values.tolist(), self.d2e.tolist()))
 
 
-def _quad(quad: QuadSpec | None) -> QuadSpec:
-    return DEFAULT_QUAD if quad is None else quad
-
-
-def _int_theta(p: ChainParams, lo: float, hi: float, quad: QuadSpec | None) -> float:
+def _int_theta(
+    p: ChainParams, lo: float, hi: float, quad: QuadSpec | None, inverse: bool = False
+) -> float:
+    """Integral of theta(q), or of 1/theta(q) if ``inverse``, over [lo, hi]; 0 if empty."""
     if hi <= lo:
         return 0.0
-    f = lambda q: theta_of_q(p, q)
-    return require_converged(integrate(f, _quad(quad), lo=lo, hi=hi))
-
-
-def _int_inv_theta(p: ChainParams, lo: float, hi: float, quad: QuadSpec | None) -> float:
-    if hi <= lo:
-        return 0.0
-    f = lambda q: 1.0 / theta_of_q(p, q)
-    return require_converged(integrate(f, _quad(quad), lo=lo, hi=hi))
+    f = (lambda q: 1.0 / theta_of_q(p, q)) if inverse else (lambda q: theta_of_q(p, q))
+    return require_converged(integrate(f, quad, lo=lo, hi=hi))
 
 
 def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
@@ -128,7 +120,7 @@ def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> 
         return 0.0
     total = 0.0
     for lo, hi in region_q(replace(p, B=abs(p.B))):
-        total += _int_inv_theta(p, lo, hi, quad)
+        total += _int_theta(p, lo, hi, quad, inverse=True)
     return p.b / math.pi * total
 
 
@@ -197,7 +189,7 @@ def qcp_scan(
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     if n < 3:
         raise ValueError("scan range must contain at least 3 grid points")
-    q = _quad(quad)
+    q = DEFAULT_QUAD if quad is None else quad
     grid = start + step * np.arange(n)
     e = np.array([energy(replace(p, **{axis: v}), q) for v in grid])
     d2e = (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2

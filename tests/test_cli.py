@@ -267,6 +267,7 @@ def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path,
 
     monkeypatch.setattr(cli, "dense_ed", no_ed)
     out = tmp_path / "oracle.csv"
+    out.write_bytes(b"previous result\r\n")
     for dest in ([], ["--out", str(out)]):
         code, stdout, err = run_cli(
             ["oracle-compare", "--beta", "2", "--sizes", "6,8", "--q", q] + dest, capsys
@@ -274,7 +275,48 @@ def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path,
         assert code == 2
         assert message in err
         assert stdout == ""
-    assert out.read_bytes() == b""
+    assert out.read_bytes() == b"previous result\r\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "1", "--step", "0"],
+         "step must be positive"),
+        (["oracle-compare", "--beta", "2", "--sizes", "5,6", "--q", "m"],
+         "n_sites must be even"),
+    ],
+)
+def test_rejected_run_leaves_out_file_untouched(argv, message, tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    out.write_bytes(b"previous result\r\n")
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+    assert out.read_bytes() == b"previous result\r\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # depth 0 cannot resolve the beta = 200 layers of the analytic m
+        (["--beta", "200", "--B", "0.9", "--j", "0.4", "--b", "0.2", "--q", "m",
+          "--max-subdivisions", "0", "--abs-tol", "1e-15", "--rel-tol", "1e-15"],
+         "m:tolerance"),
+        # the witness bound is empty at J = j = 0
+        (["--J", "0", "--q", "witness_lhs"], "witness_lhs:error"),
+    ],
+)
+def test_oracle_compare_reports_failed_analytic_value_as_nan(argv, flag, tmp_path, capsys):
+    out = tmp_path / "oracle.csv"
+    code, _, err = run_cli(["oracle-compare", "--sizes", "4,6", *argv, "--out", str(out)], capsys)
+    assert code == 3
+    assert flag in err
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["n_sites"] for r in rows] == ["4", "6"]
+    assert all(r["analytic"] == "nan" and r["abs_gap"] == "nan" for r in rows)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -313,6 +355,52 @@ def test_config_errors_name_the_problem(tmp_path, capsys):
     assert "quantities" in err
     code, _, err = run_cli(["validate-config", "--config", str(tmp_path / "nope.ini")], capsys)
     assert code == 2
+    fractional = tmp_path / "fractional.ini"
+    fractional.write_text(
+        "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u\n\n"
+        "[quadrature]\nmax_subdivisions = 2.7\n"
+    )
+    code, _, err = run_cli(["validate-config", "--config", str(fractional)], capsys)
+    assert code == 2
+    assert "[quadrature] max_subdivisions" in err and "2.7" in err
+    not_a_number = tmp_path / "not_a_number.ini"
+    not_a_number.write_text(
+        "[model]\nJ = abc\n\n[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u\n"
+    )
+    code, _, err = run_cli(["validate-config", "--config", str(not_a_number)], capsys)
+    assert code == 2
+    assert "[model] J" in err and "abc" in err
+    assert err.count("[model]") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (
+            ["--j", "0.5", "--beta", "2", "--x", "B 0 1 3", "--y", "b 0 1 2",
+             "--q", "u,m,c1_odd", "--abs-tol", "1e-9", "--rel-tol", "1e-8",
+             "--max-subdivisions", "40"],
+            "[model]\nj = 0.5\n\n[thermal]\nbeta = 2\n\n"
+            "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u, m, c1_odd\n\n"
+            "[quadrature]\nabs_tol = 1e-9\nrel_tol = 1e-8\nmax_subdivisions = 40\n",
+        ),
+        (
+            ["--j", "0.2", "--b", "0.1", "--x", "T 0.05 0.5 3", "--y", "B 0.5 1 3",
+             "--q", "c2_odd,c2_even,u"],
+            "[model]\nj = 0.2\nb = 0.1\n\n"
+            "[sweep]\nx = T 0.05 0.5 3\ny = B 0.5 1 3\nquantities = c2_odd,c2_even,u\n",
+        ),
+    ],
+    ids=["fixed-beta-quadrature", "T-axis"],
+)
+def test_flags_and_config_write_the_same_sweep(flags, config, tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(config)
+    from_flags, from_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    assert main(["sweep", *flags, "--out", str(from_flags)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(from_config)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+    assert from_flags.read_bytes().count(b"\r\n") > 1  # header and cells
 
 
 def test_config_excludes_inline_axes(tmp_path, capsys):

@@ -28,6 +28,7 @@ from staggered_xx import (
     zz_correlator,
 )
 from staggered_xx.correlations import _check_distance, parity_sign, transverse_integrands
+from staggered_xx.entanglement import ConcurrencePair
 from staggered_xx.thermo import occupation_difference_ratio
 
 T0 = Thermal.zero()
@@ -53,6 +54,11 @@ def test_parity_plumbing():
             _check_distance(bad)
     pair = CorrelatorPair(uniform=0.3, staggered=0.1)
     assert pair.at("even") == 0.4 and math.isclose(pair.at("odd"), 0.2)
+    conc = ConcurrencePair(odd=0.1, even=0.2)
+    assert conc.at("odd") == 0.1 and conc.at("even") == 0.2
+    for bad in ("both", "Even"):
+        with pytest.raises(ValueError):
+            conc.at(bad)
 
 
 def test_uniform_chain_frozen_values():
