@@ -19,6 +19,7 @@ import configparser
 import contextlib
 import csv
 import math
+import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -449,6 +450,15 @@ def load_config(path) -> SweepSpec:
     return _Options(values, _CONFIG_LABEL.__getitem__).sweep()
 
 
+def _check_writable(path: str) -> None:
+    """Reject an --out path that cannot be written, without creating or truncating it."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out {path}: no directory {folder}")
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ConfigError(f"--out {path}: not a writable file")
+
+
 def _add_options(sub, thermal: bool = True) -> None:
     """The model, temperature and quadrature flags; values stay text for _Options."""
     sub.add_argument("--J", help="uniform coupling (default 1)")
@@ -506,7 +516,10 @@ def main(argv=None) -> int:
     opts = _Options(vars(args), lambda name: "--" + name.replace("_", "-"))
 
     # Each command validates and computes; --out is opened only once it has rows.
+    out_path = getattr(args, "out", "-")
     try:
+        if out_path != "-":
+            _check_writable(out_path)
         if args.command == "validate-config":
             spec = load_config(args.config)
             t = spec.thermal
@@ -528,8 +541,9 @@ def main(argv=None) -> int:
             rows.append([_fmt(v) for v in record.values()] + [";".join(flags)])
         elif args.command == "sweep":
             if args.config is not None:
-                if args.x or args.y or args.q:
-                    raise ConfigError("--config excludes inline --x/--y/--q flags")
+                inline = [opts.label(n) for n in _CONFIG_LABEL if opts.values.get(n) is not None]
+                if inline:
+                    raise ConfigError(f"--config excludes inline flags: {', '.join(inline)}")
                 spec = load_config(args.config)
             else:
                 spec = opts.sweep()
@@ -549,7 +563,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_path = getattr(args, "out", "-")
     with (
         contextlib.nullcontext(sys.stdout) if out_path == "-"
         else open(out_path, "w", encoding="utf-8", newline="")

@@ -7,12 +7,13 @@ X shape, so the Wootters concurrence of a site pair reduces to
 
 with z the transverse coherence and a, d the outer diagonal entries.  In
 terms of bulk correlators this yields, for nearest neighbours at site
-parity s (G below is the parity-resolved transverse correlator, zz the
-full longitudinal one),
+parity s (G is the parity-resolved transverse correlator, s_l = m + s m_s
+and s_r = m - s m_s the <sz> of the two sites),
 
-    C1 = max{0, |G_1| - (1/2) sqrt[(1 + zz_1)^2 - (2 m)^2]},
+    C1 = max{0, |G_1| - (1/2) sqrt(R)},
+    R  = 16 a d = [(1 + s_l)(1 + s_r) - G_1^2] [(1 - s_l)(1 - s_r) - G_1^2].
 
-and for next-nearest neighbours the Wick-factorized coherence
+For next-nearest neighbours the Wick-factorized coherence
 |G_{l,1} G_{l+1,1} - G_{l,2} <sz_{l+1}>| replaces |G_1|.  The witness
 compares the energy density against its bound over separable states:
 
@@ -118,13 +119,17 @@ def wootters(rho) -> float:
     return min(max(c, 0.0), 1.0)
 
 
-def _radicand(value: float) -> float:
+def _concurrence(coherence: float, sz_l: float, sz_r: float, g: float) -> float:
+    """max{0, coherence - 2 sqrt(p11 p00)} of an X-shaped pair state (Wootters, PRL 80, 2245).
+
+    16 p11 p00 is taken in factored form, which keeps its digits for a nearly
+    polarized pair where (1 + zz)^2 - (sz_l + sz_r)^2 cancels.
+    """
+    rad = ((1.0 + sz_l) * (1.0 + sz_r) - g * g) * ((1.0 - sz_l) * (1.0 - sz_r) - g * g)
     # quadrature noise may push the radicand slightly negative
-    if value < -1e-9:
-        raise NegativeRadicand(
-            f"concurrence radicand {value:.3e} is negative beyond noise tolerance"
-        )
-    return max(value, 0.0)
+    if rad < -1e-9:
+        raise NegativeRadicand(f"concurrence radicand {rad:.3e} is negative beyond noise tolerance")
+    return max(0.0, coherence - 0.5 * math.sqrt(max(rad, 0.0)))
 
 
 def c1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
@@ -136,9 +141,7 @@ def c1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
     for parity in ("odd", "even"):
         s = parity_sign(parity)
         gp = g.uniform + s * g.staggered
-        zz = (m + s * ms) * (m - s * ms) - gp * gp
-        rad = _radicand((1.0 + zz) ** 2 - (2.0 * m) ** 2)
-        out[parity] = max(0.0, abs(gp) - 0.5 * math.sqrt(rad))
+        out[parity] = _concurrence(abs(gp), m + s * ms, m - s * ms, gp)
     return ConcurrencePair(odd=out["odd"], even=out["even"])
 
 
@@ -163,9 +166,7 @@ def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
         sz_l = m + s * ms
         sz_mid = m - s * ms
         coherence = abs(g_l * g_mid - g2_l * sz_mid)
-        zz = sz_l * sz_l - g2_l * g2_l
-        rad = _radicand((1.0 + zz) ** 2 - (2.0 * sz_l) ** 2)
-        out[parity] = max(0.0, coherence - 0.5 * math.sqrt(rad))
+        out[parity] = _concurrence(coherence, sz_l, sz_l, g2_l)
     return ConcurrencePair(odd=out["odd"], even=out["even"])
 
 

@@ -1,20 +1,19 @@
 """Zero-temperature closed forms and quantum-critical-point detection.
 
-The ground state fills all negative-energy modes of the lower band
-lam_-(q) = B - theta(q).  For B >= 0 the filled set is controlled by the
-crossing angle
+The ground state fills every mode with B - theta(q) < 0.  theta is
+monotone on [0, pi/2] and even about pi/2, so the angles where
+theta(q) > |B| form one interval F of the half zone (``model`` decides
+it, with the boundary convention shared by every quantity here).  With
+w the width of F,
 
-    XI = arccos sqrt[(B^2 - b^2 - j^2) / (J^2 - j^2)],
+    energy = -(2/pi) int_F theta dq - |B| (1 - 2w/pi),
+    m = sign(B) (1 - 2w/pi),    m_s = (2b/pi) int_F dq/theta,
 
-clamped to [0, pi/2], which collapses every per-region branch of the
-energy, magnetization and Meyer-Wallach measure into one expression per
-coupling ordering (J > |j| vs J < |j|).  The two critical fields are
-B_c = sqrt(J^2 + b^2) and sqrt(j^2 + b^2); crossing either one changes
-which clamp is active, producing the kinks that ``qcp_scan`` picks up in
-the second derivative of the energy.
-
-Residual integrals int theta dq and int dq/theta have no elementary
-closed form and are evaluated with :mod:`.quadrature`.
+and the compensated, saturated and flat-band closed forms are special
+cases.  Where F starts to shrink and where it vanishes, at the critical
+fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy has the kinks
+that ``qcp_scan`` picks up in its second derivative.  The residual
+integrals of theta and 1/theta are evaluated with :mod:`.quadrature`.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ import numpy as np
 from .model import (
     ChainParams,
     PhaseRegion,
+    _filled_interval,
     classify_region,
     critical_fields,
-    region_q,
     theta_of_q,
-    xi,
 )
 from .quadrature import DEFAULT_QUAD, QuadSpec, integrate, require_converged
 
@@ -73,72 +71,54 @@ class QcpScan:
         return list(zip(self.values.tolist(), self.d2e.tolist()))
 
 
-def _int_theta(
-    p: ChainParams, lo: float, hi: float, quad: QuadSpec | None, inverse: bool = False
-) -> float:
-    """Integral of theta(q), or of 1/theta(q) if ``inverse``, over [lo, hi]; 0 if empty."""
+def _fill(p: ChainParams) -> tuple[float, float, float]:
+    """F = [lo, hi] and the share of the half zone outside it, 1 - 2(hi - lo)/pi.
+
+    Summed from the endpoints: for F = [xi, pi/2] the share is 2 xi/pi
+    itself, not 1 minus a number close to 1.
+    """
+    _, lo, hi = _filled_interval(p, abs(p.B))
+    return lo, hi, (1.0 - 2.0 * hi / math.pi) + 2.0 * lo / math.pi
+
+
+def _integral(f, lo: float, hi: float, quad: QuadSpec | None) -> float:
+    """Integral of f over [lo, hi]; 0 if empty."""
     if hi <= lo:
         return 0.0
-    f = (lambda q: 1.0 / theta_of_q(p, q)) if inverse else (lambda q: theta_of_q(p, q))
     return require_converged(integrate(f, quad, lo=lo, hi=hi))
 
 
 def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Ground-state energy per site."""
-    babs = abs(p.B)
-    c_hi = max(critical_fields(p))
-    if babs >= c_hi:
-        return -babs
-    if p.J == abs(p.j):
-        # flat bands: theta = sqrt(J^2 + b^2) independent of q
-        return -math.hypot(p.J, p.b)
-    x = xi(p)
-    if p.J > abs(p.j):
-        return (2.0 * x / math.pi - 1.0) * babs - (2.0 / math.pi) * _int_theta(p, 0.0, x, quad)
-    return -(2.0 * x / math.pi) * babs - (2.0 / math.pi) * _int_theta(p, x, math.pi / 2.0, quad)
+    """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi)."""
+    lo, hi, outside = _fill(p)
+    filled = _integral(lambda q: theta_of_q(p, q), lo, hi, quad)
+    return -(2.0 / math.pi) * filled - abs(p.B) * outside
 
 
 def magnetization_t0(p: ChainParams) -> float:
-    """Ground-state uniform magnetization per site (closed form)."""
+    """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi)."""
     if p.B == 0:
         return 0.0  # m is odd in B
-    babs = abs(p.B)
-    sign = -1.0 if p.B < 0 else 1.0
-    if babs >= max(critical_fields(p)):
-        return sign * 1.0
-    if p.J == abs(p.j):
-        return 0.0
-    x = xi(p)
-    frac = 1.0 - 2.0 * x / math.pi if p.J > abs(p.j) else 2.0 * x / math.pi
-    return sign * frac
+    return math.copysign(_fill(p)[2], p.B)
 
 
 def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Ground-state staggered magnetization, (b/pi) int dq/theta over the
-    partially/fully occupied angles {q : theta(q) > |B|}; exactly 0 at b = 0."""
+    """Ground-state staggered magnetization, (2b/pi) int_F dq/theta; exactly 0 at b = 0."""
     if p.b == 0:
         return 0.0
-    total = 0.0
-    for lo, hi in region_q(replace(p, B=abs(p.B))):
-        total += _int_theta(p, lo, hi, quad, inverse=True)
-    return p.b / math.pi * total
+    lo, hi, _ = _fill(p)
+    return 2.0 * p.b / math.pi * _integral(lambda q: 1.0 / theta_of_q(p, q), lo, hi, quad)
 
 
 def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Meyer-Wallach global entanglement of the ground state.
+    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2.
 
-    Equals 1 - m_g^2 - m_s_g^2 in every region; the per-region closed
-    forms (e.g. J^2/(J^2+b^2) on the flat-band line, 0 once saturated)
-    follow from the corresponding magnetization branches.
+    f = 1 - 2|F|/pi is |m|, except that it stays 1 on the all-zero chain
+    (saturated at B = 0), whose measure is 0.
     """
-    if abs(p.B) >= max(critical_fields(p)):
-        return 0.0
-    if p.J == abs(p.j):
-        scale = p.J**2 + p.b**2
-        return p.J**2 / scale if scale > 0 else 0.0
-    m = magnetization_t0(p)
+    f = _fill(p)[2]
     ms = staggered_magnetization_t0(p, quad)
-    return 1.0 - m * m - ms * ms
+    return 1.0 - f * f - ms * ms
 
 
 def ground_report(p: ChainParams, quad: QuadSpec | None = None) -> GroundReport:

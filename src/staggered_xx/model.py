@@ -141,10 +141,8 @@ def lambda_pm(p: ChainParams, q):
 
 
 def theta_bounds(p: ChainParams) -> tuple[float, float]:
-    """(min, max) of theta over q: sqrt(min(J,|j|)^2 + b^2), sqrt(max(J,|j|)^2 + b^2)."""
-    lo = min(p.J**2, p.j**2) + p.b**2
-    hi = max(p.J**2, p.j**2) + p.b**2
-    return math.sqrt(lo), math.sqrt(hi)
+    """(min, max) of theta over q: the two critical fields in increasing order."""
+    return tuple(sorted(critical_fields(p)))
 
 
 def critical_fields(p: ChainParams) -> tuple[float, float]:
@@ -156,32 +154,39 @@ def critical_fields(p: ChainParams) -> tuple[float, float]:
     return math.hypot(p.J, p.b), math.hypot(p.j, p.b)
 
 
-def _cos2_crossing(p: ChainParams) -> float | None:
-    """r = cos^2 of the zero-crossing angle, (B^2 - b^2 - j^2)/(J^2 - j^2); None at J = |j|."""
-    den = p.J**2 - p.j**2
-    if den == 0:
-        return None
-    return (p.B**2 - p.b**2 - p.j**2) / den
-
-
 def xi(p: ChainParams) -> float:
-    """Zero-crossing angle of the lower band, clamped to [0, pi/2].
+    """Zero-crossing (Fermi) angle of the lower band, clamped to [0, pi/2].
 
     Solves theta(xi) = |B| through cos^2 xi = (B^2 - b^2 - j^2)/(J^2 - j^2).
     When the right-hand side falls outside [0, 1] the crossing is absent
     and the angle clamps to the matching endpoint (r > 1 -> 0, r < 0 ->
-    pi/2), which makes the closed-form branches below valid on their full
-    half-open intervals.  Undefined at J = |j| (theta is flat in q);
-    callers branch on that case before calling.
+    pi/2).  Undefined at J = |j| (theta is flat in q).
     """
-    r = _cos2_crossing(p)
-    if r is None:
+    den = p.J**2 - p.j**2
+    if den == 0:
         raise ValueError("xi is undefined at J = |j|; theta(q) is constant there")
-    if r <= 0:
-        return math.pi / 2
-    if r >= 1:
-        return 0.0
-    return math.acos(math.sqrt(r))
+    r = (p.B**2 - p.b**2 - p.j**2) / den
+    return math.acos(math.sqrt(min(max(r, 0.0), 1.0)))
+
+
+def _filled_interval(p: ChainParams, level: float) -> tuple[PhaseRegion, float, float]:
+    """Regime of ``level`` (|B|, or B for the signed band) and the interval
+    [lo, hi] of [0, pi/2] where theta > level: [0, xi] if J > |j|, else [xi, pi/2].
+
+    The one place that compares a field with the band edges; each edge
+    belongs to the regime above it.  Saturated means zero width, at pi/2
+    if the band top touches ``level`` there.
+    """
+    edge_lo, edge_hi = theta_bounds(p)
+    if level < edge_lo:
+        return PhaseRegion.COMPENSATED, 0.0, math.pi / 2
+    if level > edge_hi or edge_lo == edge_hi:
+        return PhaseRegion.SATURATED, 0.0, 0.0
+    falls = p.J > abs(p.j)  # theta falls from its top at q = 0 toward pi/2
+    # At level == edge_hi the crossing is the band top itself, not a rounded xi.
+    x = xi(p) if level < edge_hi else (0.0 if falls else math.pi / 2)
+    lo, hi = (0.0, x) if falls else (x, math.pi / 2)
+    return (PhaseRegion.PARTIAL if lo < hi else PhaseRegion.SATURATED), lo, hi
 
 
 def region_q(p: ChainParams) -> tuple[tuple[float, float], ...]:
@@ -192,35 +197,29 @@ def region_q(p: ChainParams) -> tuple[tuple[float, float], ...]:
     integral.  Returns () when the band is non-negative everywhere and
     ((0, pi),) when it is negative everywhere.
     """
-    lo, hi = theta_bounds(p)
-    if p.B < lo:
-        return ((0.0, math.pi),)
-    if p.B >= hi:
+    region, lo, hi = _filled_interval(p, p.B)
+    if region is PhaseRegion.SATURATED:
         return ()
-    # B sits strictly inside the band sweep, so J != |j| and the crossing
-    # angle is interior.
-    x = xi(p)
-    if p.J > abs(p.j):
+    if region is PhaseRegion.PARTIAL and p.J > abs(p.j):
         # theta decreases toward q = pi/2: negative region hugs the edges
-        return ((0.0, x), (math.pi - x, math.pi))
-    return ((x, math.pi - x),)
+        return ((0.0, hi), (math.pi - hi, math.pi))
+    return ((lo, math.pi - lo),)
 
 
 def band_crossings(p: ChainParams) -> tuple[float, ...]:
     """Interior angles where a band crosses zero, i.e. theta(q) = |B|.
 
-    Empty when |B| lies outside the band sweep or theta is flat (J = |j|).
-    These are the only non-smooth points of zero-temperature integrands
-    and the sharp-layer centres at large beta, so integrals register them
-    as quadrature breakpoints.
+    The interior endpoints of ``region_q`` at |B|, or pi/2 where the band
+    top touches |B|; empty when theta is flat (J = |j|).  These are the
+    only non-smooth points of zero-temperature integrands and the
+    sharp-layer centres at large beta, so integrals register them as
+    quadrature breakpoints.
     """
-    r = _cos2_crossing(p)
-    if r is None or not 0 <= r < 1:
+    region, lo, hi = _filled_interval(p, abs(p.B))
+    x = hi if p.J > abs(p.j) else lo  # the end of the filled interval where theta = |B|
+    if region is PhaseRegion.COMPENSATED or x == 0.0:
         return ()
-    x = math.acos(math.sqrt(r))
-    if x == math.pi - x:
-        return (x,)
-    return (x, math.pi - x)
+    return (x,) if x == math.pi - x else (x, math.pi - x)
 
 
 def classify_region(p: ChainParams) -> PhaseRegion:
@@ -229,11 +228,4 @@ def classify_region(p: ChainParams) -> PhaseRegion:
     Half-open convention: each boundary field belongs to the regime above
     it, so B exactly at the upper critical field classifies SATURATED.
     """
-    babs = abs(p.B)
-    c1, c2 = critical_fields(p)
-    lo, hi = min(c1, c2), max(c1, c2)
-    if babs >= hi:
-        return PhaseRegion.SATURATED
-    if babs < lo:
-        return PhaseRegion.COMPENSATED
-    return PhaseRegion.PARTIAL
+    return _filled_interval(p, abs(p.B))[0]

@@ -411,6 +411,32 @@ def test_config_excludes_inline_axes(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    # model, temperature and quadrature flags are not merged into the config either
+    code, out, err = run_cli(
+        ["sweep", "--config", str(cfg), "--J", "5", "--T", "0.5", "--abs-tol", "1e-9"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--J, --T, --abs-tol" in err
+
+
+def test_unwritable_out_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    sweep = ["sweep", "--x", "B 0 1 2", "--y", "b 0 1 2", "--q", "u", "--T", "0.5"]
+    for out in (tmp_path / "nodir" / "x.csv", tmp_path):
+        code, stdout, err = run_cli(sweep + ["--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == "" and f"--out {out}" in err
+    assert not (tmp_path / "nodir").exists()
+    # a writable path is checked without being created
+    fresh = tmp_path / "fresh.csv"
+    rejected = ["sweep", "--x", "B 0 1 2", "--y", "b 0 1 2", "--q", "m_t0", "--T", "0.5"]
+    code, _, err = run_cli(rejected + ["--out", str(fresh)], capsys)
+    assert code == 2 and "m_t0" in err
+    assert not fresh.exists()
 
 
 def test_module_entry_point():

@@ -119,6 +119,15 @@ def test_concurrence_range_and_melting():
     assert pair.odd == 0.0 and pair.even == 0.0
 
 
+def test_concurrence_of_a_nearly_polarized_pair():
+    # both sublattice <sz> lie within 2e-7 of 1, so 16 p11 p00 is tiny; as
+    # (1 + zz)^2 - (2 m)^2 it cancelled to 4.770e-8.  The reference value is
+    # the 40-digit evaluation on the same m, m_s and g1.
+    p = ChainParams(J=1.0, j=0.4204283106403763, b=0.19303162758160242, B=-1.3920277055771206)
+    pair = c1(p, Thermal.finite(19.563212806787725))
+    assert abs(pair.even - 5.6177748800513e-08) <= 1e-13
+
+
 def test_witness_uniform_chain_value():
     w = witness(XX, T0)
     assert isinstance(w, WitnessValue)

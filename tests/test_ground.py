@@ -11,13 +11,18 @@ from staggered_xx import (
     GroundReport,
     PhaseRegion,
     QcpScan,
+    band_crossings,
+    classify_region,
     critical_fields,
     energy,
     ground_report,
     magnetization_t0,
     meyer_wallach,
     qcp_scan,
+    region_q,
     staggered_magnetization_t0,
+    theta_of_q,
+    xi,
 )
 
 
@@ -38,6 +43,10 @@ def test_partial_filling_magnetization_examples():
     # saturated branch
     assert magnetization_t0(ChainParams(J=1.0, j=0.3, B=2.0)) == 1.0
     assert magnetization_t0(ChainParams(J=1.0, j=0.3, B=-2.0)) == -1.0
+    # J < |j|: the share outside the filled interval is 2 xi/pi itself,
+    # not 1 minus its width
+    p = ChainParams(J=1.0, j=1.8, b=0.1, B=1.4)
+    assert magnetization_t0(p) == 2.0 * xi(p) / math.pi
 
 
 def test_flat_band_energy_closed_form():
@@ -150,3 +159,45 @@ def test_qcp_scan_validation():
         qcp_scan(p, "B", 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         qcp_scan(p, "B", 0.0, 0.1, 0.1)
+
+
+def test_one_regime_decision_at_the_critical_fields():
+    # B exactly at each critical field and one ulp either side: every ground
+    # quantity, region_q and band_crossings read the same filled interval.
+    rng = np.random.default_rng(61)
+    checked = 0
+    for _ in range(340):
+        base = ChainParams(J=1.0, j=float(rng.uniform(-1.5, 1.5)), b=float(rng.uniform(-1, 1)))
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        for c in critical_fields(base):
+            for babs in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)):
+                p = replace(base, B=sign * babs)
+                region = classify_region(p)
+                occupied = region_q(replace(p, B=babs))
+                m, ms = magnetization_t0(p), staggered_magnetization_t0(p)
+                saturated = region is PhaseRegion.SATURATED
+                assert saturated == (occupied == ()) == (abs(m) == 1.0) == (ms == 0.0), p
+                assert abs(m + ms) <= 1.0 and abs(m - ms) <= 1.0, p
+                assert 0.0 <= meyer_wallach(p) <= 1.0, p
+                ends = {q for interval in occupied for q in interval} - {0.0, math.pi}
+                if saturated and band_crossings(p):
+                    # the band top touches |B| at q = pi/2
+                    assert band_crossings(p) == (math.pi / 2,) and base.J < abs(base.j), p
+                    assert math.isclose(theta_of_q(p, math.pi / 2), babs, rel_tol=1e-15)
+                else:
+                    assert band_crossings(p) == tuple(sorted(ends)), p
+                checked += 1
+    assert checked == 2040
+
+
+def test_saturated_at_the_upper_critical_field():
+    # B equals sqrt(j^2 + b^2) to the last bit: saturated, so each sublattice
+    # <sz> = m -+ m_s is exactly 1 (it was 1 + 8.7e-9)
+    p = ChainParams(J=1.0, j=1.2042823728344505, b=-0.9388200339328929, B=1.526983657290913)
+    assert p.B == max(critical_fields(p))
+    assert classify_region(p) is PhaseRegion.SATURATED
+    assert region_q(p) == ()
+    assert magnetization_t0(p) == 1.0
+    assert staggered_magnetization_t0(p) == 0.0
+    assert meyer_wallach(p) == 0.0
+    assert energy(p) == -p.B
