@@ -20,9 +20,9 @@ import contextlib
 import csv
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import correlations, entanglement, ground, thermo
@@ -50,13 +50,15 @@ class _Quantity:
     """How the CLI computes one named quantity.
 
     ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
-    by the quantities of that point.  ``ed``/``fermion`` read it from a
+    by the quantities of that point.  ``assemble(p, u, m, ms, g1, g2)`` builds
+    it from ``correlations._band_integrals``.  ``ed``/``fermion`` read it from a
     ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out of
     oracle-compare, no ``fermion`` leaves its free_fermion column blank.
     Library functions are looked up through their modules at call time.
     """
 
     value: Callable
+    assemble: Callable | None = None
     t0_only: bool = False  # a function of ChainParams only: needs T = 0
     point: bool = True  # accepted by point and sweep
     ed: Callable | None = None
@@ -78,14 +80,17 @@ _PARITIES = ("odd", "even")
 _TABLE = {
     "u": _Quantity(
         lambda p, t, quad, memo: thermo.internal_energy(p, t, quad),
+        lambda p, u, m, ms, g1, g2: u,
         ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u,
     ),
     "m": _Quantity(
         lambda p, t, quad, memo: thermo.magnetization(p, t, quad),
+        lambda p, u, m, ms, g1, g2: m,
         ed=lambda ed: ed.magnetization, fermion=lambda ff: ff.m,
     ),
     "m_s": _Quantity(
         lambda p, t, quad, memo: thermo.staggered_magnetization(p, t, quad),
+        lambda p, u, m, ms, g1, g2: ms,
         ed=lambda ed: ed.staggered_magnetization, fermion=lambda ff: ff.m_s,
     ),
     "e_mw": _Quantity(lambda p, t, quad, memo: ground.meyer_wallach(p, quad), t0_only=True),
@@ -104,12 +109,23 @@ _TABLE = {
         for s in _PARITIES
     },
     **{
-        f"c1_{s}": _Quantity(_sublattice("c1", s), ed=lambda ed, s=s: ed.concurrence[(s, 1)])
+        f"c1_{s}": _Quantity(
+            _sublattice("c1", s),
+            lambda p, u, m, ms, g1, g2, s=s: entanglement._c1(m, ms, g1).at(s),
+            ed=lambda ed, s=s: ed.concurrence[(s, 1)],
+        )
         for s in _PARITIES
     },
-    **{f"c2_{s}": _Quantity(_sublattice("c2", s)) for s in _PARITIES},
+    **{
+        f"c2_{s}": _Quantity(
+            _sublattice("c2", s),
+            lambda p, u, m, ms, g1, g2, s=s: entanglement._c2(m, ms, g1, g2).at(s),
+        )
+        for s in _PARITIES
+    },
     "witness_lhs": _Quantity(
         lambda p, t, quad, memo: entanglement.witness(p, t, quad).lhs,
+        lambda p, u, m, ms, g1, g2: entanglement._witness(p, u, m, ms).lhs,
         ed=lambda ed: ed.witness_lhs,
     ),
     "energy_t0": _Quantity(lambda p, t, quad, memo: ground.energy(p, quad), t0_only=True),
@@ -121,6 +137,7 @@ T0_ONLY_QUANTITIES = frozenset(name for name, q in _TABLE.items() if q.t0_only)
 _ORACLE_CHOICES = tuple(name for name, q in _TABLE.items() if q.ed is not None)
 
 _AXIS_NAMES = ("B", "b", "j", "T")
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 class ConfigError(ValueError):
@@ -194,12 +211,19 @@ class SweepSpec:
         _validate_quantities(self.quantities, self.thermal)
 
 
-def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad) -> tuple[dict, list]:
-    """Values of already validated quantities; a failed one is NaN and flagged."""
+def _evaluate(
+    params: ChainParams, thermal: Thermal, quantities, quad, band: tuple | None = None
+) -> tuple[dict, list]:
+    """Values of already validated quantities, assembled from ``band`` when given
+    (see ``_Quantity``); a failed one is NaN and flagged."""
     record, flags, memo = {}, [], {}
     for name in quantities:
+        q = _TABLE[name]
         try:
-            record[name] = _TABLE[name].value(params, thermal, quad, memo)
+            if band is None:
+                record[name] = q.value(params, thermal, quad, memo)
+            else:
+                record[name] = q.assemble(params, *band)
         except ToleranceNotReached:
             record[name] = math.nan
             flags.append(f"{name}:tolerance")
@@ -247,7 +271,12 @@ def _sweep_row_block(task) -> list:
                 t = Thermal.from_temperature(v)
             else:
                 p = replace(p, **{ax.name: v})
-        record, flags = run_point(p, t, spec.quantities, spec.quad)
+        # finite T from the shared band integrals; T = 0, or where they fail, as a point
+        band = None
+        if not t.is_ground:
+            with contextlib.suppress(ToleranceNotReached, ValueError):
+                band = correlations._band_integrals(p, t, spec.quad)
+        record, flags = _evaluate(p, t, spec.quantities, spec.quad, band)
         rows.append(
             [_fmt(xv), _fmt(yv)]
             + [_fmt(record[qn]) for qn in spec.quantities]
@@ -259,7 +288,11 @@ def _sweep_row_block(task) -> list:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[int, list]:
     """Exit code (0 ok, 3 if rows flagged) and the CSV rows, header first."""
     tasks = [(spec, yv) for yv in spec.y.values()]
+    # fork starts every worker up front, so start no more than can be busy
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_sweep_row_block, tasks))
     else:
@@ -474,6 +507,17 @@ def _add_options(sub, thermal: bool = True) -> None:
     sub.add_argument("--max-subdivisions")
 
 
+def _attach_negative_numbers(argv) -> list:
+    """``--b -2e-05`` as ``--b=-2e-05``: argparse reads '-2e-05' as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="staggered-xx",
@@ -512,7 +556,7 @@ def main(argv=None) -> int:
     vc = subs.add_parser("validate-config", help="check a sweep config file")
     vc.add_argument("--config", required=True)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     opts = _Options(vars(args), lambda name: "--" + name.replace("_", "-"))
 
     # Each command validates and computes; --out is opened only once it has rows.
@@ -547,7 +591,7 @@ def main(argv=None) -> int:
                 spec = load_config(args.config)
             else:
                 spec = opts.sweep()
-            code, rows = run_sweep(spec, workers=max(1, args.workers))
+            code, rows = run_sweep(spec, workers=args.workers)
         elif args.command == "qcp-scan":
             code, rows = run_qcp_scan(
                 opts.params(), args.axis, args.start, args.stop, args.step, opts.quad()

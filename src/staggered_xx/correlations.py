@@ -35,12 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChainParams, Thermal, lambda_pm
-from .quadrature import QuadSpec, integrate, require_converged, thermal_factor
+from .quadrature import QuadSpec, _periodic_trapezoid, integrate, require_converged, thermal_factor
 from .thermo import (
     _spec_for,
+    internal_energy_integrand,
     magnetization,
+    magnetization_integrand,
     occupation_difference_ratio,
     staggered_magnetization,
+    staggered_magnetization_integrand,
 )
 
 __all__ = [
@@ -138,6 +141,24 @@ def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
     gu = require_converged(integrate(fu, spec)) / (2.0 * math.pi)
     gs = require_converged(integrate(fs, spec)) / (2.0 * math.pi)
     return CorrelatorPair(gu, gs)
+
+
+def _band_integrals(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> tuple:
+    """(u, m, m_s, g1, g2) at one finite-T point from one shared periodic trapezoid run.
+
+    |theta'(q)| <= max(J, |j|) bounds how fast the tanh arguments turn.
+    Raises :class:`ToleranceNotReached` past the node cap.
+    """
+    fs = (
+        internal_energy_integrand(p, t),
+        magnetization_integrand(p, t),
+        staggered_magnetization_integrand(p, t),
+        *transverse_integrands(p, t, 1),
+        *transverse_integrands(p, t, 2),
+    )
+    results = _periodic_trapezoid(fs, t.beta * max(p.J, abs(p.j)), quad)
+    u, m, m_s, gu1, gs1, gu2, gs2 = (require_converged(r) / (2.0 * math.pi) for r in results)
+    return u, m, m_s, CorrelatorPair(gu1, gs1), CorrelatorPair(gu2, gs2)
 
 
 def g1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> CorrelatorPair:

@@ -39,6 +39,9 @@ def parse_csv(text):
     return header, body
 
 
+FINITE_T = "u,m,m_s,c1_odd,c1_even,c2_odd,c2_even,witness_lhs"
+
+
 def fmt12(v):
     # the CLI's cell format: 12 significant digits, bare "0" for zero
     return "0" if v == 0.0 else f"{v:.12g}"
@@ -125,6 +128,115 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--out", str(parallel), "--workers", "3"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    # rows that mix the engines: T = 0, beyond the trapezoid cap, trapezoid
+    mixed = ["sweep", "--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2",
+             "--q", FINITE_T]
+    assert main(mixed + ["--out", str(serial)]) == 0
+    assert main(mixed + ["--out", str(parallel), "--workers", "2"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def _sweep_cells(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    return {(row[0], row[1]): row[2:] for row in parse_csv(out)[1]}
+
+
+def _point_cells(argv, capsys):
+    code, out, _ = run_cli(["point", *argv, "--q", FINITE_T], capsys)
+    assert code == 0
+    return parse_csv(out)[1][0]
+
+
+def test_sweep_cells_match_point_by_engine(capsys):
+    # T = 0 and beta beyond the trapezoid cap go through run_point itself;
+    # the trapezoid cell may differ from point in the last printed digits only
+    cells = _sweep_cells(
+        ["sweep", "--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2",
+         "--q", FINITE_T], capsys,
+    )
+    for (x, y), row in cells.items():
+        point = _point_cells(["--j", "0.3", "--b", "0.2", "--B", y, "--T", x], capsys)
+        if x == "0.003":
+            assert all(abs(float(a) - float(b)) < 1e-10 for a, b in zip(row[:-1], point[:-1]))
+            assert row[-1] == point[-1] == ""
+        else:
+            assert row == point, (x, y)
+    cells = _sweep_cells(
+        ["sweep", "--beta", "1e5", "--b", "0.2", "--x", "B 0.5 0.9 2", "--y", "j 0.2 0.4 2",
+         "--q", FINITE_T], capsys,
+    )
+    for (x, y), row in cells.items():
+        assert row == _point_cells(["--b", "0.2", "--B", x, "--j", y, "--beta", "1e5"], capsys)
+
+
+def test_finite_temperature_sweep_makes_no_adaptive_call(monkeypatch, capsys):
+    from staggered_xx import correlations, ground, thermo
+
+    def no_adaptive(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called in a finite-T sweep")
+
+    for module in (thermo, correlations, ground):
+        monkeypatch.setattr(module, "integrate", no_adaptive)
+    cells = _sweep_cells(
+        ["sweep", "--j", "0.4", "--b", "0.2", "--x", "B -1.5 1.5 4", "--y", "T 0.05 2 3",
+         "--q", FINITE_T], capsys,
+    )
+    assert all(row[-1] == "" for row in cells.values())
+    # an assembly that fails is flagged like a point's: the witness at J = j = 0
+    code, out, _ = run_cli(
+        ["sweep", "--J", "0", "--T", "0.5", "--x", "j -1 1 3", "--y", "B 0 1 2", "--q", FINITE_T],
+        capsys,
+    )
+    assert code == 3
+    flags = {(row[0], row[1]): row[-1] for row in parse_csv(out)[1]}
+    assert flags == {(x, y): "witness_lhs:error" if x == "0" else ""
+                     for y in ("0", "1") for x in ("-1", "0", "1")}
+
+
+def test_sweep_pool_is_limited_to_rows_and_cores(monkeypatch, tmp_path):
+    # a fake pool: no process starts, whatever --workers asks for
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    base = ["sweep", "--T", "0.5", "--x", "B 0 1 2", "--y", "b 0 1 3", "--q", "u,m"]
+    serial = tmp_path / "serial.csv"
+    assert main(base + ["--out", str(serial)]) == 0
+    cases = (("1000", 8, [3]), ("1000", 2, [2]), ("2", 8, [2]), ("1000", 1, []))
+    for workers, cores, pool in cases:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
+        started.clear()
+        out = tmp_path / f"{workers}-{cores}.csv"
+        assert main(base + ["--workers", workers, "--out", str(out)]) == 0
+        assert started == pool
+        assert out.read_bytes() == serial.read_bytes()
+
+
+def test_negative_number_with_exponent_after_its_flag(capsys):
+    for spaced, attached in (
+        (["point", "--b", "-2e-05", "--T", "0.5", "--q", "m_s"],
+         ["point", "--b=-2e-05", "--T", "0.5", "--q", "m_s"]),
+        (["qcp-scan", "--axis", "B", "--start", "-1E-1", "--stop", "1", "--step", "0.25"],
+         ["qcp-scan", "--axis", "B", "--start=-1E-1", "--stop", "1", "--step", "0.25"]),
+    ):
+        got = run_cli(spaced, capsys)
+        assert got[0] == 0
+        assert got == run_cli(attached, capsys)
 
 
 def test_sweep_temperature_axis_conflicts(capsys):

@@ -164,3 +164,113 @@ def test_error_estimate_is_honest():
         ref, _ = sp_integrate.quad(scalar(f), 0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
         assert res.converged
         assert abs(res.value - ref) <= max(res.error, 1e-13)
+
+
+# Structural points for the periodic trapezoid rule: generic, both critical
+# fields (and -B), J < |j| with B at its upper critical field, the flat band
+# J = |j|, b = j = 0 (theta vanishes at pi/2) and J = j = 0 (theta = |b|).
+_J, _j, _b = 1.0, 0.6, 0.3
+TRAPEZOID_POINTS = [
+    ChainParams(_J, _j, _b, 0.8),
+    ChainParams(_J, _j, _b, math.hypot(_J, _b)),
+    ChainParams(_J, _j, _b, math.hypot(_j, _b)),
+    ChainParams(_J, _j, _b, -math.hypot(_j, _b)),
+    ChainParams(1.0, 1.4, 0.2, 1.1),
+    ChainParams(1.0, 1.4, 0.2, math.hypot(1.4, 0.2)),
+    ChainParams(1.0, 1.0, 0.3, 0.7),
+    ChainParams(1.0, -1.0, 0.0, 0.5),
+    ChainParams(1.0, 0.0, 0.0, 0.4),
+    ChainParams(1.0, 0.0, 0.0, 0.0),
+    ChainParams(0.0, 0.0, 0.5, 0.2),
+]
+
+
+def _band_integrands(p, t):
+    from staggered_xx.correlations import transverse_integrands
+    from staggered_xx.thermo import (
+        internal_energy_integrand,
+        magnetization_integrand,
+        staggered_magnetization_integrand,
+    )
+
+    return (
+        internal_energy_integrand(p, t),
+        magnetization_integrand(p, t),
+        staggered_magnetization_integrand(p, t),
+        *transverse_integrands(p, t, 1),
+        *transverse_integrands(p, t, 2),
+    )
+
+
+def _cap_limit_beta(p):
+    # the largest beta whose starting node count still leaves room to double
+    from staggered_xx.quadrature import _TRAPEZOID_CAP
+
+    return 0.99 * _TRAPEZOID_CAP / (8.0 * math.pi * max(p.J, abs(p.j), 1e-3))
+
+
+@pytest.mark.parametrize("p", TRAPEZOID_POINTS, ids=str)
+def test_periodic_trapezoid_matches_adaptive_band_integrals(p):
+    from staggered_xx import g1, g_even, internal_energy, magnetization, staggered_magnetization
+    from staggered_xx.correlations import _band_integrals
+
+    for beta in (1e-3, 0.1, 1.0, 10.0, 100.0, _cap_limit_beta(p)):
+        t = Thermal.finite(beta)
+        u, m, m_s, g1_pair, g2_pair = _band_integrals(p, t)
+        got = (u, m, m_s, g1_pair.uniform, g1_pair.staggered, g2_pair.uniform, g2_pair.staggered)
+        want = (
+            internal_energy(p, t), magnetization(p, t), staggered_magnetization(p, t),
+            g1(p, t).uniform, g1(p, t).staggered, g_even(p, t, 2).uniform,
+            g_even(p, t, 2).staggered,
+        )
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert abs(a - b) < 1e-10, (beta, k, a, b)
+
+
+def test_periodic_trapezoid_error_estimate_is_honest():
+    from scipy.special import i0
+
+    from staggered_xx.quadrature import _periodic_trapezoid
+
+    # pi-periodic analytic integrands with closed-form integrals over [0, pi]
+    exact = [
+        (lambda q: 1.0 / (1.0 + 60.0 * np.cos(q) ** 2), math.pi / math.sqrt(61.0)),
+        (lambda q: np.exp(3.0 * np.cos(2.0 * q)), math.pi * i0(3.0)),
+    ]
+    for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+        results = _periodic_trapezoid([f for f, _ in exact], 0.0, QuadSpec(tol, tol))
+        for res, (_, value) in zip(results, exact):
+            assert res.converged
+            assert abs(res.value - value) <= res.error + 1e-15
+    # band integrands against a fine adaptive reference; the start is made
+    # coarser than beta max(J, |j|) asks, so the rule stops where its error shows
+    p, t = ChainParams(1.0, 0.6, 0.3, 0.9), Thermal.finite(30.0)
+    fs = _band_integrands(p, t)
+    for tol in (1e-4, 1e-8):
+        for f, res in zip(fs, _periodic_trapezoid(fs, 0.05 * t.beta, QuadSpec(tol, tol))):
+            ref, _ = sp_integrate.quad(
+                scalar(f), 0.0, math.pi, limit=800, epsabs=1e-13, epsrel=1e-13
+            )
+            assert res.converged
+            assert abs(res.value - ref) <= res.error + 1e-14
+
+
+def test_periodic_trapezoid_cap_and_non_finite_values():
+    from staggered_xx.correlations import _band_integrals
+    from staggered_xx.quadrature import _TRAPEZOID_CAP, _periodic_trapezoid
+
+    def never(q):
+        raise AssertionError("evaluated although the start is beyond the cap")
+
+    # too sharp to start below the cap: unconverged without evaluating
+    (res,) = _periodic_trapezoid([never], _TRAPEZOID_CAP)
+    assert not res.converged
+    # a cusp at pi/2 converges only algebraically: the cap is reached
+    (res,) = _periodic_trapezoid([lambda q: np.sqrt(np.abs(np.cos(q)))], 0.0)
+    assert not res.converged and res.n_panels == _TRAPEZOID_CAP
+    with pytest.raises(ToleranceNotReached):
+        _band_integrals(ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.finite(1e5))
+    with pytest.raises(ToleranceNotReached):
+        _band_integrals(ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.zero())
+    with pytest.raises(ValueError, match="non-finite"):
+        _periodic_trapezoid([np.cos, lambda q: np.where(q == 0.0, np.nan, 1.0)], 0.0)
