@@ -9,147 +9,26 @@ engine, with closed forms at zero temperature.  Finite periodic rings
 independent cross-checks in :mod:`.oracle`.
 """
 
-from .model import (
-    ChainParams,
-    PhaseRegion,
-    Thermal,
-    band_crossings,
-    classify_region,
-    critical_fields,
-    lambda_pm,
-    region_q,
-    theta_bounds,
-    theta_of_q,
-    xi,
-)
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadResult,
-    QuadSpec,
-    ToleranceNotReached,
-    integrate,
-    require_converged,
-    thermal_factor,
-)
-from .thermo import (
-    ThermoPoint,
-    ZeroTemperatureUnsupported,
-    internal_energy,
-    ln_z_per_site,
-    magnetization,
-    staggered_magnetization,
-    thermo_point,
-)
-from .correlations import (
-    CorrelationSet,
-    CorrelatorPair,
-    SigmaZ,
-    correlation_set,
-    g1,
-    g_even,
-    g_odd,
-    g_site,
-    sigma_z,
-    sigma_z_pair,
-    xx_plus_yy,
-    zz_correlator,
-)
-from .ground import (
-    GroundReport,
-    QcpScan,
-    energy,
-    ground_report,
-    magnetization_t0,
-    meyer_wallach,
-    qcp_scan,
-    staggered_magnetization_t0,
-)
-from .entanglement import (
-    ConcurrencePair,
-    DegenerateCoupling,
-    InvalidState,
-    NegativeRadicand,
-    WitnessValue,
-    c1,
-    c2,
-    witness,
-    wootters,
-)
-from .oracle import (
-    DimensionTooLarge,
-    EDResult,
-    FiniteChainSpec,
-    FreeFermionResult,
-    block_eigenvalues,
-    dense_ed,
-    fermion_block,
-    finite_free_fermion,
-)
+from . import correlations, entanglement, ground, model, oracle, quadrature, thermo
+
+# each module's __all__ lists its public names; the package re-exports exactly those
+from .model import *
+from .quadrature import *
+from .thermo import *
+from .correlations import *
+from .ground import *
+from .entanglement import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainParams",
-    "PhaseRegion",
-    "Thermal",
-    "band_crossings",
-    "classify_region",
-    "critical_fields",
-    "lambda_pm",
-    "region_q",
-    "theta_bounds",
-    "theta_of_q",
-    "xi",
-    "DEFAULT_QUAD",
-    "QuadResult",
-    "QuadSpec",
-    "ToleranceNotReached",
-    "integrate",
-    "require_converged",
-    "thermal_factor",
-    "ThermoPoint",
-    "ZeroTemperatureUnsupported",
-    "internal_energy",
-    "ln_z_per_site",
-    "magnetization",
-    "staggered_magnetization",
-    "thermo_point",
-    "CorrelationSet",
-    "CorrelatorPair",
-    "SigmaZ",
-    "correlation_set",
-    "g1",
-    "g_even",
-    "g_odd",
-    "g_site",
-    "sigma_z",
-    "sigma_z_pair",
-    "xx_plus_yy",
-    "zz_correlator",
-    "GroundReport",
-    "QcpScan",
-    "energy",
-    "ground_report",
-    "magnetization_t0",
-    "meyer_wallach",
-    "qcp_scan",
-    "staggered_magnetization_t0",
-    "ConcurrencePair",
-    "DegenerateCoupling",
-    "InvalidState",
-    "NegativeRadicand",
-    "WitnessValue",
-    "c1",
-    "c2",
-    "witness",
-    "wootters",
-    "DimensionTooLarge",
-    "EDResult",
-    "FiniteChainSpec",
-    "FreeFermionResult",
-    "block_eigenvalues",
-    "dense_ed",
-    "fermion_block",
-    "finite_free_fermion",
+    *model.__all__,
+    *quadrature.__all__,
+    *thermo.__all__,
+    *correlations.__all__,
+    *ground.__all__,
+    *entanglement.__all__,
+    *oracle.__all__,
     "__version__",
 ]

@@ -50,15 +50,15 @@ class _Quantity:
     """How the CLI computes one named quantity.
 
     ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
-    by the quantities of that point.  ``assemble(p, u, m, ms, g1, g2)`` builds
-    it from ``correlations._band_integrals``.  ``ed``/``fermion`` read it from a
-    ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out of
-    oracle-compare, no ``fermion`` leaves its free_fermion column blank.
+    by the quantities of that point.  ``quad`` is a QuadSpec, or at a finite-T
+    sweep cell the record of ``correlations._band_integrals``, which the
+    library functions read instead of integrating.  ``ed``/``fermion`` read it
+    from a ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out
+    of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
     Library functions are looked up through their modules at call time.
     """
 
     value: Callable
-    assemble: Callable | None = None
     t0_only: bool = False  # a function of ChainParams only: needs T = 0
     point: bool = True  # accepted by point and sweep
     ed: Callable | None = None
@@ -80,17 +80,14 @@ _PARITIES = ("odd", "even")
 _TABLE = {
     "u": _Quantity(
         lambda p, t, quad, memo: thermo.internal_energy(p, t, quad),
-        lambda p, u, m, ms, g1, g2: u,
         ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u,
     ),
     "m": _Quantity(
         lambda p, t, quad, memo: thermo.magnetization(p, t, quad),
-        lambda p, u, m, ms, g1, g2: m,
         ed=lambda ed: ed.magnetization, fermion=lambda ff: ff.m,
     ),
     "m_s": _Quantity(
         lambda p, t, quad, memo: thermo.staggered_magnetization(p, t, quad),
-        lambda p, u, m, ms, g1, g2: ms,
         ed=lambda ed: ed.staggered_magnetization, fermion=lambda ff: ff.m_s,
     ),
     "e_mw": _Quantity(lambda p, t, quad, memo: ground.meyer_wallach(p, quad), t0_only=True),
@@ -109,23 +106,12 @@ _TABLE = {
         for s in _PARITIES
     },
     **{
-        f"c1_{s}": _Quantity(
-            _sublattice("c1", s),
-            lambda p, u, m, ms, g1, g2, s=s: entanglement._c1(m, ms, g1).at(s),
-            ed=lambda ed, s=s: ed.concurrence[(s, 1)],
-        )
+        f"c1_{s}": _Quantity(_sublattice("c1", s), ed=lambda ed, s=s: ed.concurrence[(s, 1)])
         for s in _PARITIES
     },
-    **{
-        f"c2_{s}": _Quantity(
-            _sublattice("c2", s),
-            lambda p, u, m, ms, g1, g2, s=s: entanglement._c2(m, ms, g1, g2).at(s),
-        )
-        for s in _PARITIES
-    },
+    **{f"c2_{s}": _Quantity(_sublattice("c2", s)) for s in _PARITIES},
     "witness_lhs": _Quantity(
         lambda p, t, quad, memo: entanglement.witness(p, t, quad).lhs,
-        lambda p, u, m, ms, g1, g2: entanglement._witness(p, u, m, ms).lhs,
         ed=lambda ed: ed.witness_lhs,
     ),
     "energy_t0": _Quantity(lambda p, t, quad, memo: ground.energy(p, quad), t0_only=True),
@@ -211,19 +197,13 @@ class SweepSpec:
         _validate_quantities(self.quantities, self.thermal)
 
 
-def _evaluate(
-    params: ChainParams, thermal: Thermal, quantities, quad, band: tuple | None = None
-) -> tuple[dict, list]:
-    """Values of already validated quantities, assembled from ``band`` when given
-    (see ``_Quantity``); a failed one is NaN and flagged."""
+def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad) -> tuple[dict, list]:
+    """Values of already validated quantities (``quad`` as in ``_Quantity``);
+    a failed one is NaN and flagged."""
     record, flags, memo = {}, [], {}
     for name in quantities:
-        q = _TABLE[name]
         try:
-            if band is None:
-                record[name] = q.value(params, thermal, quad, memo)
-            else:
-                record[name] = q.assemble(params, *band)
+            record[name] = _TABLE[name].value(params, thermal, quad, memo)
         except ToleranceNotReached:
             record[name] = math.nan
             flags.append(f"{name}:tolerance")
@@ -271,12 +251,12 @@ def _sweep_row_block(task) -> list:
                 t = Thermal.from_temperature(v)
             else:
                 p = replace(p, **{ax.name: v})
-        # finite T from the shared band integrals; T = 0, or where they fail, as a point
-        band = None
+        # finite T reads the shared band integrals; T = 0, or where they fail, as a point
+        quad = spec.quad
         if not t.is_ground:
             with contextlib.suppress(ToleranceNotReached, ValueError):
-                band = correlations._band_integrals(p, t, spec.quad)
-        record, flags = _evaluate(p, t, spec.quantities, spec.quad, band)
+                quad = correlations._band_integrals(p, t, spec.quad)
+        record, flags = _evaluate(p, t, spec.quantities, quad)
         rows.append(
             [_fmt(xv), _fmt(yv)]
             + [_fmt(record[qn]) for qn in spec.quantities]
@@ -344,12 +324,20 @@ def run_oracle_compare(
     The free-fermion column shares the analytic formulas (it differs only
     by sum-vs-integral), so convergence is asserted on the dense-ED gaps,
     which carry the genuine boundary-term discrepancy.  A failed analytic
-    value is NaN, so its gaps fail.
+    value is NaN, so its gaps fail.  Sizes that do not increase strictly, or
+    a tol that is not positive and finite, raise :class:`ConfigError` before
+    any diagonalization.
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal, _ORACLE_CHOICES)
-    eds = [dense_ed(FiniteChainSpec(n, params, thermal)) for n in sizes]
-    ffs = [finite_free_fermion(FiniteChainSpec(n, params, thermal)) for n in sizes]
+    # the verdict reads the gaps in order of growing rings
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"ring sizes must increase strictly, got {', '.join(map(str, sizes))}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be a positive finite number, got {tol}")
+    specs = [FiniteChainSpec(n, params, thermal) for n in sizes]
+    eds = [dense_ed(spec) for spec in specs]
+    ffs = [finite_free_fermion(spec) for spec in specs]
     record, flags = _evaluate(params, thermal, quantities, quad)
     if flags:
         print(f"oracle-compare: analytic values failed: {';'.join(flags)}", file=sys.stderr)

@@ -37,6 +37,7 @@ import numpy as np
 from .model import ChainParams, Thermal, lambda_pm
 from .quadrature import QuadSpec, _periodic_trapezoid, integrate, require_converged, thermal_factor
 from .thermo import (
+    _BandIntegrals,
     _spec_for,
     internal_energy_integrand,
     magnetization,
@@ -59,7 +60,6 @@ __all__ = [
     "correlation_set",
     "zz_correlator",
     "xx_plus_yy",
-    "transverse_integrands",
 ]
 
 _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
@@ -136,6 +136,9 @@ def transverse_integrands(p: ChainParams, t: Thermal, r: int):
 
 
 def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
+    """Contraction pair at separation ``r`` from a ``_BandIntegrals`` ``quad``, else adaptive GK."""
+    if isinstance(quad, _BandIntegrals):
+        return quad.integral(f"g{r}")
     spec = _spec_for(p, t, quad)
     fu, fs = transverse_integrands(p, t, r)
     gu = require_converged(integrate(fu, spec)) / (2.0 * math.pi)
@@ -143,11 +146,12 @@ def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
     return CorrelatorPair(gu, gs)
 
 
-def _band_integrals(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> tuple:
-    """(u, m, m_s, g1, g2) at one finite-T point from one shared periodic trapezoid run.
+def _band_integrals(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> _BandIntegrals:
+    """The ``_BandIntegrals`` of one finite-T point from one shared periodic trapezoid run.
 
-    |theta'(q)| <= max(J, |j|) bounds how fast the tanh arguments turn.
-    Raises :class:`ToleranceNotReached` past the node cap.
+    The record passes as ``quad`` to the quantity functions, which then read
+    it instead of integrating.  |theta'(q)| <= max(J, |j|) bounds how fast the
+    tanh arguments turn.  Raises :class:`ToleranceNotReached` past the node cap.
     """
     fs = (
         internal_energy_integrand(p, t),
@@ -158,7 +162,7 @@ def _band_integrals(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) ->
     )
     results = _periodic_trapezoid(fs, t.beta * max(p.J, abs(p.j)), quad)
     u, m, m_s, gu1, gs1, gu2, gs2 = (require_converged(r) / (2.0 * math.pi) for r in results)
-    return u, m, m_s, CorrelatorPair(gu1, gs1), CorrelatorPair(gu2, gs2)
+    return _BandIntegrals(u, m, m_s, CorrelatorPair(gu1, gs1), CorrelatorPair(gu2, gs2))
 
 
 def g1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> CorrelatorPair:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import ChainParams, Thermal
 from .quadrature import QuadSpec
-from .correlations import CorrelatorPair, g1, g_even, parity_sign
+from .correlations import g1, g_even, parity_sign
 from .thermo import internal_energy, magnetization, staggered_magnetization
 
 __all__ = [
@@ -132,7 +132,9 @@ def _concurrence(coherence: float, sz_l: float, sz_r: float, g: float) -> float:
     return max(0.0, coherence - 0.5 * math.sqrt(max(rad, 0.0)))
 
 
-def _c1(m: float, ms: float, g: CorrelatorPair) -> ConcurrencePair:
+def c1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
+    """Nearest-neighbour concurrence on each sublattice."""
+    m, ms, g = magnetization(p, t, quad), staggered_magnetization(p, t, quad), g1(p, t, quad)
     out = {}
     for parity in ("odd", "even"):
         s = parity_sign(parity)
@@ -141,12 +143,16 @@ def _c1(m: float, ms: float, g: CorrelatorPair) -> ConcurrencePair:
     return ConcurrencePair(odd=out["odd"], even=out["even"])
 
 
-def c1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
-    """Nearest-neighbour concurrence on each sublattice."""
-    return _c1(magnetization(p, t, quad), staggered_magnetization(p, t, quad), g1(p, t, quad))
+def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
+    """Next-nearest-neighbour concurrence; sites l and l+2 share parity.
 
-
-def _c2(m: float, ms: float, g: CorrelatorPair, g2: CorrelatorPair) -> ConcurrencePair:
+    The transverse spin correlator at distance 2 is the string-ordered
+    2x2 determinant of contractions through the intermediate site l+1 of
+    opposite parity: g_{l,1} g_{l+1,1} - g_{l,2} <sz_{l+1}>.  Every
+    factor, including the distance-2 contraction, is parity-resolved.
+    """
+    m, ms = magnetization(p, t, quad), staggered_magnetization(p, t, quad)
+    g, g2 = g1(p, t, quad), g_even(p, t, 2, quad)
     out = {}
     for parity in ("odd", "even"):
         s = parity_sign(parity)
@@ -160,27 +166,12 @@ def _c2(m: float, ms: float, g: CorrelatorPair, g2: CorrelatorPair) -> Concurren
     return ConcurrencePair(odd=out["odd"], even=out["even"])
 
 
-def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
-    """Next-nearest-neighbour concurrence; sites l and l+2 share parity.
-
-    The transverse spin correlator at distance 2 is the string-ordered
-    2x2 determinant of contractions through the intermediate site l+1 of
-    opposite parity: g_{l,1} g_{l+1,1} - g_{l,2} <sz_{l+1}>.  Every
-    factor, including the distance-2 contraction, is parity-resolved.
-    """
-    m, ms = magnetization(p, t, quad), staggered_magnetization(p, t, quad)
-    return _c2(m, ms, g1(p, t, quad), g_even(p, t, 2, quad))
-
-
-def _witness(p: ChainParams, u: float, m: float, ms: float) -> WitnessValue:
+def witness(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> WitnessValue:
+    """Thermodynamic entanglement witness from the energy density."""
+    u, m = internal_energy(p, t, quad), magnetization(p, t, quad)
+    ms = staggered_magnetization(p, t, quad)
     den = abs(p.J - p.j) + abs(p.J + p.j)
     if den == 0:
         raise DegenerateCoupling("witness bound requires J or j nonzero")
     lhs = 4.0 * abs(u + p.B * m + p.b * ms) / den
     return WitnessValue(lhs=lhs, detected=lhs > 1.0)
-
-
-def witness(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> WitnessValue:
-    """Thermodynamic entanglement witness from the energy density."""
-    u, m = internal_energy(p, t, quad), magnetization(p, t, quad)
-    return _witness(p, u, m, staggered_magnetization(p, t, quad))

@@ -164,6 +164,8 @@ def qcp_scan(
     """
     if axis not in _SCAN_AXES:
         raise ValueError(f"scan axis must be one of {_SCAN_AXES}, got {axis!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"start/stop must be finite, got {start} and {stop}")
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1

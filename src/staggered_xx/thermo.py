@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,27 @@ class ThermoPoint:
     u: float
     m: float
     m_s: float
+
+
+class _BandIntegrals(NamedTuple):
+    """The seven band integrals of one finite-T point, u, m, m_s and the
+    (uniform, staggered) ``CorrelatorPair``s g1 and g2 of separations 1 and 2,
+    as ``correlations._band_integrals`` computes them on shared nodes.
+
+    Given as ``quad``, a quantity function reads its band integrals from the
+    record instead of integrating; one the record does not hold is a ValueError.
+    """
+
+    u: float
+    m: float
+    m_s: float
+    g1: object
+    g2: object
+
+    def integral(self, name: str):
+        if name not in self._fields:
+            raise ValueError(f"the band integrals of one finite-T point hold no {name}")
+        return getattr(self, name)
 
 
 # Half-width of the tanh transition layer, in units of 1/beta: beyond it
@@ -154,8 +176,11 @@ def staggered_magnetization_integrand(p: ChainParams, t: Thermal):
     return f
 
 
-def _quad_over_band(p, t, integrand, quad) -> float:
-    return require_converged(integrate(integrand, _spec_for(p, t, quad))) / (2.0 * math.pi)
+def _quad_over_band(p, t, name: str, integrand, quad) -> float:
+    """Band integral ``name`` from a ``_BandIntegrals`` ``quad``, else adaptive GK."""
+    if isinstance(quad, _BandIntegrals):
+        return quad.integral(name)
+    return require_converged(integrate(integrand(p, t), _spec_for(p, t, quad))) / (2.0 * math.pi)
 
 
 def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
@@ -168,24 +193,24 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
         raise ZeroTemperatureUnsupported(
             "ln Z per site grows like -beta * energy at T = 0; use ground.energy"
         )
-    return _quad_over_band(p, t, ln_z_integrand(p, t), quad)
+    return _quad_over_band(p, t, "ln_z", ln_z_integrand, quad)
 
 
 def internal_energy(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Energy per site."""
-    return _quad_over_band(p, t, internal_energy_integrand(p, t), quad)
+    return _quad_over_band(p, t, "u", internal_energy_integrand, quad)
 
 
 def magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Uniform magnetization per site, in [-1, 1], odd in B."""
-    return _quad_over_band(p, t, magnetization_integrand(p, t), quad)
+    return _quad_over_band(p, t, "m", magnetization_integrand, quad)
 
 
 def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Staggered magnetization per site, odd in b; exactly 0 at b = 0."""
     if p.b == 0:
         return 0.0
-    return _quad_over_band(p, t, staggered_magnetization_integrand(p, t), quad)
+    return _quad_over_band(p, t, "m_s", staggered_magnetization_integrand, quad)
 
 
 def thermo_point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ThermoPoint:

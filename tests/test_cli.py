@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -183,7 +184,7 @@ def test_finite_temperature_sweep_makes_no_adaptive_call(monkeypatch, capsys):
          "--q", FINITE_T], capsys,
     )
     assert all(row[-1] == "" for row in cells.values())
-    # an assembly that fails is flagged like a point's: the witness at J = j = 0
+    # a quantity that fails is flagged like a point's: the witness at J = j = 0
     code, out, _ = run_cli(
         ["sweep", "--J", "0", "--T", "0.5", "--x", "j -1 1 3", "--y", "B 0 1 2", "--q", FINITE_T],
         capsys,
@@ -393,10 +394,39 @@ def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path,
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["--sizes", "12,10,8"], "ring sizes must increase strictly, got 12, 10, 8"),
+        (["--sizes", "8,8"], "ring sizes must increase strictly"),
+        (["--tol", "-1"], "tol must be a positive finite number"),
+        (["--tol", "nan"], "tol must be a positive finite number"),
+        (["--tol", "0"], "tol must be a positive finite number"),
+    ],
+)
+def test_oracle_compare_rejects_bad_sizes_and_tol_before_work(argv, message, monkeypatch, capsys):
+    # the verdict reads the gaps in ring order, so shrinking sizes would fail correct values
+    def no_ed(*args, **kwargs):
+        raise AssertionError("dense_ed called before --sizes/--tol were checked")
+
+    monkeypatch.setattr(cli, "dense_ed", no_ed)
+    code, stdout, err = run_cli(
+        ["oracle-compare", "--j", "0.3", "--b", "0.2", "--B", "0.4", "--beta", "2",
+         "--q", "m,c1_odd", *argv], capsys,
+    )
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "1", "--step", "0"],
          "step must be positive"),
         (["oracle-compare", "--beta", "2", "--sizes", "5,6", "--q", "m"],
          "n_sites must be even"),
+        (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "inf", "--step", "0.1"],
+         "start/stop must be finite"),
+        (["qcp-scan", "--axis", "B", "--start", "nan", "--stop", "1", "--step", "0.1"],
+         "start/stop must be finite"),
     ],
 )
 def test_rejected_run_leaves_out_file_untouched(argv, message, tmp_path, capsys):
@@ -549,6 +579,18 @@ def test_unwritable_out_is_rejected_before_any_work(tmp_path, capsys, monkeypatc
     code, _, err = run_cli(rejected + ["--out", str(fresh)], capsys)
     assert code == 2 and "m_t0" in err
     assert not fresh.exists()
+
+
+def test_readme_quantity_lists_match_the_table():
+    # each list runs from its label to the first parenthesis
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def listed(label):
+        start = readme.index(label) + len(label)
+        return tuple(re.findall(r"`([^`]+)`", readme[start:readme.index("(", start)]))
+
+    assert listed("\nQuantities:") == cli.QUANTITIES
+    assert listed("`oracle-compare` quantities:") == cli._ORACLE_CHOICES
 
 
 def test_module_entry_point():

@@ -227,6 +227,63 @@ def test_periodic_trapezoid_matches_adaptive_band_integrals(p):
             assert abs(a - b) < 1e-10, (beta, k, a, b)
 
 
+def _pair_concurrence(coherence, sz_l, sz_r, g):
+    # C = max{0, coherence - 2 sqrt(p00 p11)} with 16 p00 p11 in factored form
+    rad = ((1.0 + sz_l) * (1.0 + sz_r) - g * g) * ((1.0 - sz_l) * (1.0 - sz_r) - g * g)
+    return max(0.0, coherence - 0.5 * math.sqrt(max(rad, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "p, beta",
+    [
+        (ChainParams(1.0, 0.5, 0.3, 0.8), 5.0),
+        (ChainParams(1.0, -0.6, 0.2, 0.1), 20.0),
+        (ChainParams(1.0, 0.0, 0.2, 0.95), 20.0),  # c2 > 0 on both sublattices
+        (ChainParams(1.0, 0.3, 0.0, 0.4), 2.0),
+    ],
+    ids=str,
+)
+def test_quantity_functions_read_band_integrals_record(p, beta, monkeypatch):
+    from staggered_xx import (
+        ConcurrencePair, c1, c2, correlation_set, g1, g_even, g_site, internal_energy,
+        ln_z_per_site, magnetization, staggered_magnetization, witness,
+    )
+    from staggered_xx import correlations, ground, thermo
+    from staggered_xx.correlations import _band_integrals
+
+    t = Thermal.finite(beta)
+    rec = _band_integrals(p, t)
+
+    def no_adaptive(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called although the record was given")
+
+    for module in (thermo, correlations, ground):
+        monkeypatch.setattr(module, "integrate", no_adaptive)
+    assert internal_energy(p, t, rec) == rec.u
+    assert magnetization(p, t, rec) == rec.m
+    assert staggered_magnetization(p, t, rec) == rec.m_s
+    assert g1(p, t, rec) == rec.g1
+    assert g_even(p, t, 2, rec) == rec.g2
+    m, ms, g, g2 = rec.m, rec.m_s, rec.g1, rec.g2
+    want1, want2 = {}, {}
+    for parity, s in (("odd", -1.0), ("even", 1.0)):
+        gp, g_mid, g2_l = g.uniform + s * g.staggered, g.uniform - s * g.staggered, g2.at(parity)
+        want1[parity] = _pair_concurrence(abs(gp), m + s * ms, m - s * ms, gp)
+        coherence = abs(gp * g_mid - g2_l * (m - s * ms))
+        want2[parity] = _pair_concurrence(coherence, m + s * ms, m + s * ms, g2_l)
+    assert c1(p, t, rec) == ConcurrencePair(**want1)
+    assert c2(p, t, rec) == ConcurrencePair(**want2)
+    lhs = 4.0 * abs(rec.u + p.B * m + p.b * ms) / (abs(p.J - p.j) + abs(p.J + p.j))
+    assert witness(p, t, rec).lhs == lhs
+    # ln Z and separations other than 1 and 2 are not in the record
+    with pytest.raises(ValueError, match="ln_z"):
+        ln_z_per_site(p, t, rec)
+    with pytest.raises(ValueError, match="g3"):
+        g_site(p, t, "odd", 3, rec)
+    with pytest.raises(ValueError, match="g3"):
+        correlation_set(p, t, quad=rec)
+
+
 def test_periodic_trapezoid_error_estimate_is_honest():
     from scipy.special import i0
 
