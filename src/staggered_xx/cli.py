@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from . import correlations, entanglement, ground, thermo
 from .model import ChainParams, Thermal
-from .oracle import FiniteChainSpec, dense_ed, finite_free_fermion
+from .oracle import _DENSE_CAP, FiniteChainSpec, dense_ed, finite_free_fermion
 from .quadrature import DEFAULT_QUAD, QuadSpec, ToleranceNotReached
 
 __all__ = [
@@ -123,7 +123,7 @@ T0_ONLY_QUANTITIES = frozenset(name for name, q in _TABLE.items() if q.t0_only)
 _ORACLE_CHOICES = tuple(name for name, q in _TABLE.items() if q.ed is not None)
 
 _AXIS_NAMES = ("B", "b", "j", "T")
-_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|-(inf|infinity|nan)", re.IGNORECASE)
 
 
 class ConfigError(ValueError):
@@ -324,15 +324,19 @@ def run_oracle_compare(
     The free-fermion column shares the analytic formulas (it differs only
     by sum-vs-integral), so convergence is asserted on the dense-ED gaps,
     which carry the genuine boundary-term discrepancy.  A failed analytic
-    value is NaN, so its gaps fail.  Sizes that do not increase strictly, or
-    a tol that is not positive and finite, raise :class:`ConfigError` before
-    any diagonalization.
+    value is NaN, so its gaps fail.  Sizes that do not increase strictly or
+    exceed the dense cap, or a tol that is not positive and finite, raise
+    :class:`ConfigError` before any diagonalization.
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal, _ORACLE_CHOICES)
     # the verdict reads the gaps in order of growing rings
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"ring sizes must increase strictly, got {', '.join(map(str, sizes))}")
+    if max(sizes) > _DENSE_CAP:
+        raise ConfigError(
+            f"dense diagonalization is capped at {_DENSE_CAP} sites, got {max(sizes)}"
+        )
     if not (tol > 0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be a positive finite number, got {tol}")
     specs = [FiniteChainSpec(n, params, thermal) for n in sizes]
@@ -496,7 +500,10 @@ def _add_options(sub, thermal: bool = True) -> None:
 
 
 def _attach_negative_numbers(argv) -> list:
-    """``--b -2e-05`` as ``--b=-2e-05``: argparse reads '-2e-05' as an option."""
+    """``--b -2e-05`` as ``--b=-2e-05``: argparse reads '-2e-05' as an option.
+
+    The same holds for '-inf' and '-nan', which ``float`` accepts in any case.
+    """
     out = []
     for token in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.fullmatch(token):

@@ -132,6 +132,9 @@ def ground_report(p: ChainParams, quad: QuadSpec | None = None) -> GroundReport:
 
 
 _SCAN_AXES = ("B", "b", "j")
+# Each grid point costs one ground energy; a larger window is refused
+# before its grid is allocated.
+_MAX_SCAN_POINTS = 10**6
 
 
 def qcp_scan(
@@ -168,7 +171,13 @@ def qcp_scan(
         raise ValueError(f"start/stop must be finite, got {start} and {stop}")
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SCAN_POINTS:  # inf too, when stop - start overflows
+        raise ValueError(
+            f"scan window holds {math.floor(span) + 1 if math.isfinite(span) else span:.6g} "
+            f"grid points, more than {_MAX_SCAN_POINTS}"
+        )
+    n = int(math.floor(span)) + 1
     if n < 3:
         raise ValueError("scan range must contain at least 3 grid points")
     q = DEFAULT_QUAD if quad is None else quad

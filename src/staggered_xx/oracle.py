@@ -2,9 +2,13 @@
 
 Two oracles at desk scale:
 
-* ``dense_ed``: exact diagonalization of the periodic spin ring.  Total
-  magnetization commutes with H, so the Hamiltonian is diagonalized
-  sector by sector (largest block C(12,6) = 924 at N = 12).  The spin
+* ``dense_ed``: exact diagonalization of the periodic spin ring in the
+  spin basis.  Total magnetization and T2, the translation by two sites
+  (the unit cell), commute with H, so H is diagonalized in blocks of
+  fixed magnetization and T2 momentum k (about 160 states at N = 12
+  against 924 for the largest magnetization sector).  H is real, so the
+  blocks k and L - k (L = N/2) are complex conjugates and only
+  k = 0 .. L/2 are diagonalized, the others counted twice.  The spin
   chain keeps the boundary term that the bulk fermion solution drops, so
   agreement with the analytic module is O(1/N) convergence data, never
   exact equality.
@@ -20,13 +24,16 @@ Reduced two-site density matrices are assembled blockwise: every
 eigenvector lives in one magnetization sector, which forbids coherence
 between pair states of different pair magnetization (the environment
 overlap vanishes), so the X-shaped assembly below is the exact partial
-trace, not an approximation.
+trace, not an approximation.  The bulk averages over the sites of one
+parity commute with T2, so they are read from each block's density
+matrix without rebuilding eigenvectors in the spin basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,51 +124,114 @@ def _site_signs(n: int) -> np.ndarray:
     return np.where(np.arange(n) % 2 == 1, 1.0, -1.0)
 
 
-def _parity_name(i: int) -> str:
-    return "even" if (i + 1) % 2 == 0 else "odd"
+# The bulk-averaged pairs: (parity of the first site, separation).
+_PAIR_KEYS = tuple((par, r) for r in (1, 2) for par in ("odd", "even"))
 
 
-def _sector_eigensystems(n: int, p: ChainParams):
-    """Diagonalize H in every total-magnetization sector.
+class _Block(NamedTuple):
+    """One (total magnetization, T2 momentum k) block of H.
 
-    Yields (states, eigenvalues, eigenvectors) with ``states`` the sorted
-    basis bitmasks of the sector (bit i = 1 means sz = +1 at site i+1).
+    ``mult`` is 2 when block L - k, the complex conjugate of this one, is
+    counted through it.  Row i of ``diagonal`` holds, on basis vector i,
+    the sublattice means of sz (odd, even) and, per pair key, the pair
+    populations p11, p10, p01, p00.  ``coherence`` is (col, row, key,
+    value): the nonzeros of each key's sublattice-mean flip operator.
     """
+
+    mult: int
+    evals: np.ndarray
+    evecs: np.ndarray
+    diagonal: np.ndarray
+    coherence: tuple
+
+
+def _flips(states: np.ndarray, sites: np.ndarray, both: bool):
+    """Nonzeros of a sum of two-spin flips, column by column.
+
+    The flip on the site pair (a, c) = sites[m] turns over both spins of a
+    state whose spins a, c are antiparallel (``both``), or whose spin a is
+    up and spin c down (not ``both``).  Returns (col, target, m): the index
+    into ``states`` of the state flipped, the state it becomes and the pair.
+    """
+    a, c = sites[:, 0], sites[:, 1]
+    ua, uc = (states[:, None] >> a) & 1, (states[:, None] >> c) & 1
+    col, m = np.nonzero(ua != uc if both else (ua == 1) & (uc == 0))
+    return col, states[col] ^ ((1 << a[m]) | (1 << c[m])), m
+
+
+def _block_eigensystems(n: int, p: ChainParams) -> list:
+    """Diagonalize H in every (total magnetization, T2 momentum) block.
+
+    T2 translates by two sites, rotating the basis bitmask by two bits (bit
+    i = 1 means sz = +1 at site i+1).  With L = n/2, a representative r
+    (the smallest mask of its orbit) has a period p_r dividing L, and the
+    block vector
+    |r, k> = p_r^(-1/2) sum_{t < p_r} e^(-2 pi i k t / L) T2^t |r>
+    exists when k p_r = 0 mod L.  A nonzero h_{s r} with s = T2^l r'
+    enters block k at (r', r) as h_{s r} e^(2 pi i k l / L) sqrt(p_r / p_r').
+    H is real, so block L - k is the conjugate of block k: only
+    k = 0 .. L/2 are built, and blocks k = 0 and k = L/2 are real.
+    """
+    half = n // 2
+    every = np.arange(1 << n, dtype=np.int64)
+    steps = 2 * np.arange(half)
+    rots = ((every[:, None] << steps) | (every[:, None] >> (n - steps))) & ((1 << n) - 1)
+    rep = rots.min(axis=1)
+    shift = -rots.argmin(axis=1)  # s = T2^shift[s] rep[s]
+    again = rots[:, 1:] == every[:, None]
+    period = np.where(again.any(axis=1), again.argmax(axis=1) + 1, half)
+
     signs = _site_signs(n)
     j_bond = p.J + signs * p.j
-    b_site = p.B + signs * p.b
-    every = np.arange(1 << n, dtype=np.int64)
     bits = (every[:, None] >> np.arange(n)) & 1
+    energy = -((2.0 * bits - 1.0) @ (p.B + signs * p.b))
+    bonds = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    # per key, the L pairs whose first site has its parity: their mean is
+    # T2-invariant and equals the bulk average of the ring
+    pairs = np.array(
+        [(l, (l + r) % n) for par, r in _PAIR_KEYS for l in range(par == "even", n, 2)]
+    )
+    up = bits.astype(bool)
+    columns = [(2.0 * bits[:, par::2] - 1.0).mean(axis=1) for par in (0, 1)]
+    for key_pairs in pairs.reshape(len(_PAIR_KEYS), half, 2):
+        ua, uc = up[:, key_pairs[:, 0]], up[:, key_pairs[:, 1]]
+        for x, y in ((ua, uc), (ua, ~uc), (~ua, uc), (~ua, ~uc)):
+            columns.append((x & y).mean(axis=1))
+    diagonal = np.stack(columns, axis=1)
+
+    where = np.full(1 << n, -1)  # position of each representative in the current block
+
+    def scatter(k, reps, col, target, m):
+        # the flips that land in block k, with their phase and norm factor
+        row = where[rep[target]]
+        keep = row >= 0
+        col, row, target, m = col[keep], row[keep], target[keep], m[keep]
+        factor = np.exp(2j * np.pi * ((k * shift[target]) % half) / half)
+        return col, row, m, factor * np.sqrt(period[reps[col]] / period[rep[target]])
+
     pop = bits.sum(axis=1)
-    out = []
+    blocks = []
     for n_up in range(n + 1):
-        states = every[pop == n_up]
-        d = len(states)
-        sz = 2.0 * bits[states] - 1.0
-        h = np.zeros((d, d))
-        h[np.arange(d), np.arange(d)] = -(sz @ b_site)
-        for i in range(n):
-            a, c = i, (i + 1) % n
-            mask = bits[states, a] != bits[states, c]
-            if not mask.any():
+        sector = every[(pop == n_up) & (rep == every)]
+        for k in range(half // 2 + 1):
+            reps = sector[(k * period[sector]) % half == 0]
+            d = len(reps)
+            if not d:
                 continue
-            flipped = states[mask] ^ ((1 << a) | (1 << c))
-            rows = np.searchsorted(states, flipped)
-            h[rows, np.nonzero(mask)[0]] += -j_bond[i]
-        evals, evecs = np.linalg.eigh(h)
-        out.append((states, sz, evals, evecs))
-    return out
-
-
-def _thermal_weights(sectors, t: Thermal, tol: float):
-    e0 = min(ev.min() for _, _, ev, _ in sectors)
-    if t.is_ground:
-        cut = e0 + tol * max(1.0, abs(e0))
-        raw = [(ev <= cut).astype(float) for _, _, ev, _ in sectors]
-    else:
-        raw = [np.exp(-t.beta * (ev - e0)) for _, _, ev, _ in sectors]
-    z = sum(w.sum() for w in raw)
-    return [w / z for w in raw], e0
+            where[reps] = np.arange(d)
+            real = (2 * k) % half == 0  # k = 0 or L/2
+            col, row, m, factor = scatter(k, reps, *_flips(reps, bonds, both=True))
+            flat = np.concatenate([row * d + col, np.arange(d) * (d + 1)])
+            val = np.concatenate([-j_bond[m] * factor, energy[reps]])
+            h = np.bincount(flat, val.real, d * d)
+            if not real:
+                h = h + 1j * np.bincount(flat, val.imag, d * d)
+            evals, evecs = np.linalg.eigh(h.reshape(d, d))
+            col, row, m, factor = scatter(k, reps, *_flips(reps, pairs, both=False))
+            coherence = (col, row, m // half, factor / half)
+            blocks.append(_Block(1 if real else 2, evals, evecs, diagonal[reps], coherence))
+            where[reps] = -1
+    return blocks
 
 
 def dense_ed(chain: FiniteChainSpec) -> EDResult:
@@ -171,76 +241,58 @@ def dense_ed(chain: FiniteChainSpec) -> EDResult:
         raise DimensionTooLarge(f"dense diagonalization is capped at {_DENSE_CAP} sites")
     p, t = chain.params, chain.thermal
 
-    sectors = _sector_eigensystems(n, p)
-    weights, e0 = _thermal_weights(sectors, t, chain.degeneracy_tol)
-    degeneracy = sum(
-        int((ev <= e0 + chain.degeneracy_tol * max(1.0, abs(e0))).sum())
-        for _, _, ev, _ in sectors
-    )
+    blocks = _block_eigensystems(n, p)
+    e0 = min(b.evals[0] for b in blocks)
+    cut = e0 + chain.degeneracy_tol * max(1.0, abs(e0))
+    degeneracy = sum(b.mult * int((b.evals <= cut).sum()) for b in blocks)
+    if t.is_ground:
+        raw = [(b.evals <= cut).astype(float) for b in blocks]
+    else:
+        raw = [np.exp(-t.beta * (b.evals - e0)) for b in blocks]
+    z = sum(b.mult * w.sum() for b, w in zip(blocks, raw))
 
-    energy = sum(float(w @ ev) for (_, _, ev, _), w in zip(sectors, weights))
-    sz_site = np.zeros(n)
-    pairs = [(l, r) for r in (1, 2) for l in range(n)]
-    acc = {pair: np.zeros(5) for pair in pairs}  # p11, p10, p01, p00, coherence
-
-    for (states, sz, _, vecs), w in zip(sectors, weights):
+    energy = 0.0
+    diagonal = np.zeros(blocks[0].diagonal.shape[1])
+    coherence = np.zeros(len(_PAIR_KEYS))
+    for b, w in zip(blocks, raw):
         if not w.any():
             continue
-        prob = (vecs * vecs) @ w  # basis-state occupation
-        sz_site += sz.T @ prob
-        up = (sz > 0)
-        for l, r in pairs:
-            a, c = l, (l + r) % n
-            ua, uc = up[:, a], up[:, c]
-            rec = acc[(l, r)]
-            rec[0] += prob[ua & uc].sum()
-            rec[1] += prob[ua & ~uc].sum()
-            rec[2] += prob[~ua & uc].sum()
-            rec[3] += prob[~ua & ~uc].sum()
-            sel = np.nonzero(ua & ~uc)[0]
-            if len(sel):
-                flipped = states[sel] ^ ((1 << a) | (1 << c))
-                rows = np.searchsorted(states, flipped)
-                rec[4] += np.einsum("ij,ij,j->", vecs[rows], vecs[sel], w)
+        w = w / z
+        energy += b.mult * float(w @ b.evals)
+        rho = (b.evecs * w) @ b.evecs.conj().T
+        diagonal += b.mult * (rho.diagonal().real @ b.diagonal)
+        col, row, key, val = b.coherence
+        coherence += b.mult * np.bincount(key, (rho[col, row] * val).real, len(_PAIR_KEYS))
 
-    m = float(sz_site.mean())
-    m_s = float((_site_signs(n) * sz_site).mean())
-    sigma_z = {
-        par: float(np.mean([sz_site[i] for i in range(n) if _parity_name(i) == par]))
-        for par in ("odd", "even")
-    }
-
+    sz_odd, sz_even = (float(v) for v in diagonal[:2])
+    m = 0.5 * (sz_odd + sz_even)
+    m_s = 0.5 * (sz_even - sz_odd)
     rho2, g, zz, conc = {}, {}, {}, {}
-    half = n // 2
-    for r in (1, 2):
-        for par in ("odd", "even"):
-            rec = sum(acc[(l, r)] for l in range(n) if _parity_name(l) == par) / half
-            p11, p10, p01, p00, coh = rec
-            rho = np.array(
-                [
-                    [p11, 0.0, 0.0, 0.0],
-                    [0.0, p10, coh, 0.0],
-                    [0.0, coh, p01, 0.0],
-                    [0.0, 0.0, 0.0, p00],
-                ]
-            )
-            key = (par, r)
-            rho2[key] = rho
-            g[key] = -2.0 * coh
-            zz[key] = p11 - p10 - p01 + p00
-            conc[key] = wootters(rho)
+    for key, (p11, p10, p01, p00), coh in zip(_PAIR_KEYS, diagonal[2:].reshape(-1, 4), coherence):
+        rho = np.array(
+            [
+                [p11, 0.0, 0.0, 0.0],
+                [0.0, p10, coh, 0.0],
+                [0.0, coh, p01, 0.0],
+                [0.0, 0.0, 0.0, p00],
+            ]
+        )
+        rho2[key] = rho
+        g[key] = -2.0 * float(coh)
+        zz[key] = float(p11 - p10 - p01 + p00)
+        conc[key] = wootters(rho)
 
     u = energy / n
     den = abs(p.J - p.j) + abs(p.J + p.j)
     witness_lhs = 4.0 * abs(u + p.B * m + p.b * m_s) / den if den > 0 else math.nan
-    e_mw = float(1.0 - np.mean(sz_site**2)) if t.is_ground else None
+    e_mw = 1.0 - 0.5 * (sz_odd**2 + sz_even**2) if t.is_ground else None
 
     return EDResult(
         n_sites=n,
         energy_per_site=u,
         magnetization=m,
         staggered_magnetization=m_s,
-        sigma_z=sigma_z,
+        sigma_z={"odd": sz_odd, "even": sz_even},
         g=g,
         zz=zz,
         rho2=rho2,

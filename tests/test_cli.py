@@ -399,6 +399,7 @@ def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path,
         (["--tol", "-1"], "tol must be a positive finite number"),
         (["--tol", "nan"], "tol must be a positive finite number"),
         (["--tol", "0"], "tol must be a positive finite number"),
+        (["--sizes", "8,12,14"], "dense diagonalization is capped at 12 sites, got 14"),
     ],
 )
 def test_oracle_compare_rejects_bad_sizes_and_tol_before_work(argv, message, monkeypatch, capsys):
@@ -427,6 +428,14 @@ def test_oracle_compare_rejects_bad_sizes_and_tol_before_work(argv, message, mon
          "start/stop must be finite"),
         (["qcp-scan", "--axis", "B", "--start", "nan", "--stop", "1", "--step", "0.1"],
          "start/stop must be finite"),
+        (["qcp-scan", "--axis", "B", "--start", "-inf", "--stop", "1", "--step", "0.1"],
+         "start/stop must be finite"),
+        (["qcp-scan", "--axis", "B", "--start", "-Infinity", "--stop", "1", "--step", "0.1"],
+         "start/stop must be finite"),
+        (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "-NaN", "--step", "0.1"],
+         "start/stop must be finite"),
+        (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "1e30", "--step", "1e-6"],
+         "grid points, more than 1000000"),
     ],
 )
 def test_rejected_run_leaves_out_file_untouched(argv, message, tmp_path, capsys):

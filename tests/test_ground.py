@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import staggered_xx.ground
 from staggered_xx import (
     ChainParams,
     GroundReport,
@@ -159,6 +160,19 @@ def test_qcp_scan_validation():
         qcp_scan(p, "B", 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         qcp_scan(p, "B", 0.0, 0.1, 0.1)
+
+
+def test_qcp_scan_bounds_its_grid_before_allocating(monkeypatch):
+    p = ChainParams(J=1.0, j=0.3, b=0.2)
+    with pytest.raises(ValueError, match="1e\\+36 grid points, more than 1000000"):
+        qcp_scan(p, "B", 0.0, 1e30, 1e-6)
+    # stop - start overflows to inf
+    with pytest.raises(ValueError, match="inf grid points"):
+        qcp_scan(p, "B", -1e308, 1e308, 1.0)
+    monkeypatch.setattr(staggered_xx.ground, "_MAX_SCAN_POINTS", 11)
+    with pytest.raises(ValueError, match="12 grid points, more than 11"):
+        qcp_scan(p, "B", 0.0, 1.1, 0.1)
+    assert len(qcp_scan(p, "B", 0.0, 1.0, 0.1).values) == 9
 
 
 def test_one_regime_decision_at_the_critical_fields():

@@ -68,33 +68,97 @@ def test_sector_spectrum_matches_kron_route():
         total_sz = sum(site_op(SZ, i, n) for i in range(n))
         assert np.max(np.abs(h @ total_sz - total_sz @ h)) < 1e-12
         want = np.sort(np.linalg.eigvalsh(h))
-        from staggered_xx.oracle import _sector_eigensystems
+        from staggered_xx.oracle import _block_eigensystems
 
-        got = np.sort(np.concatenate([ev for _, _, ev, _ in _sector_eigensystems(n, p)]))
+        blocks = _block_eigensystems(n, p)
+        got = np.sort(np.concatenate([np.tile(b.evals, b.mult) for b in blocks]))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
-def test_dense_ed_thermal_averages_match_kron_route():
-    p = ChainParams(J=1.0, j=0.45, b=0.3, B=0.6)
-    n, beta = 6, 1.3
-    res = dense_ed(FiniteChainSpec(n, p, Thermal.finite(beta)))
-    h = kron_hamiltonian(n, p)
-    evals, evecs = np.linalg.eigh(h)
-    w = np.exp(-beta * (evals - evals.min()))
+def partial_trace(rho, a, c, n):
+    """4x4 state of sites a, c (basis up-up, up-down, down-up, down-down)."""
+    letters = "abcdefghijklmnopqrstuvwx"
+    rows, cols = list(letters[:n]), list(letters[n : 2 * n])
+    for i in range(n):
+        if i not in (a, c):
+            cols[i] = rows[i]
+    spec = "".join(rows + cols) + "->" + rows[a] + rows[c] + cols[a] + cols[c]
+    return np.einsum(spec, rho.reshape([2] * (2 * n))).reshape(4, 4)
+
+
+def kron_ed(n, p, t, tol=1e-10):
+    """Every EDResult field from the full 2^n kron Hamiltonian."""
+    evals, evecs = np.linalg.eigh(kron_hamiltonian(n, p))
+    e0 = evals.min()
+    ground = evals <= e0 + tol * max(1.0, abs(e0))
+    w = ground.astype(float) if t.is_ground else np.exp(-t.beta * (evals - e0))
     w /= w.sum()
+    rho = (evecs * w) @ evecs.conj().T
+    sz = np.array([np.einsum("ij,ji->", rho, site_op(SZ, i, n)).real for i in range(n)])
+    xxyy = np.kron(SX, SX) + np.kron(SY, SY)
+    rho2, g, zz, conc = {}, {}, {}, {}
+    for r in (1, 2):
+        for par, first in (("odd", 0), ("even", 1)):
+            key = (par, r)
+            states = [partial_trace(rho, l, (l + r) % n, n) for l in range(first, n, 2)]
+            rho2[key] = np.mean(states, axis=0)
+            g[key] = -0.5 * np.trace(rho2[key] @ xxyy).real
+            zz[key] = np.trace(rho2[key] @ np.kron(SZ, SZ)).real
+            conc[key] = wootters(rho2[key])
+    u = float(w @ evals) / n
+    m, m_s = sz.mean(), (sz[1::2].mean() - sz[0::2].mean()) / 2
+    den = abs(p.J - p.j) + abs(p.J + p.j)
+    return dict(
+        energy_per_site=u,
+        magnetization=m,
+        staggered_magnetization=m_s,
+        sigma_z={"odd": sz[0::2].mean(), "even": sz[1::2].mean()},
+        g=g,
+        zz=zz,
+        rho2=rho2,
+        concurrence=conc,
+        e_mw=1.0 - np.mean(sz**2) if t.is_ground else None,
+        witness_lhs=4.0 * abs(u + p.B * m + p.b * m_s) / den if den > 0 else math.nan,
+        ground_degeneracy=int(ground.sum()),
+    )
 
-    def avg(op):
-        return float(np.einsum("ij,i,ji->", evecs.conj().T @ op, w, evecs).real)
 
-    u_kron = float((w * evals).sum()) / n
-    m_kron = avg(sum(site_op(SZ, i, n) for i in range(n))) / n
-    assert math.isclose(res.energy_per_site, u_kron, abs_tol=1e-10)
-    assert math.isclose(res.magnetization, m_kron, abs_tol=1e-10)
-    # transverse pair correlator, odd first site (1-based site 1 = index 0)
-    xxyy = avg(site_op(SX, 0, n) @ site_op(SX, 1, n) + site_op(SY, 0, n) @ site_op(SY, 1, n))
-    assert math.isclose(res.g[("odd", 1)], -0.5 * xxyy, abs_tol=1e-10)
-    zz = avg(site_op(SZ, 0, n) @ site_op(SZ, 1, n))
-    assert math.isclose(res.zz[("odd", 1)], zz, abs_tol=1e-10)
+def test_dense_ed_thermal_averages_match_kron_route():
+    # N = 6 has conjugate momentum pairs; N = 8 adds a real k = L/2 block.
+    # All-up (saturated) and Neel (J = j = 0, B = 0) ground states have
+    # T2 orbits of period 1; the uncoupled rings are degenerate.
+    points = [
+        (ChainParams(J=1.0, j=0.45, b=0.3, B=0.6), (1.3, math.inf)),
+        (ChainParams(J=0.8, j=-0.35, b=-0.5, B=0.2), (0.7, math.inf)),
+        (ChainParams(J=1.0, j=0.2, b=0.1, B=3.0), (math.inf,)),
+        (ChainParams(J=0.0, j=0.0, b=1.0, B=0.0), (2.0, math.inf)),
+        (ChainParams(J=1.0, j=0.0, b=0.0, B=0.0), (math.inf,)),
+        (ChainParams(J=0.0, j=0.0, b=0.5, B=0.5), (math.inf,)),
+        (ChainParams(J=0.0), (math.inf,)),
+    ]
+    for n in (4, 6, 8):
+        for p, betas in points:
+            for beta in betas:
+                t = Thermal.zero() if math.isinf(beta) else Thermal.finite(beta)
+                res = dense_ed(FiniteChainSpec(n, p, t))
+                want = kron_ed(n, p, t)
+                where = f"n={n} {p} beta={beta}"
+                assert res.ground_degeneracy == want.pop("ground_degeneracy"), where
+                for name, value in want.items():
+                    got = getattr(res, name)
+                    if isinstance(value, dict):
+                        assert got.keys() == value.keys(), (where, name)
+                        for key in value:
+                            np.testing.assert_allclose(
+                                got[key], value[key], rtol=0, atol=1e-10,
+                                err_msg=f"{where} {name} {key}",
+                            )
+                    elif value is None:
+                        assert got is None, (where, name)
+                    else:
+                        np.testing.assert_allclose(
+                            got, value, rtol=0, atol=1e-10, err_msg=f"{where} {name}"
+                        )
 
 
 def test_dense_ed_dimer_is_exact():
