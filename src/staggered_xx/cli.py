@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from . import correlations, entanglement, ground, thermo
 from .model import ChainParams, Thermal
 from .oracle import _DENSE_CAP, FiniteChainSpec, dense_ed, finite_free_fermion
-from .quadrature import DEFAULT_QUAD, QuadSpec, ToleranceNotReached
+from .quadrature import ToleranceNotReached
 
 __all__ = [
     "ConfigError",
@@ -50,9 +50,9 @@ class _Quantity:
     """How the CLI computes one named quantity.
 
     ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
-    by the quantities of that point.  ``quad`` is a QuadSpec, or at a finite-T
-    sweep cell the record of ``correlations._band_integrals``, which the
-    library functions read instead of integrating.  ``ed``/``fermion`` read it
+    by the quantities of that point.  ``quad`` is None, or at a finite-T sweep
+    cell the record of ``correlations._band_integrals``, which the library
+    functions read instead of integrating.  ``ed``/``fermion`` read it
     from a ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out
     of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
     Library functions are looked up through their modules at call time.
@@ -175,7 +175,6 @@ class SweepSpec:
     params: ChainParams
     thermal: Thermal | None
     quantities: tuple
-    quad: QuadSpec
 
     def __post_init__(self) -> None:
         for ax in (self.x, self.y):
@@ -213,12 +212,7 @@ def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad) -> tuple[
     return record, flags
 
 
-def run_point(
-    params: ChainParams,
-    thermal: Thermal,
-    quantities,
-    quad: QuadSpec | None = None,
-) -> tuple[dict, list]:
+def run_point(params: ChainParams, thermal: Thermal, quantities) -> tuple[dict, list]:
     """Evaluate quantities at one point; returns (record, flags).
 
     Unknown or duplicate quantity names and ground-state-only quantities
@@ -229,7 +223,7 @@ def run_point(
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal)
-    return _evaluate(params, thermal, quantities, quad)
+    return _evaluate(params, thermal, quantities, None)
 
 
 def _fmt(v: float) -> str:
@@ -252,10 +246,10 @@ def _sweep_row_block(task) -> list:
             else:
                 p = replace(p, **{ax.name: v})
         # finite T reads the shared band integrals; T = 0, or where they fail, as a point
-        quad = spec.quad
+        quad = None
         if not t.is_ground:
             with contextlib.suppress(ToleranceNotReached, ValueError):
-                quad = correlations._band_integrals(p, t, spec.quad)
+                quad = correlations._band_integrals(p, t)
         record, flags = _evaluate(p, t, spec.quantities, quad)
         rows.append(
             [_fmt(xv), _fmt(yv)]
@@ -284,16 +278,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[int, list]:
 
 
 def run_qcp_scan(
-    params: ChainParams,
-    axis: str,
-    start: float,
-    stop: float,
-    step: float,
-    quad: QuadSpec | None = None,
+    params: ChainParams, axis: str, start: float, stop: float, step: float
 ) -> tuple[int, list]:
     """Exit code and the second-difference scan rows; peak summary goes to stderr."""
     try:
-        scan = ground.qcp_scan(params, axis, start, stop, step, quad)
+        scan = ground.qcp_scan(params, axis, start, stop, step)
     except ToleranceNotReached:
         print("qcp-scan: ground-energy quadrature did not reach tolerance", file=sys.stderr)
         return 3, []
@@ -317,7 +306,6 @@ def run_oracle_compare(
     sizes,
     quantities,
     tol: float = 0.02,
-    quad: QuadSpec | None = None,
 ) -> tuple[int, list]:
     """Analytic vs finite-ring values per N; exit code 0 iff gaps shrink below tol.
 
@@ -342,7 +330,7 @@ def run_oracle_compare(
     specs = [FiniteChainSpec(n, params, thermal) for n in sizes]
     eds = [dense_ed(spec) for spec in specs]
     ffs = [finite_free_fermion(spec) for spec in specs]
-    record, flags = _evaluate(params, thermal, quantities, quad)
+    record, flags = _evaluate(params, thermal, quantities, None)
     if flags:
         print(f"oracle-compare: analytic values failed: {';'.join(flags)}", file=sys.stderr)
     rows = [["quantity", "n_sites", "analytic", "dense_ed", "abs_gap", "free_fermion"]]
@@ -389,21 +377,19 @@ class _Options:
     """Option values as text by option name (None: not given), from flags or a config file.
 
     ``label`` names an option in error messages.  What is not given takes
-    its default from ChainParams, DEFAULT_QUAD or, for the temperature,
-    the caller.
+    its default from ChainParams or, for the temperature, the caller.
     """
 
     values: dict
     label: Callable[[str], str]
 
-    def _given(self, names, kind=float) -> dict:
+    def _given(self, names) -> dict:
         given = {name: self.values[name] for name in names if self.values.get(name) is not None}
         for name, text in given.items():
             try:
-                given[name] = kind(text)
+                given[name] = float(text)
             except ValueError:
-                what = "an integer" if kind is int else "a number"
-                raise ConfigError(f"{self.label(name)}: not {what}: {text!r}") from None
+                raise ConfigError(f"{self.label(name)}: not a number: {text!r}") from None
         return given
 
     def params(self) -> ChainParams:
@@ -418,13 +404,6 @@ class _Options:
             return Thermal.finite(given["beta"])
         return Thermal.from_temperature(given["T"]) if "T" in given else None
 
-    def quad(self) -> QuadSpec:
-        return replace(
-            DEFAULT_QUAD,
-            **self._given(("abs_tol", "rel_tol")),
-            **self._given(("max_subdivisions",), int),
-        )
-
     def sweep(self) -> SweepSpec:
         for name in ("x", "y", "q"):
             if self.values.get(name) is None:
@@ -435,7 +414,6 @@ class _Options:
             params=self.params(),
             thermal=self.thermal(),
             quantities=_split_csv_list(self.values["q"]),
-            quad=self.quad(),
         )
 
 
@@ -444,15 +422,13 @@ _CONFIG_KEYS = {
     ("model", "J"): "J", ("model", "j"): "j", ("model", "b"): "b", ("model", "B"): "B",
     ("thermal", "T"): "T", ("thermal", "beta"): "beta",
     ("sweep", "x"): "x", ("sweep", "y"): "y", ("sweep", "quantities"): "q",
-    ("quadrature", "abs_tol"): "abs_tol", ("quadrature", "rel_tol"): "rel_tol",
-    ("quadrature", "max_subdivisions"): "max_subdivisions",
 }
 _CONFIG_SECTIONS = {section for section, _ in _CONFIG_KEYS}
 _CONFIG_LABEL = {name: f"[{section}] {key}" for (section, key), name in _CONFIG_KEYS.items()}
 
 
 def load_config(path) -> SweepSpec:
-    """Parse a [model]/[thermal]/[sweep]/[quadrature] config into a SweepSpec."""
+    """Parse a [model]/[thermal]/[sweep] config into a SweepSpec."""
     cp = configparser.ConfigParser(interpolation=None)
     # configparser lower-cases keys by default; J vs j must survive
     cp.optionxform = str
@@ -485,7 +461,7 @@ def _check_writable(path: str) -> None:
 
 
 def _add_options(sub, thermal: bool = True) -> None:
-    """The model, temperature and quadrature flags; values stay text for _Options."""
+    """The model and temperature flags; values stay text for _Options."""
     sub.add_argument("--J", help="uniform coupling (default 1)")
     sub.add_argument("--j", help="staggered coupling")
     sub.add_argument("--b", help="staggered field")
@@ -494,9 +470,6 @@ def _add_options(sub, thermal: bool = True) -> None:
         group = sub.add_mutually_exclusive_group()
         group.add_argument("--T", help="temperature (0 = ground state)")
         group.add_argument("--beta", help="inverse temperature")
-    sub.add_argument("--abs-tol")
-    sub.add_argument("--rel-tol")
-    sub.add_argument("--max-subdivisions")
 
 
 def _attach_negative_numbers(argv) -> list:
@@ -552,7 +525,7 @@ def main(argv=None) -> int:
     vc.add_argument("--config", required=True)
 
     args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
-    opts = _Options(vars(args), lambda name: "--" + name.replace("_", "-"))
+    opts = _Options(vars(args), lambda name: "--" + name)
 
     # Each command validates and computes; --out is opened only once it has rows.
     out_path = getattr(args, "out", "-")
@@ -572,8 +545,7 @@ def main(argv=None) -> int:
 
         if args.command == "point":
             record, flags = run_point(
-                opts.params(), opts.thermal() or Thermal.zero(), _split_csv_list(args.q),
-                opts.quad(),
+                opts.params(), opts.thermal() or Thermal.zero(), _split_csv_list(args.q)
             )
             code = 3 if flags else 0
             rows = [list(record) + ["err_flags"]]
@@ -588,16 +560,14 @@ def main(argv=None) -> int:
                 spec = opts.sweep()
             code, rows = run_sweep(spec, workers=args.workers)
         elif args.command == "qcp-scan":
-            code, rows = run_qcp_scan(
-                opts.params(), args.axis, args.start, args.stop, args.step, opts.quad()
-            )
+            code, rows = run_qcp_scan(opts.params(), args.axis, args.start, args.stop, args.step)
         else:
             sizes = tuple(int(s) for s in _split_csv_list(args.sizes))
             if not sizes:
                 raise ConfigError("--sizes must list at least one ring size")
             code, rows = run_oracle_compare(
                 opts.params(), opts.thermal() or Thermal.zero(), sizes,
-                _split_csv_list(args.q), tol=args.tol, quad=opts.quad(),
+                _split_csv_list(args.q), tol=args.tol,
             )
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,7 +146,7 @@ def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
     return CorrelatorPair(gu, gs)
 
 
-def _band_integrals(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> _BandIntegrals:
+def _band_integrals(p: ChainParams, t: Thermal) -> _BandIntegrals:
     """The ``_BandIntegrals`` of one finite-T point from one shared periodic trapezoid run.
 
     The record passes as ``quad`` to the quantity functions, which then read
@@ -160,7 +160,7 @@ def _band_integrals(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) ->
         *transverse_integrands(p, t, 1),
         *transverse_integrands(p, t, 2),
     )
-    results = _periodic_trapezoid(fs, t.beta * max(p.J, abs(p.j)), quad)
+    results = _periodic_trapezoid(fs, t.beta * max(p.J, abs(p.j)))
     u, m, m_s, gu1, gs1, gu2, gs2 = (require_converged(r) / (2.0 * math.pi) for r in results)
     return _BandIntegrals(u, m, m_s, CorrelatorPair(gu1, gs1), CorrelatorPair(gu2, gs2))
 

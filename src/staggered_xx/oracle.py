@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _DENSE_CAP = 12
+# Levels within this share of max(1, |E0|) of the lowest count as ground states.
+_DEGENERACY_TOL = 1e-10
 _FERMION_CAP = 2**20
 
 
@@ -73,7 +75,6 @@ class FiniteChainSpec:
     n_sites: int
     params: ChainParams
     thermal: Thermal
-    degeneracy_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         n = self.n_sites
@@ -81,8 +82,6 @@ class FiniteChainSpec:
             raise ValueError(f"n_sites must be an integer, got {n!r}")
         if n < 4 or n % 2:
             raise ValueError(f"n_sites must be even and >= 4, got {n}")
-        if not (self.degeneracy_tol > 0):
-            raise ValueError("degeneracy_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,7 @@ def dense_ed(chain: FiniteChainSpec) -> EDResult:
 
     blocks = _block_eigensystems(n, p)
     e0 = min(b.evals[0] for b in blocks)
-    cut = e0 + chain.degeneracy_tol * max(1.0, abs(e0))
+    cut = e0 + _DEGENERACY_TOL * max(1.0, abs(e0))
     degeneracy = sum(b.mult * int((b.evals <= cut).sum()) for b in blocks)
     if t.is_ground:
         raw = [(b.evals <= cut).astype(float) for b in blocks]

@@ -90,22 +90,22 @@ _EPS = np.finfo(float).eps
 # panels the stiffest physical integrand (beta ~ 1e4 transition layers)
 # actually needs.
 _PANEL_CAP = 16384
+# Bisection depth limit of one panel: an initial panel of width w is never
+# split below w / 2**_MAX_DEPTH.
+_MAX_DEPTH = 60
 _TRAPEZOID_CAP = 2**14  # most nodes ``_periodic_trapezoid`` evaluates per integrand
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and refinement limits for :func:`integrate`.
+    """Tolerances and panel seeds for :func:`integrate`.
 
-    ``max_subdivisions`` bounds the bisection depth of any single panel
-    (an initial panel of width w is never split below w / 2**max_subdivisions).
     ``breakpoints`` are interior points of (0, pi) that seed panel edges;
     physics modules add band-crossing angles automatically.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 60
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -113,8 +113,6 @@ class QuadSpec:
             raise ValueError("tolerances must be non-negative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("abs_tol and rel_tol cannot both be zero")
-        if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be >= 0")
         for x in self.breakpoints:
             if not (0.0 < x < math.pi):
                 raise ValueError(f"breakpoints must lie strictly inside (0, pi), got {x!r}")
@@ -122,7 +120,7 @@ class QuadSpec:
     def with_breakpoints(self, points) -> "QuadSpec":
         """Copy of this spec with extra breakpoints merged in."""
         merged = sorted(set(self.breakpoints) | set(float(x) for x in points))
-        return QuadSpec(self.abs_tol, self.rel_tol, self.max_subdivisions, tuple(merged))
+        return QuadSpec(self.abs_tol, self.rel_tol, tuple(merged))
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -219,7 +217,7 @@ def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math
             return QuadResult(total, toterr, True, a.size)
         share = tol * (b - a) / (hi - lo)
         bad = err > share
-        can_split = bad & (depth < spec.max_subdivisions)
+        can_split = bad & (depth < _MAX_DEPTH)
         n_new = int(np.count_nonzero(can_split))
         if n_new == 0 or a.size + n_new > _PANEL_CAP:
             return QuadResult(total, toterr, False, a.size)

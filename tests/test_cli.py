@@ -23,7 +23,7 @@ from staggered_xx import (
     witness,
     zz_correlator,
 )
-from staggered_xx import cli
+from staggered_xx import cli, quadrature
 from staggered_xx.cli import main
 from staggered_xx.entanglement import c2
 
@@ -280,13 +280,11 @@ def test_second_neighbour_concurrence_parity_blind_without_staggered_field(tmp_p
     assert mid and math.isclose(float(mid[0]["c2_odd"]), pair.odd, rel_tol=1e-9, abs_tol=1e-12)
 
 
-def test_exhausted_quadrature_flags_cell_and_exits_3(capsys):
+def test_exhausted_quadrature_flags_cell_and_exits_3(capsys, monkeypatch):
     # depth 0 cannot resolve the beta = 200 layers: value nan, flag, exit 3
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
     code, out, _ = run_cli(
-        [
-            "point", "--j", "0.4", "--b", "0.2", "--B", "0.7", "--beta", "200",
-            "--q", "u", "--max-subdivisions", "0",
-        ],
+        ["point", "--j", "0.4", "--b", "0.2", "--B", "0.7", "--beta", "200", "--q", "u"],
         capsys,
     )
     assert code == 3
@@ -449,17 +447,20 @@ def test_rejected_run_leaves_out_file_untouched(argv, message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, depth, flag",
     [
         # depth 0 cannot resolve the beta = 200 layers of the analytic m
-        (["--beta", "200", "--B", "0.9", "--j", "0.4", "--b", "0.2", "--q", "m",
-          "--max-subdivisions", "0", "--abs-tol", "1e-15", "--rel-tol", "1e-15"],
+        (["--beta", "200", "--B", "0.9", "--j", "0.4", "--b", "0.2", "--q", "m"], 0,
          "m:tolerance"),
         # the witness bound is empty at J = j = 0
-        (["--J", "0", "--q", "witness_lhs"], "witness_lhs:error"),
+        (["--J", "0", "--q", "witness_lhs"], None, "witness_lhs:error"),
     ],
 )
-def test_oracle_compare_reports_failed_analytic_value_as_nan(argv, flag, tmp_path, capsys):
+def test_oracle_compare_reports_failed_analytic_value_as_nan(
+    argv, depth, flag, tmp_path, capsys, monkeypatch
+):
+    if depth is not None:
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", depth)
     out = tmp_path / "oracle.csv"
     code, _, err = run_cli(["oracle-compare", "--sizes", "4,6", *argv, "--out", str(out)], capsys)
     assert code == 3
@@ -475,8 +476,7 @@ def test_config_file_round_trip(tmp_path):
     cfg.write_text(
         "[model]\nJ = 1.0\nj = 0.5\n\n"
         "[thermal]\nbeta = 2.0\n\n"
-        "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u, m\n\n"
-        "[quadrature]\nabs_tol = 1e-9\n"
+        "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u, m\n"
     )
     code = main(["validate-config", "--config", str(cfg)])
     assert code == 0
@@ -506,14 +506,14 @@ def test_config_errors_name_the_problem(tmp_path, capsys):
     assert "quantities" in err
     code, _, err = run_cli(["validate-config", "--config", str(tmp_path / "nope.ini")], capsys)
     assert code == 2
-    fractional = tmp_path / "fractional.ini"
-    fractional.write_text(
+    quadrature_section = tmp_path / "quadrature.ini"
+    quadrature_section.write_text(
         "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u\n\n"
         "[quadrature]\nmax_subdivisions = 2.7\n"
     )
-    code, _, err = run_cli(["validate-config", "--config", str(fractional)], capsys)
+    code, _, err = run_cli(["validate-config", "--config", str(quadrature_section)], capsys)
     assert code == 2
-    assert "[quadrature] max_subdivisions" in err and "2.7" in err
+    assert "unknown config section [quadrature]" in err
     not_a_number = tmp_path / "not_a_number.ini"
     not_a_number.write_text(
         "[model]\nJ = abc\n\n[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u\n"
@@ -529,11 +529,9 @@ def test_config_errors_name_the_problem(tmp_path, capsys):
     [
         (
             ["--j", "0.5", "--beta", "2", "--x", "B 0 1 3", "--y", "b 0 1 2",
-             "--q", "u,m,c1_odd", "--abs-tol", "1e-9", "--rel-tol", "1e-8",
-             "--max-subdivisions", "40"],
+             "--q", "u,m,c1_odd"],
             "[model]\nj = 0.5\n\n[thermal]\nbeta = 2\n\n"
-            "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u, m, c1_odd\n\n"
-            "[quadrature]\nabs_tol = 1e-9\nrel_tol = 1e-8\nmax_subdivisions = 40\n",
+            "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u, m, c1_odd\n",
         ),
         (
             ["--j", "0.2", "--b", "0.1", "--x", "T 0.05 0.5 3", "--y", "B 0.5 1 3",
@@ -542,7 +540,7 @@ def test_config_errors_name_the_problem(tmp_path, capsys):
             "[sweep]\nx = T 0.05 0.5 3\ny = B 0.5 1 3\nquantities = c2_odd,c2_even,u\n",
         ),
     ],
-    ids=["fixed-beta-quadrature", "T-axis"],
+    ids=["fixed-beta", "T-axis"],
 )
 def test_flags_and_config_write_the_same_sweep(flags, config, tmp_path):
     cfg = tmp_path / "sweep.ini"
@@ -562,13 +560,35 @@ def test_config_excludes_inline_axes(tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    # model, temperature and quadrature flags are not merged into the config either
-    code, out, err = run_cli(
-        ["sweep", "--config", str(cfg), "--J", "5", "--T", "0.5", "--abs-tol", "1e-9"], capsys
-    )
+    # model and temperature flags are not merged into the config either
+    code, out, err = run_cli(["sweep", "--config", str(cfg), "--J", "5", "--T", "0.5"], capsys)
     assert code == 2
     assert out == ""
-    assert "--J, --T, --abs-tol" in err
+    assert "--J, --T" in err
+
+
+def test_quadrature_options_are_rejected(tmp_path, capsys, monkeypatch):
+    # accuracy is the fixed 1e-10 contract: no flag or config section sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--q", "u", "--abs-tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--abs-tol" in capsys.readouterr().err
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran although its config was rejected")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(
+        "[sweep]\nx = B 0 1 3\ny = b 0 1 2\nquantities = u\n\n[quadrature]\nabs_tol = 1e-9\n"
+    )
+    out = tmp_path / "result.csv"
+    out.write_bytes(b"previous result\r\n")
+    code, stdout, err = run_cli(["sweep", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert "[quadrature]" in err
+    assert stdout == ""
+    assert out.read_bytes() == b"previous result\r\n"
 
 
 def test_unwritable_out_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):

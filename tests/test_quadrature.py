@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from staggered_xx import quadrature
 from staggered_xx import (
     ChainParams,
     QuadResult,
@@ -31,8 +32,6 @@ def test_quad_spec_validation():
         QuadSpec(abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadSpec(breakpoints=(3.5,))
-    with pytest.raises(ValueError):
-        QuadSpec(max_subdivisions=-1)
     spec = QuadSpec(breakpoints=(2.0, 1.0))
     merged = spec.with_breakpoints([1.0, 0.5])
     assert merged.breakpoints == (0.5, 1.0, 2.0)
@@ -102,14 +101,16 @@ def test_layer_clipped_by_boundary_needs_edge_seeds():
     assert abs(seeded.value - ref) < 1e-10
 
 
-def test_breakpoint_restores_convergence_on_kink():
+def test_breakpoint_restores_convergence_on_kink(monkeypatch):
     x0 = 1.0
     f = lambda q: np.sqrt(np.abs(q - x0))
     exact = (2.0 / 3.0) * ((math.pi - x0) ** 1.5 + x0**1.5)
     tight = dict(abs_tol=1e-13, rel_tol=1e-13)
     # equal refinement budget: the seeded grid is far more accurate
-    blind = integrate(f, QuadSpec(max_subdivisions=16, **tight))
-    seeded = integrate(f, QuadSpec(max_subdivisions=16, breakpoints=(x0,), **tight))
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_MAX_DEPTH", 16)
+        blind = integrate(f, QuadSpec(**tight))
+        seeded = integrate(f, QuadSpec(breakpoints=(x0,), **tight))
     assert abs(seeded.value - exact) < abs(blind.value - exact) / 50.0
     # default depth converges outright
     full = integrate(f, QuadSpec(breakpoints=(x0,), **tight))
@@ -131,10 +132,12 @@ def test_halving_tolerances_consistent_within_error_estimates():
             assert abs(a.value - b.value) <= a.error + b.error + 1e-15
 
 
-def test_exhaustion_flags_instead_of_raising():
+def test_exhaustion_flags_instead_of_raising(monkeypatch):
     t = Thermal.finite(1e6)
     f = lambda q: thermal_factor(t, 0.6 - q)  # step at q = 0.6, no seed
-    res = integrate(f, QuadSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3))
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_MAX_DEPTH", 3)
+        res = integrate(f, QuadSpec(abs_tol=1e-14, rel_tol=1e-14))
     assert isinstance(res, QuadResult)
     assert not res.converged
     with pytest.raises(ToleranceNotReached) as exc:
