@@ -301,11 +301,7 @@ def run_qcp_scan(
 
 
 def run_oracle_compare(
-    params: ChainParams,
-    thermal: Thermal,
-    sizes,
-    quantities,
-    tol: float = 0.02,
+    params: ChainParams, thermal: Thermal, sizes, quantities, tol: float = 0.02
 ) -> tuple[int, list]:
     """Analytic vs finite-ring values per N; exit code 0 iff gaps shrink below tol.
 

@@ -27,6 +27,7 @@ from .model import (
     ChainParams,
     PhaseRegion,
     _filled_interval,
+    _in_units,
     classify_region,
     critical_fields,
     theta_of_q,
@@ -89,10 +90,12 @@ def _integral(f, lo: float, hi: float, quad: QuadSpec | None) -> float:
 
 
 def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi)."""
+    """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi),
+    integrated in the chain's own units (``model._in_units``)."""
+    k, p = _in_units(p)
     lo, hi, outside = _fill(p)
     filled = _integral(lambda q: theta_of_q(p, q), lo, hi, quad)
-    return -(2.0 / math.pi) * filled - abs(p.B) * outside
+    return math.ldexp(-(2.0 / math.pi) * filled - abs(p.B) * outside, k)
 
 
 def magnetization_t0(p: ChainParams) -> float:
@@ -103,11 +106,14 @@ def magnetization_t0(p: ChainParams) -> float:
 
 
 def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Ground-state staggered magnetization, (2b/pi) int_F dq/theta; exactly 0 at b = 0."""
+    """Ground-state staggered magnetization, (2/pi) int_F b/theta dq; exactly 0 at b = 0.
+
+    |b|/theta <= 1, so the tolerance holds for m_s where int_F dq/theta diverges.
+    """
     if p.b == 0:
         return 0.0
     lo, hi, _ = _fill(p)
-    return 2.0 * p.b / math.pi * _integral(lambda q: 1.0 / theta_of_q(p, q), lo, hi, quad)
+    return 2.0 / math.pi * _integral(lambda q: p.b / theta_of_q(p, q), lo, hi, quad)
 
 
 def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:

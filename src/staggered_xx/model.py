@@ -122,6 +122,21 @@ class PhaseRegion(Enum):
     SATURATED = "saturated"
 
 
+_SAFE_EXPONENT = 500  # couplings within 2^+-500 square without overflow or underflow
+
+
+def _in_units(p: ChainParams) -> tuple[int, ChainParams]:
+    """(k, p / 2^k), divided exactly: k = 0 and ``p`` itself unless max(J, |j|, |b|)
+    lies outside 2^+-500, which then becomes [1/2, 1).  The state at (p, beta)
+    is the one at (p / 2^k, beta 2^k) with energies scaled by 2^k; an energy
+    integrated in these units meets its tolerance at the chain's own scale.
+    """
+    k = math.frexp(max(p.J, abs(p.j), abs(p.b)))[1]
+    if abs(k) <= _SAFE_EXPONENT:
+        return 0, p
+    return k, ChainParams(*(math.ldexp(v, -k) for v in (p.J, p.j, p.b, p.B)))
+
+
 def theta_of_q(p: ChainParams, q):
     """Band half-splitting theta(q) = sqrt(J^2 cos^2 q + b^2 + j^2 sin^2 q).
 
@@ -131,7 +146,9 @@ def theta_of_q(p: ChainParams, q):
     if np.any(q < 0) or np.any(q > np.pi):
         raise ValueError("q must lie in [0, pi]")
     c, s = np.cos(q), np.sin(q)
-    return np.sqrt((p.J * c) ** 2 + p.b**2 + (p.j * s) ** 2)
+    k, p = _in_units(p)
+    th = np.sqrt((p.J * c) ** 2 + p.b**2 + (p.j * s) ** 2)
+    return np.ldexp(th, k) if k else th
 
 
 def lambda_pm(p: ChainParams, q):
@@ -162,6 +179,7 @@ def xi(p: ChainParams) -> float:
     and the angle clamps to the matching endpoint (r > 1 -> 0, r < 0 ->
     pi/2).  Undefined at J = |j| (theta is flat in q).
     """
+    p = _in_units(p)[1]  # xi is scale-free
     den = p.J**2 - p.j**2
     if den == 0:
         raise ValueError("xi is undefined at J = |j|; theta(q) is constant there")

@@ -314,7 +314,10 @@ def _momentum_blocks(p: ChainParams, k: np.ndarray, n: int):
     blocks[:, 1, 1] = 2.0 * p.B + 2.0 * p.J * np.cos(q)
     blocks[:, 0, 1] = 2.0 * p.b + 2.0j * p.j * np.sin(q)
     blocks[:, 1, 0] = np.conj(blocks[:, 0, 1])
-    th = np.sqrt((p.J * np.cos(q)) ** 2 + p.b**2 + (p.j * np.sin(q)) ** 2)
+    # theta of couplings divided by an exact power of two, so no square overflows
+    k = math.frexp(max(p.J, abs(p.j), abs(p.b)))[1]
+    J, j, b = (math.ldexp(v, -k) for v in (p.J, p.j, p.b))
+    th = np.ldexp(np.sqrt((J * np.cos(q)) ** 2 + b**2 + (j * np.sin(q)) ** 2), k)
     lam = np.stack([2.0 * p.B - 2.0 * th, 2.0 * p.B + 2.0 * th], axis=1)
     return q, blocks, lam
 

@@ -90,9 +90,7 @@ _EPS = np.finfo(float).eps
 # panels the stiffest physical integrand (beta ~ 1e4 transition layers)
 # actually needs.
 _PANEL_CAP = 16384
-# Bisection depth limit of one panel: an initial panel of width w is never
-# split below w / 2**_MAX_DEPTH.
-_MAX_DEPTH = 60
+_MAX_DEPTH = 60  # bisections of one panel: width w is never split below w / 2**60
 _TRAPEZOID_CAP = 2**14  # most nodes ``_periodic_trapezoid`` evaluates per integrand
 
 

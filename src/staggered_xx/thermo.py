@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChainParams, Thermal, band_crossings, lambda_pm, theta_of_q
+from .model import ChainParams, Thermal, _in_units, band_crossings, lambda_pm, theta_of_q
 from .quadrature import (
     DEFAULT_QUAD,
     QuadSpec,
@@ -197,8 +197,12 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
 
 
 def internal_energy(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
-    """Energy per site."""
-    return _quad_over_band(p, t, "u", internal_energy_integrand, quad)
+    """Energy per site, integrated in the chain's own units (``model._in_units``)."""
+    if isinstance(quad, _BandIntegrals):
+        return quad.integral("u")
+    k, p = _in_units(p)
+    u = _quad_over_band(p, Thermal(math.ldexp(t.beta, k)), "u", internal_energy_integrand, quad)
+    return math.ldexp(u, k)
 
 
 def magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:

@@ -294,6 +294,36 @@ def test_exhausted_quadrature_flags_cell_and_exits_3(capsys, monkeypatch):
     assert "u:tolerance" in row[1]
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # theta ~ b: the filled half zone gives -(2/pi)(pi/2) b
+        (["--b", "1e200", "--B", "0.5", "--T", "0", "--q", "m_t0,energy_t0"], [0.0, -1e200]),
+        # tanh(beta theta) = 1 but on a set of measure 1e-200: u = -(2/pi) |j|
+        (["--j", "1e200", "--T", "0.5", "--q", "u,m"], [-2e200 / math.pi, 0.0]),
+        # the flat band J = |j|: theta = 1e-170, beta theta = 1
+        (["--J", "1e-170", "--j", "1e-170", "--beta", "1e170", "--q", "u"],
+         [-math.tanh(1.0) * 1e-170]),
+    ],
+)
+def test_point_at_extreme_scales(argv, want, capsys):
+    code, out, err = run_cli(["point", *argv], capsys)
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)[1]
+    assert row[-1] == ""
+    for cell, value in zip(row, want):
+        assert math.isclose(float(cell), value, rel_tol=1e-11, abs_tol=0.0), (cell, value)
+
+
+def test_oracle_compare_at_a_large_field(capsys):
+    code, out, _ = run_cli(
+        ["oracle-compare", "--b", "1e200", "--beta", "2", "--sizes", "4,6", "--q", "m"], capsys
+    )
+    assert code in (0, 3)
+    rows = parse_csv(out)[1]
+    assert [row[:5] for row in rows] == [["m", n, "0", "0", "0"] for n in ("4", "6")]
+
+
 def test_qcp_scan_cli(tmp_path, capsys):
     # window wide enough that the scan median reflects the smooth
     # background rather than the divergence tails

@@ -104,6 +104,18 @@ def test_meyer_wallach_from_sublattice_moments():
         assert math.isclose(meyer_wallach(p), via_sublattice, abs_tol=1e-10)
 
 
+def test_staggered_magnetization_t0_at_a_small_staggered_field():
+    # XX chain at B = 0: m_s = (2b/pi) K(1/(1+b^2)) / sqrt(1+b^2), which
+    # vanishes like b ln(1/b) while int dq/theta grows like ln(1/b)
+    from scipy.special import ellipkm1
+
+    for b in (1e-3, 1e-12, 1e-100):
+        p = ChainParams(J=1.0, b=b)
+        want = 2.0 * b / math.pi * ellipkm1(b * b / (1.0 + b * b)) / math.sqrt(1.0 + b * b)
+        assert abs(staggered_magnetization_t0(p) - want) <= 1e-10
+        assert abs(meyer_wallach(p) - (1.0 - want**2)) <= 1e-10
+
+
 def test_energy_continuous_at_critical_fields():
     p = ChainParams(J=1.0, j=0.5, b=0.4)
     hi, lo = critical_fields(p)

@@ -65,6 +65,24 @@ def test_theta_matches_definition():
         np.testing.assert_allclose(theta_of_q(p, q), want, rtol=0, atol=1e-14)
 
 
+def test_theta_and_xi_scale_exactly_at_extreme_couplings():
+    # theta is homogeneous of degree 1 and xi of degree 0; couplings of
+    # 2^+-560 would overflow or underflow when squared unscaled
+    rng = np.random.default_rng(15)
+    q = np.linspace(0.0, math.pi, 29)
+    for _ in range(20):
+        p = random_params(rng, -2.0, 2.0)
+        c, s = np.cos(q), np.sin(q)
+        # ordinary chains keep every bit of the unscaled formula
+        assert np.array_equal(theta_of_q(p, q), np.sqrt((p.J * c) ** 2 + p.b**2 + (p.j * s) ** 2))
+        for e in (560, -560):
+            big = ChainParams(*(math.ldexp(v, e) for v in (p.J, p.j, p.b, p.B)))
+            assert np.array_equal(theta_of_q(big, q), np.ldexp(theta_of_q(p, q), e))
+            assert xi(big) == xi(p)
+    flat = ChainParams(J=1e-170, j=1e-170)
+    assert theta_of_q(flat, 0.3) == 1e-170
+
+
 def test_theta_rejects_momenta_outside_half_zone():
     p = ChainParams(J=1.0, j=0.5)
     with pytest.raises(ValueError):

@@ -244,6 +244,13 @@ def test_fermion_block_closed_form_eigenvalues():
         assert abs(lo - want_lo) < 1e-12 and abs(hi - want_hi) < 1e-12
 
 
+def test_fermion_block_eigenvalues_at_a_large_field():
+    # squaring b = 1e200 unscaled overflows
+    p = ChainParams(J=1.0, b=1e200)
+    assert block_eigenvalues(p, 1, 4) == (-2e200, 2e200)
+    assert np.all(np.isfinite(fermion_block(p, 1, 4)))
+
+
 def test_fermion_block_argument_validation():
     p = ChainParams(J=1.0)
     with pytest.raises(ValueError):
