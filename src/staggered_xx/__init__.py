@@ -3,8 +3,9 @@
 The chain H = -sum_l [(J_l/2)(sx sx + sy sy) + B_l sz] with two-site
 periodic modulation J_l = J + (-1)^l j, B_l = B + (-1)^l b maps to free
 fermions with two bands B +- theta(q); every bulk observable here is a
-single q-integral over [0, pi] evaluated by an adaptive Gauss-Kronrod
-engine, with closed forms at zero temperature.  Finite periodic rings
+single q-integral over [0, pi] evaluated by tanh-sinh quadrature on the
+pieces between the band crossings, and at zero temperature a closed form
+or a smooth integral over the filled interval.  Finite periodic rings
 (dense exact diagonalization and discrete momentum sums) provide
 independent cross-checks in :mod:`.oracle`.
 """

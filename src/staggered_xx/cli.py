@@ -63,6 +63,7 @@ class _Quantity:
     point: bool = True  # accepted by point and sweep
     ed: Callable | None = None
     fermion: Callable | None = None
+    energy: bool = False  # oracle-compare judges its gaps in units of max(J, |j|, |b|, |B|)
 
 
 def _sublattice(pair: str, parity: str) -> Callable:
@@ -80,7 +81,7 @@ _PARITIES = ("odd", "even")
 _TABLE = {
     "u": _Quantity(
         lambda p, t, quad, memo: thermo.internal_energy(p, t, quad),
-        ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u,
+        ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u, energy=True,
     ),
     "m": _Quantity(
         lambda p, t, quad, memo: thermo.magnetization(p, t, quad),
@@ -307,7 +308,8 @@ def run_oracle_compare(
 
     The free-fermion column shares the analytic formulas (it differs only
     by sum-vs-integral), so convergence is asserted on the dense-ED gaps,
-    which carry the genuine boundary-term discrepancy.  A failed analytic
+    which carry the genuine boundary-term discrepancy; an energy's gaps are
+    judged in units of the chain's scale max(J, |j|, |b|, |B|).  A failed analytic
     value is NaN, so its gaps fail.  Sizes that do not increase strictly or
     exceed the dense cap, or a tol that is not positive and finite, raise
     :class:`ConfigError` before any diagonalization.
@@ -330,6 +332,7 @@ def run_oracle_compare(
     if flags:
         print(f"oracle-compare: analytic values failed: {';'.join(flags)}", file=sys.stderr)
     rows = [["quantity", "n_sites", "analytic", "dense_ed", "abs_gap", "free_fermion"]]
+    scale = max(params.J, abs(params.j), abs(params.b), abs(params.B)) or 1.0
     ok = True
     for name in quantities:
         entry, exact = _TABLE[name], record[name]
@@ -337,15 +340,16 @@ def run_oracle_compare(
         for ed, ff in zip(eds, ffs):
             approx = entry.ed(ed)
             gap = abs(approx - exact)
-            gaps.append(gap)
+            gaps.append(gap / scale if entry.energy else gap)
             fermion = "" if entry.fermion is None else _fmt(entry.fermion(ff))
             rows.append([name, str(ed.n_sites), _fmt(exact), _fmt(approx), _fmt(gap), fermion])
         shrinking = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         if not (shrinking and gaps[-1] < tol):
             ok = False
             print(
-                f"oracle-compare: {name} gaps {[f'{g:.3e}' for g in gaps]} "
-                f"fail convergence (tol {tol})",
+                f"oracle-compare: {name} gaps {[f'{g:.3e}' for g in gaps]}"
+                + (f" in units of {scale:.6g}" if entry.energy else "")
+                + f" fail convergence (tol {tol})",
                 file=sys.stderr,
             )
     return (0 if ok else 3), rows

@@ -13,8 +13,9 @@ staggered part carries b cos(qR)[tf+ - tf-]/Theta, so the formal R = 0
 case reproduces the on-site <sz> (m and m_s) component by component; at
 odd R the weights are J cos q and j sin q with cos(qR)/sin(qR) kernels.
 The staggered part is proportional to b at even R and to j at odd R, and
-vanishes only with that coupling.  Longitudinal correlators follow from
-Wick's theorem for the underlying free fermions:
+vanishes only with that coupling.  At zero temperature both parts are
+read off the filled interval (``ground._contractions``).  Longitudinal
+correlators follow from Wick's theorem for the underlying free fermions:
 
     <sz_l sz_{l+R}> = <sz_l><sz_{l+R}> - (gu_R + (-1)^l gs_R)^2.
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ground
 from .model import ChainParams, Thermal, lambda_pm
 from .quadrature import QuadSpec, _periodic_trapezoid, integrate, require_converged, thermal_factor
 from .thermo import (
@@ -136,10 +138,13 @@ def transverse_integrands(p: ChainParams, t: Thermal, r: int):
 
 
 def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
-    """Contraction pair at separation ``r`` from a ``_BandIntegrals`` ``quad``, else adaptive GK."""
+    """Contraction pair at separation ``r`` from a ``_BandIntegrals`` ``quad``, else by
+    :func:`integrate`: over [0, pi] at finite T, over F at T = 0."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral(f"g{r}")
-    spec = _spec_for(p, t, quad)
+    if t.is_ground:
+        return CorrelatorPair(*ground._contractions(p, r, quad))
+    spec = _spec_for(p, quad)
     fu, fs = transverse_integrands(p, t, r)
     gu = require_converged(integrate(fu, spec)) / (2.0 * math.pi)
     gs = require_converged(integrate(fs, spec)) / (2.0 * math.pi)

@@ -10,10 +10,13 @@ w the width of F,
     m = sign(B) (1 - 2w/pi),    m_s = (2b/pi) int_F dq/theta,
 
 and the compensated, saturated and flat-band closed forms are special
-cases.  Where F starts to shrink and where it vanishes, at the critical
-fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy has the kinks
-that ``qcp_scan`` picks up in its second derivative.  The residual
-integrals of theta and 1/theta are evaluated with :mod:`.quadrature`.
+cases.  The transverse contractions of :mod:`.correlations` are read off
+F too: tf+ + tf- is 2 sign(B) off F and its mirror pi - F, and tf+ - tf-
+is 2 on them, so each part is a smooth integral over F, closed for the
+uniform part at even r.  Where F starts to shrink and where it vanishes,
+at the critical fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy
+has the kinks that ``qcp_scan`` picks up in its second derivative.  The
+residual integrals are evaluated with :mod:`.quadrature`.
 """
 
 from __future__ import annotations
@@ -114,6 +117,28 @@ def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> 
         return 0.0
     lo, hi, _ = _fill(p)
     return 2.0 / math.pi * _integral(lambda q: p.b / theta_of_q(p, q), lo, hi, quad)
+
+
+def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float, float]:
+    """Ground-state (uniform, staggered) transverse contraction at separation r >= 1.
+
+    Even r: (-(2 sign(B)/pi) int_F cos(qr) dq, (2/pi) int_F b cos(qr)/theta dq);
+    odd r: -(2/pi) int_F (J cos(qr) cos q, j sin(qr) sin q)/theta dq.  Every
+    kernel over theta is bounded by 1.
+    """
+    p = _in_units(p)[1]  # the contractions are scale-free
+    lo, hi, _ = _fill(p)
+
+    def over_f(kernel) -> float:
+        return 2.0 / math.pi * _integral(lambda q: kernel(q) / theta_of_q(p, q), lo, hi, quad)
+
+    if r % 2 == 0:
+        closed = math.copysign(2.0, p.B) * (math.sin(r * lo) - math.sin(r * hi)) / (math.pi * r)
+        return (closed if p.B else 0.0), over_f(lambda q: p.b * np.cos(q * r))
+    return (
+        -over_f(lambda q: p.J * np.cos(q * r) * np.cos(q)),
+        -over_f(lambda q: p.j * np.sin(q * r) * np.sin(q)),
+    )
 
 
 def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:

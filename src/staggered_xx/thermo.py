@@ -11,8 +11,9 @@ and its first derivatives are single integrals over q in [0, pi]:
 where u is the energy per site and m, m_s the uniform and staggered
 magnetizations (m = (1/beta) d(lnZ/N)/dB, m_s = (1/beta) d(lnZ/N)/db,
 u = -d(lnZ/N)/dbeta; these identities are enforced in the test suite).
-At zero temperature the tanh factors become sign functions; the crossing
-angles of the bands are registered as quadrature breakpoints.
+The tanh layers sit at the band-crossing angles, which are quadrature
+breakpoints together with the bands' extremum at pi/2.  At zero
+temperature u, m and m_s are the closed forms of :mod:`.ground`.
 
 The integrand factories are module-level so that the finite-ring momentum
 sums in :mod:`.oracle` evaluate literally the same functions on a discrete
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ground
 from .model import ChainParams, Thermal, _in_units, band_crossings, lambda_pm, theta_of_q
 from .quadrature import (
     DEFAULT_QUAD,
@@ -84,27 +86,10 @@ class _BandIntegrals(NamedTuple):
         return getattr(self, name)
 
 
-# Half-width of the tanh transition layer, in units of 1/beta: beyond it
-# |tanh(beta d) - sign(d)| < 1e-16, so panels outside see a flat function.
-_LAYER_DECADES = 18.4
-
-
-def _spec_for(p: ChainParams, t: Thermal, quad: QuadSpec | None) -> QuadSpec:
+def _spec_for(p: ChainParams, quad: QuadSpec | None) -> QuadSpec:
+    """``quad`` with the band crossings and pi/2 as breakpoints."""
     spec = DEFAULT_QUAD if quad is None else quad
-    kinks = band_crossings(p)
-    if not kinks:
-        return spec
-    points = list(kinks)
-    if not t.is_ground:
-        # Seed the layer edges too: a layer centred exactly on a panel edge
-        # is narrower than the nearest Kronrod node once beta is large, so
-        # the panel would otherwise look flat and never refine.
-        w = _LAYER_DECADES / t.beta
-        for x in kinks:
-            for y in (x - w, x + w):
-                if 0.0 < y < math.pi:
-                    points.append(y)
-    return spec.with_breakpoints(points)
+    return spec.with_breakpoints((*band_crossings(p), math.pi / 2))
 
 
 def _sech2(x):
@@ -177,10 +162,10 @@ def staggered_magnetization_integrand(p: ChainParams, t: Thermal):
 
 
 def _quad_over_band(p, t, name: str, integrand, quad) -> float:
-    """Band integral ``name`` from a ``_BandIntegrals`` ``quad``, else adaptive GK."""
+    """Band integral ``name`` from a ``_BandIntegrals`` ``quad``, else by :func:`integrate`."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral(name)
-    return require_converged(integrate(integrand(p, t), _spec_for(p, t, quad))) / (2.0 * math.pi)
+    return require_converged(integrate(integrand(p, t), _spec_for(p, quad))) / (2.0 * math.pi)
 
 
 def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
@@ -197,23 +182,33 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
 
 
 def internal_energy(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
-    """Energy per site, integrated in the chain's own units (``model._in_units``)."""
+    """Energy per site, integrated in the chain's own units (``model._in_units``);
+    ``ground.energy`` at T = 0."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral("u")
+    if t.is_ground:
+        return ground.energy(p, quad)
     k, p = _in_units(p)
     u = _quad_over_band(p, Thermal(math.ldexp(t.beta, k)), "u", internal_energy_integrand, quad)
     return math.ldexp(u, k)
 
 
 def magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
-    """Uniform magnetization per site, in [-1, 1], odd in B."""
+    """Uniform magnetization per site, in [-1, 1], odd in B; ``ground.magnetization_t0`` at T = 0."""
+    if t.is_ground:
+        return ground.magnetization_t0(p)
     return _quad_over_band(p, t, "m", magnetization_integrand, quad)
 
 
 def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
-    """Staggered magnetization per site, odd in b; exactly 0 at b = 0."""
+    """Staggered magnetization per site, odd in b; exactly 0 at b = 0.
+
+    ``ground.staggered_magnetization_t0`` at T = 0.
+    """
     if p.b == 0:
         return 0.0
+    if t.is_ground:
+        return ground.staggered_magnetization_t0(p, quad)
     return _quad_over_band(p, t, "m_s", staggered_magnetization_integrand, quad)
 
 

@@ -75,6 +75,30 @@ def test_point_ground_state_quantities(capsys):
     assert math.isclose(float(row[1]), 1.0 / 3.0, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # the flat band J = |j| at its level is saturated: m = m_t0 = 1
+        (["--j", "1", "--B", "1"], {"m": "1", "m_s": "0", "c1_odd": "0"}),
+        (["--j", "1", "--b", "0.5", "--B", "1.118033988749895"], {"m": "1", "m_s": "0"}),
+        # B at a critical field
+        (["--j", "0.5", "--B", "0.5"], {"m": "0"}),
+        (["--b", "0.5", "--B", "0.5"], {"m": "0"}),
+        (["--j", "0.2", "--B", "1"], {"m": "1", "m_s": "0"}),
+    ],
+)
+def test_point_at_zero_temperature_reads_the_filled_interval(argv, want, capsys):
+    # u, m and m_s at T = 0 are the ground-state closed forms and the
+    # contractions integrals over F, so no sign function ties at theta = |B|
+    code, out, err = run_cli(["point", *argv, "--T", "0", "--q", ",".join(cli.QUANTITIES)], capsys)
+    assert (code, err) == (0, "")
+    header, (row,) = parse_csv(out)
+    got = dict(zip(header, row))
+    assert got["err_flags"] == ""
+    assert (got["m"], got["u"]) == (got["m_t0"], got["energy_t0"])
+    assert {name: got[name] for name in want} == want
+
+
 def test_point_rejects_t0_only_quantity_at_finite_temperature(capsys):
     code, _, err = run_cli(["point", "--T", "0.5", "--q", "energy_t0"], capsys)
     assert code == 2
@@ -281,8 +305,8 @@ def test_second_neighbour_concurrence_parity_blind_without_staggered_field(tmp_p
 
 
 def test_exhausted_quadrature_flags_cell_and_exits_3(capsys, monkeypatch):
-    # depth 0 cannot resolve the beta = 200 layers: value nan, flag, exit 3
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
+    # two levels cannot resolve the beta = 200 layers: value nan, flag, exit 3
+    monkeypatch.setattr(quadrature, "_LEVELS", quadrature._LEVELS[:2])
     code, out, _ = run_cli(
         ["point", "--j", "0.4", "--b", "0.2", "--B", "0.7", "--beta", "200", "--q", "u"],
         capsys,
@@ -322,6 +346,20 @@ def test_oracle_compare_at_a_large_field(capsys):
     assert code in (0, 3)
     rows = parse_csv(out)[1]
     assert [row[:5] for row in rows] == [["m", n, "0", "0", "0"] for n in ("4", "6")]
+
+
+@pytest.mark.parametrize("shift, code", [(0.0, 0), (0.05, 3)])
+def test_oracle_compare_judges_energy_gaps_at_the_chains_scale(shift, code, capsys, monkeypatch):
+    # each u gap is an ulp or two of 1e200: in units of max(J, |j|, |b|, |B|)
+    # they pass, while a u off by 0.05 of that scale still fails the 0.02 tol
+    exact = cli.thermo.internal_energy
+    monkeypatch.setattr(
+        cli.thermo, "internal_energy", lambda p, t, quad=None: exact(p, t, quad) + shift * 1e200
+    )
+    argv = ["oracle-compare", "--b", "1e200", "--beta", "2", "--sizes", "4,6", "--q", "u,m"]
+    got, _, err = run_cli(argv, capsys)
+    assert got == code
+    assert ("u gaps" in err) == bool(code) and "m gaps" not in err
 
 
 def test_qcp_scan_cli(tmp_path, capsys):
@@ -477,20 +515,20 @@ def test_rejected_run_leaves_out_file_untouched(argv, message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "argv, depth, flag",
+    "argv, levels, flag",
     [
-        # depth 0 cannot resolve the beta = 200 layers of the analytic m
-        (["--beta", "200", "--B", "0.9", "--j", "0.4", "--b", "0.2", "--q", "m"], 0,
+        # two levels cannot resolve the beta = 200 layers of the analytic m
+        (["--beta", "200", "--B", "0.9", "--j", "0.4", "--b", "0.2", "--q", "m"], 2,
          "m:tolerance"),
         # the witness bound is empty at J = j = 0
         (["--J", "0", "--q", "witness_lhs"], None, "witness_lhs:error"),
     ],
 )
 def test_oracle_compare_reports_failed_analytic_value_as_nan(
-    argv, depth, flag, tmp_path, capsys, monkeypatch
+    argv, levels, flag, tmp_path, capsys, monkeypatch
 ):
-    if depth is not None:
-        monkeypatch.setattr(quadrature, "_MAX_DEPTH", depth)
+    if levels is not None:
+        monkeypatch.setattr(quadrature, "_LEVELS", quadrature._LEVELS[:levels])
     out = tmp_path / "oracle.csv"
     code, _, err = run_cli(["oracle-compare", "--sizes", "4,6", *argv, "--out", str(out)], capsys)
     assert code == 3

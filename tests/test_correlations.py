@@ -213,3 +213,32 @@ def test_staggered_part_needs_alternating_coupling():
     assert g1(p, t).staggered == 0.0
     assert g_odd(p, t, 3).staggered == 0.0
     assert g_even(ChainParams(J=1.0, j=0.5, b=0.0, B=0.7), t, 2).staggered == 0.0
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ChainParams(1.0, 0.5, 0.4, 0.9),     # between the critical fields
+        ChainParams(1.0, 1.7, -0.3, -1.2),   # j > J, B < 0
+        ChainParams(1.0, 0.5, 0.0, 0.5),     # at the lower critical field
+        ChainParams(1.0, 0.0, 0.5, 0.5),     # at the lower critical field, b != 0
+        ChainParams(1.0, 0.2, 0.0, 1.0),     # at the upper critical field
+        ChainParams(1.0, 1.0, 0.5, 1.118033988749895),  # flat band at its level
+        ChainParams(1.0, -1.0, 0.3, 0.7),    # flat band below its level
+        ChainParams(1.0, 0.0, 0.0, 0.0),     # theta vanishes at pi/2 on F's end
+        ChainParams(0.0, 0.8, 0.0, 0.0),     # theta vanishes at 0 on F's end
+        ChainParams(1.0, 0.3, 0.2, 0.0),     # compensated, B = 0
+    ],
+    ids=str,
+)
+def test_zero_temperature_contractions_match_an_independent_reference(p):
+    # the contractions at T = 0 are integrals over the filled interval F;
+    # QUADPACK integrates the sign-function integrands over the whole zone
+    from band_reference import band_integrals
+
+    want, err = band_integrals(p.J, p.j, p.b, p.B, rs=(1, 2, 3, 4))
+    assert err < 1e-12
+    for r in (1, 2, 3, 4):
+        pair = (g_even if r % 2 == 0 else g_odd)(p, T0, r)
+        got = (pair.uniform, pair.staggered)
+        assert np.max(np.abs(np.subtract(got, want[f"g{r}"]))) < 1e-10, (r, got, want[f"g{r}"])

@@ -1,14 +1,15 @@
-"""Symmetries, scale covariance and ranges of the bulk quantities.
+"""Symmetries, scale covariance, ranges and free-energy derivatives of the bulk quantities.
 
 The seeded hypothesis tests draw chains with J = 1 and beta in [1e-2, 50].
 H maps to itself under a global spin flip with (b, B) -> (-b, -B), and
 under the exchange of the two sublattices with (j, b) -> (-j, -b); H(s p)
 = s H(p), so every quantity at (s p, beta / s) equals that at (p, beta),
-with energies scaled by s.
+with energies scaled by s.  ln Z per site generates m, m_s and u.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from staggered_xx import (
     Thermal,
     c1,
     c2,
+    critical_fields,
     energy,
     internal_energy,
+    ln_z_per_site,
     magnetization,
     meyer_wallach,
     staggered_magnetization,
@@ -85,6 +88,29 @@ def test_ranges(p, t):
     assert abs(got["m"]) <= 1.0 and abs(got["m_s"]) <= 1.0
     assert all(0.0 <= got[c] <= 1.0 for c in ("c1_odd", "c1_even", "c2_odd", "c2_even"))
     assert 0.0 <= meyer_wallach(p) <= 1.0
+
+
+def derivative(f, x: float, h: float) -> float:
+    """Five-point central difference, with an error of order h^4."""
+    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+
+
+@SEEDED
+@given(chains, betas)
+def test_free_energy_derivatives(p, t):
+    # m = (1/beta) d(ln Z/N)/dB, m_s = (1/beta) d(ln Z/N)/db, u = -d(ln Z/N)/dbeta.
+    # ln Z/N is a function of beta times the band energies, so steps of 1e-2
+    # in beta B, in beta b and in beta times the largest |band energy| keep
+    # the stencil's error near 1e-8 of the quantity's scale at every beta
+    beta, top = t.beta, abs(p.B) + max(critical_fields(p))
+    m = derivative(lambda B: ln_z_per_site(replace(p, B=B), t), p.B, 1e-2 / beta) / beta
+    m_s = derivative(lambda b: ln_z_per_site(replace(p, b=b), t), p.b, 1e-2 / beta) / beta
+    u = -derivative(
+        lambda x: ln_z_per_site(p, Thermal.finite(x)), beta, 1e-2 * min(beta, 1.0 / top)
+    )
+    assert abs(m - magnetization(p, t)) <= 1e-8
+    assert abs(m_s - staggered_magnetization(p, t)) <= 1e-8
+    assert abs(u - internal_energy(p, t)) <= 1e-8 * top
 
 
 SCALE_POINTS = [

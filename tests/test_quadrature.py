@@ -1,6 +1,7 @@
-"""Adaptive panel integration against scipy.integrate.quad as oracle."""
+"""Tanh-sinh integration against scipy.integrate.quad as oracle."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -62,9 +63,9 @@ def test_closed_forms():
 
 
 def test_sharp_thermal_layer_with_breakpoints():
-    # A layer centred exactly on a panel edge is narrower than the nearest
-    # Kronrod node at this beta, so its edges must be seeded as well (the
-    # physics modules do this); scipy needs the same hint to stay honest.
+    # The layers are 1e-4 wide; with pieces ending at their centres the
+    # tanh-sinh nodes crowd into them, so the crossings are the only seeds
+    # (as the physics modules give them).  scipy needs the layer edges too.
     p = ChainParams(J=1.0, j=0.4, b=0.2, B=0.7)
     beta = 1e4
     t = Thermal.finite(beta)
@@ -73,7 +74,7 @@ def test_sharp_thermal_layer_with_breakpoints():
     x = math.acos(math.sqrt(r))
     w = 18.4 / beta
     points = [x - w, x, x + w, math.pi - x - w, math.pi - x, math.pi - x + w]
-    res = integrate(f, QuadSpec(breakpoints=tuple(points)))
+    res = integrate(f, QuadSpec(breakpoints=(x, math.pi - x)))
     ref, _ = sp_integrate.quad(
         scalar(f), 0.0, math.pi, points=points, limit=400,
         epsabs=1e-13, epsrel=1e-13,
@@ -82,10 +83,12 @@ def test_sharp_thermal_layer_with_breakpoints():
     assert abs(res.value - ref) < 1e-10
 
 
-def test_layer_clipped_by_boundary_needs_edge_seeds():
-    # With the layer centred on a panel edge its two tails cancel, but a
-    # layer clipped by the integration boundary loses that cancellation;
-    # seeding the surviving layer edge recovers the lost mass.
+def test_layer_clipped_by_boundary_needs_only_its_centre():
+    # With the layer centred on a breakpoint its two tails cancel, but a
+    # layer clipped by the integration boundary loses that cancellation,
+    # and a rule whose nodes step over the layer reports a wrong value as
+    # converged.  The tanh-sinh nodes crowd into the layer from both piece
+    # ends, so its centre is seed enough.
     beta, x0 = 1e4, 1e-3
     f = lambda q: np.tanh(beta * (q - x0))
     w = 18.4 / beta
@@ -95,10 +98,14 @@ def test_layer_clipped_by_boundary_needs_edge_seeds():
     )
     centre_only = integrate(f, QuadSpec(breakpoints=(x0,)))
     seeded = integrate(f, QuadSpec(breakpoints=(x0, x0 + w)))
-    assert centre_only.converged  # converged flag, wrong value: the trap
-    assert abs(centre_only.value - ref) > 1e-6
-    assert seeded.converged
-    assert abs(seeded.value - ref) < 1e-10
+    for res in (centre_only, seeded):
+        assert res.converged
+        assert abs(res.value - ref) < 1e-10
+
+
+def _levels(monkeypatch, n: int) -> None:
+    """Leave :func:`integrate` only its first ``n`` levels (h = 1/2 .. 2^-n)."""
+    monkeypatch.setattr(quadrature, "_LEVELS", quadrature._LEVELS[:n])
 
 
 def test_breakpoint_restores_convergence_on_kink(monkeypatch):
@@ -108,11 +115,11 @@ def test_breakpoint_restores_convergence_on_kink(monkeypatch):
     tight = dict(abs_tol=1e-13, rel_tol=1e-13)
     # equal refinement budget: the seeded grid is far more accurate
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_MAX_DEPTH", 16)
+        _levels(m, 4)
         blind = integrate(f, QuadSpec(**tight))
         seeded = integrate(f, QuadSpec(breakpoints=(x0,), **tight))
     assert abs(seeded.value - exact) < abs(blind.value - exact) / 50.0
-    # default depth converges outright
+    # all levels converge outright
     full = integrate(f, QuadSpec(breakpoints=(x0,), **tight))
     assert full.converged
     assert abs(full.value - exact) < 1e-13
@@ -136,7 +143,7 @@ def test_exhaustion_flags_instead_of_raising(monkeypatch):
     t = Thermal.finite(1e6)
     f = lambda q: thermal_factor(t, 0.6 - q)  # step at q = 0.6, no seed
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_MAX_DEPTH", 3)
+        _levels(m, 3)
         res = integrate(f, QuadSpec(abs_tol=1e-14, rel_tol=1e-14))
     assert isinstance(res, QuadResult)
     assert not res.converged
@@ -334,3 +341,48 @@ def test_periodic_trapezoid_cap_and_non_finite_values():
         _band_integrals(ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.zero())
     with pytest.raises(ValueError, match="non-finite"):
         _periodic_trapezoid([np.cos, lambda q: np.where(q == 0.0, np.nan, 1.0)], 0.0)
+
+
+def _large_beta_points():
+    """60 seeded chains with beta log-uniform in [300, 1e5], in four kinds:
+    any field; |B| within 5 T of the band top; within 5 T of the band
+    bottom; and the flat band J = |j| with |B| within 5 T of it."""
+    rng = random.Random("large-beta")
+    points = []
+    for k in range(60):
+        beta = 10.0 ** rng.uniform(math.log10(300.0), 5.0)
+        j = rng.uniform(-2.0, 2.0)
+        b = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0)
+        edges = sorted((math.hypot(1.0, b), math.hypot(j, b)))
+        level = [rng.uniform(0.0, 2.5), edges[1], edges[0], math.hypot(1.0, b)][k % 4]
+        if k % 4:
+            level += rng.uniform(-5.0, 5.0) / beta
+        if k % 4 == 3:
+            j = rng.choice((-1.0, 1.0))
+        points.append((1.0, j, b, rng.choice((-1.0, 1.0)) * level, beta))
+    return points
+
+
+def test_large_beta_band_integrals_match_an_independent_reference():
+    # u, m, m_s and the g1, g2 pairs against QUADPACK on the model's formulas
+    # written out again (band_reference.py); the thermal layers are 1e-5 wide
+    from band_reference import band_integrals
+
+    from staggered_xx import g1, g_even, internal_energy, magnetization, staggered_magnetization
+
+    misses = []
+    for point in _large_beta_points():
+        want, err = band_integrals(*point)
+        assert err < 1e-12, (point, err)
+        p, t = ChainParams(*point[:4]), Thermal.finite(point[4])
+        pair1, pair2 = g1(p, t), g_even(p, t, 2)
+        got = {
+            "u": internal_energy(p, t), "m": magnetization(p, t),
+            "m_s": staggered_magnetization(p, t),
+            "g1": (pair1.uniform, pair1.staggered), "g2": (pair2.uniform, pair2.staggered),
+        }
+        for name, value in got.items():
+            off = np.max(np.abs(np.subtract(value, want[name])))
+            if off > 1e-10:
+                misses.append((point, name, off))
+    assert not misses

@@ -103,6 +103,10 @@ def test_staggered_magnetization_odd_in_alternating_field():
 
 
 def test_zero_temperature_integrals_match_closed_forms():
+    # u, m and m_s at T = 0 are ground's closed forms over the filled
+    # interval; both against QUADPACK on the sign-function band integrals
+    from band_reference import band_integrals
+
     t0 = Thermal.zero()
     pts = [
         ChainParams(J=1.0, j=0.5, b=0.4, B=0.3),   # below both critical fields
@@ -111,15 +115,19 @@ def test_zero_temperature_integrals_match_closed_forms():
         ChainParams(J=1.0, j=1.7, b=0.3, B=1.2),   # j > J ordering
         ChainParams(J=1.0, j=0.0, b=0.0, B=0.5),   # uniform chain
         ChainParams(J=0.0, j=0.0, b=0.0, B=0.0),   # all-zero chain
+        ChainParams(J=1.0, j=1.0, b=0.0, B=-1.0),  # flat band at its level
     ]
     for p in pts:
-        assert math.isclose(internal_energy(p, t0), ground.energy(p), abs_tol=1e-8)
-        assert math.isclose(magnetization(p, t0), ground.magnetization_t0(p), abs_tol=1e-8)
-        assert math.isclose(
-            staggered_magnetization(p, t0),
-            ground.staggered_magnetization_t0(p),
-            abs_tol=1e-8,
-        )
+        want, err = band_integrals(p.J, p.j, p.b, p.B, rs=())
+        assert err < 1e-12
+        got = {
+            "u": (internal_energy(p, t0), ground.energy(p)),
+            "m": (magnetization(p, t0), ground.magnetization_t0(p)),
+            "m_s": (staggered_magnetization(p, t0), ground.staggered_magnetization_t0(p)),
+        }
+        for name, pair in got.items():
+            for value in pair:
+                assert abs(value - want[name]) < 1e-10, (p, name, value, want[name])
 
 
 def test_large_beta_converges_to_zero_temperature():
