@@ -3,7 +3,8 @@
 Output is RFC-4180-style CSV (CRLF rows, '.' decimal, 12 significant
 digits).  Sweep rows are emitted row-major with the x axis varying
 fastest, and the bytes are identical for any worker count: the grid is
-fixed up front and each point is a pure function of its parameters.
+fixed up front and each point is a pure function of its parameters.  A
+row's finite-T cells share one batched run of the engine ``point`` uses.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -236,9 +237,10 @@ def _fmt(v: float) -> str:
 
 
 def _sweep_row_block(task) -> list:
-    """All cells for one y value (one task so rows stay contiguous)."""
+    """All cells for one y value (one task so rows stay contiguous); its finite-T
+    cells share one batched integration, T = 0 cells read the ground closed forms."""
     spec, yv = task
-    rows = []
+    cells = []
     for xv in spec.x.values():
         p, t = spec.params, spec.thermal
         for ax, v in ((spec.x, xv), (spec.y, yv)):
@@ -246,12 +248,11 @@ def _sweep_row_block(task) -> list:
                 t = Thermal.from_temperature(v)
             else:
                 p = replace(p, **{ax.name: v})
-        # finite T reads the shared band integrals; T = 0, or where they fail, as a point
-        quad = None
-        if not t.is_ground:
-            with contextlib.suppress(ToleranceNotReached, ValueError):
-                quad = correlations._band_integrals(p, t)
-        record, flags = _evaluate(p, t, spec.quantities, quad)
+        cells.append((xv, p, t))
+    records = iter(correlations._band_integrals([(p, t) for _, p, t in cells if not t.is_ground]))
+    rows = []
+    for xv, p, t in cells:
+        record, flags = _evaluate(p, t, spec.quantities, None if t.is_ground else next(records))
         rows.append(
             [_fmt(xv), _fmt(yv)]
             + [_fmt(record[qn]) for qn in spec.quantities]

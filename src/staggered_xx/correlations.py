@@ -25,7 +25,8 @@ is a string-ordered determinant of contractions (see :mod:`.entanglement`
 for the R = 2 case).
 
 Integrand factories are module level so the finite-ring sums in
-:mod:`.oracle` reuse them verbatim.
+:mod:`.oracle` reuse them verbatim.  A sweep row takes the seven band
+integrals of all its finite-T cells from one batched tanh-sinh run.
 """
 
 from __future__ import annotations
@@ -36,17 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ground
-from .model import ChainParams, Thermal, lambda_pm
-from .quadrature import QuadSpec, _periodic_trapezoid, integrate, require_converged, thermal_factor
+from .model import ChainParams, Thermal, _in_units, _theta, band_crossings, lambda_pm
+from .quadrature import (
+    QuadResult, QuadSpec, _integrate_cells, integrate, require_converged, thermal_factor,
+)
 from .thermo import (
-    _BandIntegrals,
-    _spec_for,
-    internal_energy_integrand,
-    magnetization,
-    magnetization_integrand,
-    occupation_difference_ratio,
+    _BandIntegrals, _difference_ratio, _spec_for, magnetization, occupation_difference_ratio,
     staggered_magnetization,
-    staggered_magnetization_integrand,
 )
 
 __all__ = [
@@ -141,7 +138,7 @@ def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
     """Contraction pair at separation ``r`` from a ``_BandIntegrals`` ``quad``, else by
     :func:`integrate`: over [0, pi] at finite T, over F at T = 0."""
     if isinstance(quad, _BandIntegrals):
-        return quad.integral(f"g{r}")
+        return CorrelatorPair(*quad.integral(f"g{r}"))
     if t.is_ground:
         return CorrelatorPair(*ground._contractions(p, r, quad))
     spec = _spec_for(p, quad)
@@ -151,23 +148,40 @@ def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
     return CorrelatorPair(gu, gs)
 
 
-def _band_integrals(p: ChainParams, t: Thermal) -> _BandIntegrals:
-    """The ``_BandIntegrals`` of one finite-T point from one shared periodic trapezoid run.
+def _band_integrals(cells) -> list[_BandIntegrals]:
+    """The ``_BandIntegrals`` of finite-T cells ``(p, t)`` from one batched tanh-sinh run,
+    each cell in its own units (``model._in_units``) and split at its band crossing.
 
-    The record passes as ``quad`` to the quantity functions, which then read
-    it instead of integrating.  |theta'(q)| <= max(J, |j|) bounds how fast the
-    tanh arguments turn.  Raises :class:`ToleranceNotReached` past the node cap.
+    A record passes as ``quad`` to the quantity functions, which then read it.
     """
-    fs = (
-        internal_energy_integrand(p, t),
-        magnetization_integrand(p, t),
-        staggered_magnetization_integrand(p, t),
-        *transverse_integrands(p, t, 1),
-        *transverse_integrands(p, t, 2),
-    )
-    results = _periodic_trapezoid(fs, t.beta * max(p.J, abs(p.j)))
-    u, m, m_s, gu1, gs1, gu2, gs2 = (require_converged(r) / (2.0 * math.pi) for r in results)
-    return _BandIntegrals(u, m, m_s, CorrelatorPair(gu1, gs1), CorrelatorPair(gu2, gs2))
+    if any(t.is_ground for _, t in cells):
+        raise ValueError("the band integrals of a sweep cell need a finite temperature")
+    units = [(*_in_units(p), t.beta) for p, t in cells]
+    # past 2^1000 in its own units a cell's tanh layers are finer than any node gap
+    cols = [(p.J, p.j, p.b, p.B, math.ldexp(bt, k) if math.frexp(bt)[1] + k < 1000 else 2.0**1000)
+            for k, p, bt in units]
+    J, j, b, B, beta = np.array(cols).reshape(-1, 5, 1).transpose(1, 0, 2)
+
+    def integrands(q, rows):
+        Jc, jc, bc, Bc, bt = J[rows], j[rows], b[rows], B[rows], beta[rows]
+        c, s, c2 = np.cos(q), np.sin(q), np.cos(2.0 * q)
+        th = _theta(Jc, jc, bc, c, s)
+        lp, lm = Bc + th, Bc - th
+        tp, tm = np.tanh(bt * lp), np.tanh(bt * lm)
+        ratio = _difference_ratio(bt, Bc, th, tp - tm)
+        return (-(lp * tp + lm * tm), tp + tm, bc * ratio, -c * Jc * c * ratio,
+                -s * jc * s * ratio, c2 * (tp + tm), c2 * bc * ratio)
+
+    x = [(band_crossings(p) or (math.pi / 2,))[0] for _, p, _ in units]
+    value, err, ok = _integrate_cells(integrands, 7, x)
+    value, err = value / (2.0 * math.pi), err / (2.0 * math.pi)
+    k = np.array([k for k, _, _ in units], dtype=int)
+    value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)  # u out of the cell's units
+    records = []
+    for cell in zip(value.T.tolist(), err.T.tolist(), ok.T.tolist()):
+        u, m, m_s, gu1, gs1, gu2, gs2 = (QuadResult(v, e, c, 2) for v, e, c in zip(*cell))
+        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2)))
+    return records
 
 
 def g1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> CorrelatorPair:

@@ -145,10 +145,19 @@ def theta_of_q(p: ChainParams, q):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0) or np.any(q > np.pi):
         raise ValueError("q must lie in [0, pi]")
-    c, s = np.cos(q), np.sin(q)
     k, p = _in_units(p)
-    th = np.sqrt((p.J * c) ** 2 + p.b**2 + (p.j * s) ** 2)
+    th = _theta(p.J, p.j, p.b, np.cos(q), np.sin(q))
     return np.ldexp(th, k) if k else th
+
+
+def _theta(J, j, b, c, s):
+    """theta from c = cos q, s = sin q and couplings within 2^+-500, unchecked: theta^2
+    as min(J, |j|)^2 + b^2 + |J^2 - j^2| (c^2 if J > |j| else s^2), non-negative
+    terms that stay constant to the last bit on the flat band J = |j|."""
+    aj = abs(j)
+    d = (J - aj) * (J + aj)
+    w = np.where(d > 0, c, s)
+    return np.sqrt(np.minimum(J, aj) ** 2 + b**2 + abs(d) * (w * w))
 
 
 def lambda_pm(p: ChainParams, q):
@@ -180,11 +189,23 @@ def xi(p: ChainParams) -> float:
     pi/2).  Undefined at J = |j| (theta is flat in q).
     """
     p = _in_units(p)[1]  # xi is scale-free
-    den = p.J**2 - p.j**2
+    den = _squares((p.J,), (p.j,))
     if den == 0:
         raise ValueError("xi is undefined at J = |j|; theta(q) is constant there")
-    r = (p.B**2 - p.b**2 - p.j**2) / den
+    r = _squares((p.B,), (p.b, p.j)) / den
     return math.acos(math.sqrt(min(max(r, 0.0), 1.0)))
+
+
+def _squares(plus, minus) -> float:
+    """sum(x^2 for x in plus) - sum(x^2 for x in minus), rounded once: each x*x enters
+    exactly, as its rounding and that rounding's error (Dekker, Veltkamp's halves)."""
+    terms = []
+    for sign, x in [(1.0, x) for x in plus] + [(-1.0, x) for x in minus]:
+        c = 134217729.0 * x  # 2^27 + 1
+        hi, sq = c - (c - x), x * x
+        lo = x - hi
+        terms += (sign * sq, sign * (((hi * hi - sq) + 2.0 * hi * lo) + lo * lo))
+    return math.fsum(terms)
 
 
 def _filled_interval(p: ChainParams, level: float) -> tuple[PhaseRegion, float, float]:

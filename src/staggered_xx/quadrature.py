@@ -17,6 +17,8 @@ exhausting the levels returns the best estimate flagged as unconverged
 rather than raising mid-computation.
 
 Integrands must accept ndarray input (each level is one batched call).
+The finite-T cells of a sweep row run these levels together, as one
+(cells x nodes) array split at each cell's crossing (``_integrate_cells``).
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ def _tanh_sinh_level(h: float, first: bool):
 # (h, distance, upper, jacobian) per level; after the first, a level adds the
 # odd multiples of its h
 _LEVELS = [(0.5**k, *_tanh_sinh_level(0.5**k, k == 1)) for k in range(1, 10)]
-
-_TRAPEZOID_CAP = 2**14  # most nodes ``_periodic_trapezoid`` evaluates per integrand
-
 
 @dataclass(frozen=True)
 class QuadSpec:
@@ -153,31 +152,35 @@ def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math
     return QuadResult(value, err, False, width.size)
 
 
-def _periodic_trapezoid(fs, sharpness: float, spec: QuadSpec | None = None) -> list[QuadResult]:
-    """Integrals over [0, pi] of pi-periodic integrands ``fs`` on shared equispaced nodes.
-
-    For analytic integrands the rule converges geometrically (Trefethen &
-    Weideman, SIAM Rev. 56 (2014) 385).  Nodes start under a quarter of the
-    layer width 1/sharpness apart (at least 16) and gain midpoints until each
-    |I_2n - I_n| is within max(abs_tol, rel_tol |I|), as in :func:`integrate`.
-    Past ``_TRAPEZOID_CAP`` nodes all are unconverged; ``n_panels`` counts nodes.
+def _integrate_cells(f, n: int, x, spec: QuadSpec | None = None):
+    """(n, K) values, error estimates and convergence flags of ``n`` integrands
+    even about pi/2 over [0, pi], for K cells: cell k doubles its half zone,
+    summed as [0, x_k] and [x_k, pi/2].  ``f(q, cells)`` gives, at the nodes
+    ``q`` (len(cells), nodes) of the cells indexed by ``cells``, an (n,
+    len(cells), nodes) array.  A cell runs the levels and the stopping rule
+    of :func:`integrate` until all ``n`` meet it, or one is not finite (NaN).
     """
     spec = DEFAULT_QUAD if spec is None else spec
-    n = 16
-    while n < 4.0 * math.pi * sharpness and n <= _TRAPEZOID_CAP:
-        n *= 2
-    if 2 * n > _TRAPEZOID_CAP:
-        return [QuadResult(math.nan, math.inf, False, 0) for _ in fs]
-    q, total, value = np.arange(n) * (math.pi / n), 0.0, None
-    while True:
-        fx = np.array([f(q) for f in fs], dtype=float)
-        if not np.all(np.isfinite(fx)):
-            raise ValueError("integrand returned non-finite values")
-        total = total + fx.sum(axis=1)
-        coarse, value = value, total * (math.pi / n)
-        if coarse is not None:
-            err = np.abs(value - coarse)
-            ok = bool(np.all(err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))))
-            if ok or 2 * n > _TRAPEZOID_CAP:
-                return [QuadResult(float(v), float(e), ok, n) for v, e in zip(value, err)]
-        q, n = (np.arange(n) + 0.5) * (math.pi / n), 2 * n
+    x = np.asarray(x, dtype=float).reshape(-1, 1, 1)
+    a = np.concatenate([np.zeros_like(x), x], axis=1)  # (K, 2 pieces, 1)
+    b = np.concatenate([x, np.full_like(x, math.pi / 2)], axis=1)
+    total, err = np.zeros((n, len(x))), np.full((n, len(x)), math.inf)
+    value, ok = np.full_like(total, math.nan), np.zeros(total.shape, dtype=bool)
+    active = np.arange(len(x))
+    for h, distance, upper, jacobian in _LEVELS:
+        if not active.size:
+            break
+        lo, hi = a[active], b[active]
+        w = hi - lo
+        nodes = np.where(upper, hi - distance * w, lo + distance * w).reshape(len(active), -1)
+        fx = np.asarray(f(nodes, active), dtype=float)
+        total[:, active] += (fx * (jacobian * w).reshape(len(active), -1)).sum(axis=-1)
+        fine = 2.0 * h * total[:, active]
+        err[:, active] = np.abs(fine - value[:, active])
+        value[:, active] = fine
+        tol = 0.25 * np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
+        ok[:, active] = err[:, active] <= tol
+        finite = np.isfinite(fine).all(axis=0)
+        value[:, active[~finite]], ok[:, active[~finite]] = math.nan, False
+        active = active[finite & ~ok[:, active].all(axis=0)]
+    return value, err, ok

@@ -32,6 +32,7 @@ from . import ground
 from .model import ChainParams, Thermal, _in_units, band_crossings, lambda_pm, theta_of_q
 from .quadrature import (
     DEFAULT_QUAD,
+    QuadResult,
     QuadSpec,
     integrate,
     require_converged,
@@ -66,24 +67,27 @@ class ThermoPoint:
 
 
 class _BandIntegrals(NamedTuple):
-    """The seven band integrals of one finite-T point, u, m, m_s and the
-    (uniform, staggered) ``CorrelatorPair``s g1 and g2 of separations 1 and 2,
-    as ``correlations._band_integrals`` computes them on shared nodes.
+    """The seven band integrals of one finite-T point as per-site ``QuadResult``s:
+    u, m, m_s and the (uniform, staggered) pairs g1 and g2 of separations 1
+    and 2, as ``correlations._band_integrals`` computes them on shared nodes.
 
     Given as ``quad``, a quantity function reads its band integrals from the
-    record instead of integrating; one the record does not hold is a ValueError.
+    record instead of integrating.  One the record does not hold is a
+    ValueError, an unconverged one (a NaN too) a ToleranceNotReached.
     """
 
-    u: float
-    m: float
-    m_s: float
-    g1: object
-    g2: object
+    u: QuadResult
+    m: QuadResult
+    m_s: QuadResult
+    g1: tuple
+    g2: tuple
 
     def integral(self, name: str):
         if name not in self._fields:
             raise ValueError(f"the band integrals of one finite-T point hold no {name}")
-        return getattr(self, name)
+        got = getattr(self, name)
+        pair = isinstance(got, tuple)
+        return tuple(map(require_converged, got)) if pair else require_converged(got)
 
 
 def _spec_for(p: ChainParams, quad: QuadSpec | None) -> QuadSpec:
@@ -114,12 +118,16 @@ def occupation_difference_ratio(p: ChainParams, t: Thermal, q):
         # only theta = 0 itself needs the (weightless) limit value
         safe = th > 0
         return np.where(safe, num / np.where(safe, th, 1.0), 0.0)
+    return _difference_ratio(t.beta, p.B, th, num)
+
+
+def _difference_ratio(beta, B, th, num):
+    """``num`` = tanh(beta lam_+) - tanh(beta lam_-) over theta at finite beta."""
     # The tanh difference loses all significant digits once beta*theta
     # drops toward eps/(2 sech^2); switch to the series limit well above
     # that, where its own (beta*theta)^2 error is ~1e-10 relative.
-    safe = t.beta * th > 1e-5
-    limit = 2.0 * t.beta * _sech2(t.beta * p.B)
-    return np.where(safe, num / np.where(safe, th, 1.0), limit)
+    safe = beta * th > 1e-5
+    return np.where(safe, num / np.where(safe, th, 1.0), 2.0 * beta * _sech2(beta * B))
 
 
 def _log_cosh(x):

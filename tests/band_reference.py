@@ -17,9 +17,9 @@ def band_integrals(J, j, b, B, beta=math.inf, rs=(1, 2)):
     for each r in ``rs``, the (uniform, staggered) contraction pair ``g<r>``.
 
     Every value is (1/2pi) int_0^pi over the whole zone.  Breakpoints are
-    the crossings theta(q) = |B|, pi/2 and, at finite beta, a geometric fan
-    of points on both sides of those and of the ends, where the thermal
-    layers sit.
+    the crossings theta(q) = |B|, pi/2 and, at finite beta off the flat band
+    J = |j|, a geometric fan of points on both sides of those and of the
+    ends, where the thermal layers sit.
     """
     cold = math.isinf(beta)
 
@@ -30,7 +30,13 @@ def band_integrals(J, j, b, B, beta=math.inf, rs=(1, 2)):
 
     def bands(q):
         c, s = math.cos(q), math.sin(q)
-        th = math.sqrt((J * c) ** 2 + b * b + (j * s) ** 2)
+        # theta^2 as a sum of non-negative terms, constant to the last bit on
+        # the flat band: beta times a rounding of theta is noise that QUADPACK
+        # cannot integrate to 1e-13
+        if J * J >= j * j:
+            th = math.sqrt(j * j + b * b + (J * J - j * j) * c * c)
+        else:
+            th = math.sqrt(J * J + b * b + (j * j - J * J) * s * s)
         tp, tm = occupation(B + th), occupation(B - th)
         # the difference over theta; weightless where theta = 0
         return c, s, th, tp + tm, (tp - tm) / th if th > 0 else 0.0
@@ -55,7 +61,7 @@ def band_integrals(J, j, b, B, beta=math.inf, rs=(1, 2)):
             x = math.acos(math.sqrt(x))
             centres += [x, math.pi - x]
     points = set(centres)
-    if not cold:
+    if not cold and J * J != j * j:  # a flat theta puts no thermal layer in q
         for c0 in (0.0, *centres, math.pi):
             for e in range(-9, 0):
                 points.update(y for y in (c0 - 10.0**e, c0 + 10.0**e) if 0.0 < y < math.pi)

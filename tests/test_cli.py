@@ -153,12 +153,37 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--out", str(parallel), "--workers", "3"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
-    # rows that mix the engines: T = 0, beyond the trapezoid cap, trapezoid
+    # rows that mix T = 0 cells with batched finite-T cells
     mixed = ["sweep", "--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2",
              "--q", FINITE_T]
     assert main(mixed + ["--out", str(serial)]) == 0
     assert main(mixed + ["--out", str(parallel), "--workers", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_mixed_rows_flag_only_their_failing_cells(tmp_path, monkeypatch):
+    # J = 0 and b = 2^560: every row holds a J = j = 0 cell (no witness
+    # bound), a saturated cell and a partly filled one, each rescaled by its
+    # own power of two; the T = 0 row reads the ground closed forms.  Four
+    # levels resolve the finite-T cells except the partly filled one, whose
+    # thermal layer is beta |theta'| ~ 1e3 sharp in its own units.
+    monkeypatch.setattr(quadrature, "_LEVELS", quadrature._LEVELS[:4])
+    s = 2.0**560
+    argv = ["sweep", "--J", "0", "--b", repr(s), "--B", repr(1.5 * s),
+            "--x", f"j 0 {2 * s!r} 3", "--y", f"T 0 {s / 250!r} 2", "--q", FINITE_T]
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert main(argv + ["--out", str(serial)]) == 3
+    assert main(argv + ["--out", str(parallel), "--workers", "2"]) == 3
+    assert serial.read_bytes() == parallel.read_bytes()
+    with open(serial, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    unconverged = ";".join(f"{name}:tolerance" for name in FINITE_T.split(","))
+    want = [["witness_lhs:error", "", ""], ["witness_lhs:error", "", unconverged]]
+    assert [[row[-1] for row in rows[i : i + 3]] for i in (0, 3)] == want
+    for row in rows:
+        values = dict(zip(FINITE_T.split(","), row[2:-1]))
+        if row[-1] != unconverged:
+            assert all(v != "nan" for k, v in values.items() if k not in row[-1])
 
 
 def _sweep_cells(argv, capsys):
@@ -174,25 +199,23 @@ def _point_cells(argv, capsys):
 
 
 def test_sweep_cells_match_point_by_engine(capsys):
-    # T = 0 and beta beyond the trapezoid cap go through run_point itself;
-    # the trapezoid cell may differ from point in the last printed digits only
-    cells = _sweep_cells(
-        ["sweep", "--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2",
-         "--q", FINITE_T], capsys,
-    )
-    for (x, y), row in cells.items():
-        point = _point_cells(["--j", "0.3", "--b", "0.2", "--B", y, "--T", x], capsys)
-        if x == "0.003":
-            assert all(abs(float(a) - float(b)) < 1e-10 for a, b in zip(row[:-1], point[:-1]))
-            assert row[-1] == point[-1] == ""
-        else:
-            assert row == point, (x, y)
-    cells = _sweep_cells(
-        ["sweep", "--beta", "1e5", "--b", "0.2", "--x", "B 0.5 0.9 2", "--y", "j 0.2 0.4 2",
-         "--q", FINITE_T], capsys,
-    )
-    for (x, y), row in cells.items():
-        assert row == _point_cells(["--b", "0.2", "--B", x, "--j", y, "--beta", "1e5"], capsys)
+    # T = 0 cells go through the ground closed forms, as point does, byte for
+    # byte; finite-T cells read the batched band integrals and may differ from
+    # point in the last printed digits only, beta = 1e5 included
+    for sweep, point_args in (
+        (["--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2"],
+         lambda x, y: ["--j", "0.3", "--b", "0.2", "--B", y, "--T", x]),
+        (["--beta", "1e5", "--b", "0.2", "--x", "B 0.5 0.9 2", "--y", "j 0.2 0.4 2"],
+         lambda x, y: ["--b", "0.2", "--B", x, "--j", y, "--beta", "1e5"]),
+    ):
+        cells = _sweep_cells(["sweep", *sweep, "--q", FINITE_T], capsys)
+        for (x, y), row in cells.items():
+            point = _point_cells(point_args(x, y), capsys)
+            if x == "0":
+                assert row == point, (x, y)
+            else:
+                assert all(abs(float(a) - float(b)) < 1e-10 for a, b in zip(row[:-1], point[:-1]))
+                assert row[-1] == point[-1] == ""
 
 
 def test_finite_temperature_sweep_makes_no_adaptive_call(monkeypatch, capsys):
@@ -337,6 +360,18 @@ def test_point_at_extreme_scales(argv, want, capsys):
     assert row[-1] == ""
     for cell, value in zip(row, want):
         assert math.isclose(float(cell), value, rel_tol=1e-11, abs_tol=0.0), (cell, value)
+
+
+def test_sweep_where_beta_overflows_the_chains_units(capsys):
+    # beta J = 2e308 lies past the largest double: in its own units a cell is
+    # taken at beta = 2^1000, the ground state to within any node spacing
+    argv = ["sweep", "--J", "1e308", "--beta", "2", "--x", "B 0 1 2", "--y", "b 0 1 2",
+            "--q", "u,m"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    for row in parse_csv(out)[1]:
+        assert math.isclose(float(row[2]), -2 / math.pi * 1e308, rel_tol=1e-11), row
+        assert abs(float(row[3])) < 1e-300 and row[-1] == "", row
 
 
 def test_oracle_compare_at_a_large_field(capsys):

@@ -18,6 +18,7 @@ from staggered_xx import (
     theta_of_q,
     xi,
 )
+from staggered_xx.model import _theta
 
 
 def random_params(rng, lo=0.0, hi=2.0):
@@ -73,8 +74,8 @@ def test_theta_and_xi_scale_exactly_at_extreme_couplings():
     for _ in range(20):
         p = random_params(rng, -2.0, 2.0)
         c, s = np.cos(q), np.sin(q)
-        # ordinary chains keep every bit of the unscaled formula
-        assert np.array_equal(theta_of_q(p, q), np.sqrt((p.J * c) ** 2 + p.b**2 + (p.j * s) ** 2))
+        # ordinary chains keep every bit of the unscaled kernel
+        assert np.array_equal(theta_of_q(p, q), _theta(p.J, p.j, p.b, c, s))
         for e in (560, -560):
             big = ChainParams(*(math.ldexp(v, e) for v in (p.J, p.j, p.b, p.B)))
             assert np.array_equal(theta_of_q(big, q), np.ldexp(theta_of_q(p, q), e))
@@ -132,6 +133,35 @@ def test_crossing_angle_examples_and_clamps():
     assert xi(ChainParams(J=1.0, B=0.0)) == math.pi / 2
     with pytest.raises(ValueError):
         xi(ChainParams(J=1.0, j=1.0, B=0.5))
+
+
+def test_theta_is_constant_on_the_flat_band():
+    # beta up to 1e8 multiplies any rounding of theta into the occupations
+    q = np.linspace(0.0, math.pi, 1001)
+    for j in (1.0, -1.0):
+        th = theta_of_q(ChainParams(J=1.0, j=j, b=0.6125503138373345), q)
+        assert np.all(th == math.sqrt(1.0 + 0.6125503138373345**2))
+
+
+def test_crossing_angle_without_cancellation_at_the_lower_critical_field():
+    # |B| within rounding of sqrt(j^2 + b^2): B^2 - b^2 - j^2 cancels to a
+    # few ulps, which sqrt and 1 - 2 xi/pi amplify into m_t0
+    import mpmath
+
+    from staggered_xx import ground
+
+    p = ChainParams(J=1.0, j=0.9563893233164342, b=-0.4543361001980004, B=1.0588209620595894)
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    J, j, b, B = (mp.mpf(v) for v in (p.J, p.j, p.b, p.B))
+    x = mp.acos(mp.sqrt((B**2 - b**2 - j**2) / (J**2 - j**2)))
+    assert abs(xi(p) - x) <= 2 * math.ulp(float(x))
+    # F = [0, xi]: m_t0 = 1 - 2 xi/pi = 1.81898859616e-08, where the rounded
+    # ratio gave 2.29647215688e-08
+    assert abs(ground.magnetization_t0(p) - (1 - 2 * x / mp.pi)) < 1e-15
+    theta = lambda q: mp.sqrt((J * mp.cos(q)) ** 2 + b**2 + (j * mp.sin(q)) ** 2)
+    m_s = 2 / mp.pi * mp.quad(lambda q: b / theta(q), [0, x])
+    assert abs(ground.staggered_magnetization_t0(p) - m_s) < 1e-13
 
 
 def test_crossing_angle_solves_band_zero():

@@ -142,8 +142,11 @@ def test_scale_covariance(p, beta, e):
             scaled_t = Thermal(t.beta / s)
             want = values(p, t)
             u = want.pop("u")
-            # the adaptive engine, and at finite T the shared trapezoid record
-            engines = [None] if t.is_ground else [None, _band_integrals(big, scaled_t)]
+            # the adaptive engine, and at finite T the batch, on a row that
+            # also holds the unscaled cell
+            engines = [None]
+            if not t.is_ground:
+                engines.append(_band_integrals([(p, t), (big, scaled_t)])[1])
             for quad in engines:
                 got = values(big, scaled_t, quad)
                 assert_energy(got.pop("u"), u, s)

@@ -14,6 +14,7 @@ from staggered_xx import (
     QuadSpec,
     Thermal,
     ToleranceNotReached,
+    band_crossings,
     integrate,
     require_converged,
     theta_of_q,
@@ -176,11 +177,11 @@ def test_error_estimate_is_honest():
         assert abs(res.value - ref) <= max(res.error, 1e-13)
 
 
-# Structural points for the periodic trapezoid rule: generic, both critical
-# fields (and -B), J < |j| with B at its upper critical field, the flat band
+# Structural points for the batched engine: generic, both critical fields
+# (and -B), J < |j| with B at its upper critical field, the flat band
 # J = |j|, b = j = 0 (theta vanishes at pi/2) and J = j = 0 (theta = |b|).
 _J, _j, _b = 1.0, 0.6, 0.3
-TRAPEZOID_POINTS = [
+STRUCTURAL_POINTS = [
     ChainParams(_J, _j, _b, 0.8),
     ChainParams(_J, _j, _b, math.hypot(_J, _b)),
     ChainParams(_J, _j, _b, math.hypot(_j, _b)),
@@ -212,29 +213,39 @@ def _band_integrands(p, t):
     )
 
 
-def _cap_limit_beta(p):
-    # the largest beta whose starting node count still leaves room to double
-    from staggered_xx.quadrature import _TRAPEZOID_CAP
+def _record_values(rec):
+    """u, m, m_s and both parts of g1 and g2 from a ``_BandIntegrals`` record."""
+    return (rec.integral("u"), rec.integral("m"), rec.integral("m_s"),
+            *rec.integral("g1"), *rec.integral("g2"))
 
-    return 0.99 * _TRAPEZOID_CAP / (8.0 * math.pi * max(p.J, abs(p.j), 1e-3))
 
-
-@pytest.mark.parametrize("p", TRAPEZOID_POINTS, ids=str)
-def test_periodic_trapezoid_matches_adaptive_band_integrals(p):
+def _adaptive_values(p, t):
+    """The same seven values from the library's adaptive ``integrate`` path."""
     from staggered_xx import g1, g_even, internal_energy, magnetization, staggered_magnetization
+
+    pair1, pair2 = g1(p, t), g_even(p, t, 2)
+    return (internal_energy(p, t), magnetization(p, t), staggered_magnetization(p, t),
+            pair1.uniform, pair1.staggered, pair2.uniform, pair2.staggered)
+
+
+@pytest.mark.parametrize("p", STRUCTURAL_POINTS, ids=str)
+def test_batched_band_integrals_match_adaptive_band_integrals(p):
     from staggered_xx.correlations import _band_integrals
 
-    for beta in (1e-3, 0.1, 1.0, 10.0, 100.0, _cap_limit_beta(p)):
-        t = Thermal.finite(beta)
-        u, m, m_s, g1_pair, g2_pair = _band_integrals(p, t)
-        got = (u, m, m_s, g1_pair.uniform, g1_pair.staggered, g2_pair.uniform, g2_pair.staggered)
-        want = (
-            internal_energy(p, t), magnetization(p, t), staggered_magnetization(p, t),
-            g1(p, t).uniform, g1(p, t).staggered, g_even(p, t, 2).uniform,
-            g_even(p, t, 2).staggered,
-        )
+    # one row holds every temperature at scale 1 and the same states at
+    # 2^+-560, which the batch integrates in their own units; energies are
+    # compared in those units
+    row = [
+        (s, ChainParams(*(v * s for v in (p.J, p.j, p.b, p.B))), Thermal.finite(beta / s))
+        for s in (1.0, 2.0**560, 2.0**-560)
+        for beta in (1e-3, 0.1, 1.0, 10.0, 100.0, 1e4)
+    ]
+    for (s, q, t), rec in zip(row, _band_integrals([(q, t) for _, q, t in row])):
+        got, want = _record_values(rec), _adaptive_values(q, t)
         for k, (a, b) in enumerate(zip(got, want)):
-            assert abs(a - b) < 1e-10, (beta, k, a, b)
+            if k == 0:
+                a, b = a / s, b / s
+            assert abs(a - b) < 1e-10, (s, t.beta, k, a, b)
 
 
 def _pair_concurrence(coherence, sz_l, sz_r, g):
@@ -255,26 +266,27 @@ def _pair_concurrence(coherence, sz_l, sz_r, g):
 )
 def test_quantity_functions_read_band_integrals_record(p, beta, monkeypatch):
     from staggered_xx import (
-        ConcurrencePair, c1, c2, correlation_set, g1, g_even, g_site, internal_energy,
-        ln_z_per_site, magnetization, staggered_magnetization, witness,
+        ConcurrencePair, CorrelatorPair, c1, c2, correlation_set, g1, g_even, g_site,
+        internal_energy, ln_z_per_site, magnetization, staggered_magnetization, witness,
     )
     from staggered_xx import correlations, ground, thermo
     from staggered_xx.correlations import _band_integrals
 
     t = Thermal.finite(beta)
-    rec = _band_integrals(p, t)
+    (rec,) = _band_integrals([(p, t)])
 
     def no_adaptive(*args, **kwargs):
         raise AssertionError("adaptive quadrature called although the record was given")
 
     for module in (thermo, correlations, ground):
         monkeypatch.setattr(module, "integrate", no_adaptive)
-    assert internal_energy(p, t, rec) == rec.u
-    assert magnetization(p, t, rec) == rec.m
-    assert staggered_magnetization(p, t, rec) == rec.m_s
-    assert g1(p, t, rec) == rec.g1
-    assert g_even(p, t, 2, rec) == rec.g2
-    m, ms, g, g2 = rec.m, rec.m_s, rec.g1, rec.g2
+    assert internal_energy(p, t, rec) == rec.u.value
+    assert magnetization(p, t, rec) == rec.m.value
+    assert staggered_magnetization(p, t, rec) == rec.m_s.value
+    g, g2 = (CorrelatorPair(*(r.value for r in pair)) for pair in (rec.g1, rec.g2))
+    assert g1(p, t, rec) == g
+    assert g_even(p, t, 2, rec) == g2
+    m, ms = rec.m.value, rec.m_s.value
     want1, want2 = {}, {}
     for parity, s in (("odd", -1.0), ("even", 1.0)):
         gp, g_mid, g2_l = g.uniform + s * g.staggered, g.uniform - s * g.staggered, g2.at(parity)
@@ -283,7 +295,7 @@ def test_quantity_functions_read_band_integrals_record(p, beta, monkeypatch):
         want2[parity] = _pair_concurrence(coherence, m + s * ms, m + s * ms, g2_l)
     assert c1(p, t, rec) == ConcurrencePair(**want1)
     assert c2(p, t, rec) == ConcurrencePair(**want2)
-    lhs = 4.0 * abs(rec.u + p.B * m + p.b * ms) / (abs(p.J - p.j) + abs(p.J + p.j))
+    lhs = 4.0 * abs(rec.u.value + p.B * m + p.b * ms) / (abs(p.J - p.j) + abs(p.J + p.j))
     assert witness(p, t, rec).lhs == lhs
     # ln Z and separations other than 1 and 2 are not in the record
     with pytest.raises(ValueError, match="ln_z"):
@@ -294,63 +306,98 @@ def test_quantity_functions_read_band_integrals_record(p, beta, monkeypatch):
         correlation_set(p, t, quad=rec)
 
 
-def test_periodic_trapezoid_error_estimate_is_honest():
-    from scipy.special import i0
+def test_batched_error_estimate_is_honest():
+    import mpmath
 
-    from staggered_xx.quadrature import _periodic_trapezoid
+    from staggered_xx.quadrature import _integrate_cells
 
-    # pi-periodic analytic integrands with closed-form integrals over [0, pi]
+    # integrands even about pi/2 with closed-form integrals over [0, pi], taken
+    # to 30 digits so that a double's rounding of them does not count, on
+    # cells split anywhere in the half zone
+    mp = mpmath.mp.clone()
+    mp.dps = 30
     exact = [
-        (lambda q: 1.0 / (1.0 + 60.0 * np.cos(q) ** 2), math.pi / math.sqrt(61.0)),
-        (lambda q: np.exp(3.0 * np.cos(2.0 * q)), math.pi * i0(3.0)),
+        (lambda q: 1.0 / (1.0 + 60.0 * np.cos(q) ** 2), mp.pi / mp.sqrt(61)),
+        (lambda q: np.exp(3.0 * np.cos(2.0 * q)), mp.pi * mp.besseli(0, 3)),
     ]
+    splits = (0.3, 1.0, math.pi / 2)
     for tol in (1e-3, 1e-6, 1e-9, 1e-12):
-        results = _periodic_trapezoid([f for f, _ in exact], 0.0, QuadSpec(tol, tol))
-        for res, (_, value) in zip(results, exact):
-            assert res.converged
-            assert abs(res.value - value) <= res.error + 1e-15
-    # band integrands against a fine adaptive reference; the start is made
-    # coarser than beta max(J, |j|) asks, so the rule stops where its error shows
-    p, t = ChainParams(1.0, 0.6, 0.3, 0.9), Thermal.finite(30.0)
-    fs = _band_integrands(p, t)
+        got, err, ok = _integrate_cells(
+            lambda q, rows: [f(q) for f, _ in exact], 2, splits, QuadSpec(tol, tol)
+        )
+        assert np.all(ok)
+        for (_, value), got_r, err_r in zip(exact, got, err):
+            for v, e in zip(got_r, err_r):
+                assert abs(mp.mpf(v) - value) <= e + 1e-15
+    # band integrands against a fine adaptive reference, on a row of two
+    # temperatures split at the crossing
+    p = ChainParams(1.0, 0.6, 0.3, 0.9)
+    temps = (Thermal.finite(30.0), Thermal.finite(300.0))
+    fs = [_band_integrands(p, t) for t in temps]
+    x = min(band_crossings(p))
     for tol in (1e-4, 1e-8):
-        for f, res in zip(fs, _periodic_trapezoid(fs, 0.05 * t.beta, QuadSpec(tol, tol))):
-            ref, _ = sp_integrate.quad(
-                scalar(f), 0.0, math.pi, limit=800, epsabs=1e-13, epsrel=1e-13
-            )
-            assert res.converged
-            assert abs(res.value - ref) <= res.error + 1e-14
+        got, err, ok = _integrate_cells(
+            lambda q, rows: [[fs[c][r](qc) for c, qc in zip(rows, q)] for r in range(7)],
+            7, (x, x), QuadSpec(tol, tol),
+        )
+        assert np.all(ok)
+        for cell, cell_fs in enumerate(fs):
+            for r, f in enumerate(cell_fs):
+                ref, _ = sp_integrate.quad(
+                    scalar(f), 0.0, math.pi, points=(x, math.pi / 2, math.pi - x),
+                    limit=800, epsabs=1e-13, epsrel=1e-13,
+                )
+                assert abs(got[r, cell] - ref) <= err[r, cell] + 1e-14
 
 
-def test_periodic_trapezoid_cap_and_non_finite_values():
+def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
     from staggered_xx.correlations import _band_integrals
-    from staggered_xx.quadrature import _TRAPEZOID_CAP, _periodic_trapezoid
+    from staggered_xx.quadrature import _integrate_cells
 
-    def never(q):
-        raise AssertionError("evaluated although the start is beyond the cap")
+    # four levels resolve beta <= 10 but not the layers at beta = 1e3: in one
+    # row only the cold cell is unconverged, and its record says so
+    p = ChainParams(1.0, 0.4, 0.2, 0.7)
+    row = [(p, Thermal.finite(beta)) for beta in (0.01, 1e3, 10.0)]
+    with monkeypatch.context() as m:
+        _levels(m, 4)
+        hot, cold, warm = _band_integrals(row)
+    for rec, (_, t) in ((hot, row[0]), (warm, row[2])):
+        assert _record_values(rec) == pytest.approx(_adaptive_values(p, t), abs=1e-10)
+    for name in ("u", "m", "m_s", "g1", "g2"):
+        with pytest.raises(ToleranceNotReached):
+            cold.integral(name)
+    # a NaN in one integrand of one cell at the third level, where its other
+    # integrand, a constant, has converged: that cell leaves with NaN values
+    # and no converged flag, the others converge, and the record reads a NaN
+    # as unconverged
+    def f(q, rows):
+        out = np.array([np.ones_like(q), np.sqrt(np.sin(q))])
+        if q.shape[1] > 50:
+            out[1, rows == 1, 0] = np.nan
+        return out
 
-    # too sharp to start below the cap: unconverged without evaluating
-    (res,) = _periodic_trapezoid([never], _TRAPEZOID_CAP)
-    assert not res.converged
-    # a cusp at pi/2 converges only algebraically: the cap is reached
-    (res,) = _periodic_trapezoid([lambda q: np.sqrt(np.abs(np.cos(q)))], 0.0)
-    assert not res.converged and res.n_panels == _TRAPEZOID_CAP
+    value, _, ok = _integrate_cells(f, 2, (0.4, 0.9, math.pi / 2))
+    assert np.all(np.isnan(value[:, 1])) and not np.any(ok[:, 1])
+    want = [[math.pi] * 2, [2.0 * 1.1981402347355922] * 2]  # 2 int_0^(pi/2) sqrt(sin q)
+    np.testing.assert_allclose(value[:, [0, 2]], want, rtol=0, atol=1e-12)
+    assert np.all(ok[:, [0, 2]])
+    broken = hot._replace(m=QuadResult(math.nan, math.nan, False, 2))
     with pytest.raises(ToleranceNotReached):
-        _band_integrals(ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.finite(1e5))
-    with pytest.raises(ToleranceNotReached):
-        _band_integrals(ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.zero())
-    with pytest.raises(ValueError, match="non-finite"):
-        _periodic_trapezoid([np.cos, lambda q: np.where(q == 0.0, np.nan, 1.0)], 0.0)
+        broken.integral("m")
+    assert broken.integral("u") == hot.integral("u")
+    with pytest.raises(ValueError, match="finite temperature"):
+        _band_integrals([(p, Thermal.zero())])
+    assert _band_integrals([]) == []
 
 
 def _large_beta_points():
-    """60 seeded chains with beta log-uniform in [300, 1e5], in four kinds:
-    any field; |B| within 5 T of the band top; within 5 T of the band
-    bottom; and the flat band J = |j| with |B| within 5 T of it."""
+    """60 seeded chains with beta log-uniform in [300, 1e8], in four kinds:
+    any field; |B| within 5 T of the band top (nearly saturated); within 5 T
+    of the band bottom; and the flat band J = |j| with |B| within 5 T of it."""
     rng = random.Random("large-beta")
     points = []
     for k in range(60):
-        beta = 10.0 ** rng.uniform(math.log10(300.0), 5.0)
+        beta = 10.0 ** rng.uniform(math.log10(300.0), 8.0)
         j = rng.uniform(-2.0, 2.0)
         b = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0)
         edges = sorted((math.hypot(1.0, b), math.hypot(j, b)))
@@ -365,24 +412,22 @@ def _large_beta_points():
 
 def test_large_beta_band_integrals_match_an_independent_reference():
     # u, m, m_s and the g1, g2 pairs against QUADPACK on the model's formulas
-    # written out again (band_reference.py); the thermal layers are 1e-5 wide
+    # written out again (band_reference.py); the thermal layers are down to
+    # 1e-8 wide.  Every point goes through the adaptive engine and, all 60 as
+    # one sweep row, through the batch.
     from band_reference import band_integrals
 
-    from staggered_xx import g1, g_even, internal_energy, magnetization, staggered_magnetization
+    from staggered_xx.correlations import _band_integrals
 
+    points = _large_beta_points()
+    cells = [(ChainParams(*point[:4]), Thermal.finite(point[4])) for point in points]
     misses = []
-    for point in _large_beta_points():
+    for point, (p, t), rec in zip(points, cells, _band_integrals(cells)):
         want, err = band_integrals(*point)
         assert err < 1e-12, (point, err)
-        p, t = ChainParams(*point[:4]), Thermal.finite(point[4])
-        pair1, pair2 = g1(p, t), g_even(p, t, 2)
-        got = {
-            "u": internal_energy(p, t), "m": magnetization(p, t),
-            "m_s": staggered_magnetization(p, t),
-            "g1": (pair1.uniform, pair1.staggered), "g2": (pair2.uniform, pair2.staggered),
-        }
-        for name, value in got.items():
-            off = np.max(np.abs(np.subtract(value, want[name])))
+        want = (want["u"], want["m"], want["m_s"], *want["g1"], *want["g2"])
+        for engine, got in (("adaptive", _adaptive_values(p, t)), ("batch", _record_values(rec))):
+            off = np.max(np.abs(np.subtract(got, want)))
             if off > 1e-10:
-                misses.append((point, name, off))
+                misses.append((point, engine, off))
     assert not misses
