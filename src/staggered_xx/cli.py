@@ -51,8 +51,8 @@ class _Quantity:
     """How the CLI computes one named quantity.
 
     ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
-    by the quantities of that point.  ``quad`` is None, or at a finite-T sweep
-    cell the record of ``correlations._band_integrals``, which the library
+    by the quantities of that point.  ``quad`` is None at T = 0, and at finite
+    T the point's record of ``thermo._band_integrals``, which the library
     functions read instead of integrating.  ``ed``/``fermion`` read it
     from a ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out
     of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
@@ -198,9 +198,11 @@ class SweepSpec:
         _validate_quantities(self.quantities, self.thermal)
 
 
-def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad) -> tuple[dict, list]:
-    """Values of already validated quantities (``quad`` as in ``_Quantity``);
-    a failed one is NaN and flagged."""
+def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad=None) -> tuple[dict, list]:
+    """Values of already validated quantities, at finite T read from the record
+    ``quad`` (built here if None); a failed one is NaN and flagged."""
+    if quad is None and not thermal.is_ground:
+        (quad,) = thermo._band_integrals([(params, thermal)])
     record, flags, memo = {}, [], {}
     for name in quantities:
         try:
@@ -225,7 +227,7 @@ def run_point(params: ChainParams, thermal: Thermal, quantities) -> tuple[dict, 
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal)
-    return _evaluate(params, thermal, quantities, None)
+    return _evaluate(params, thermal, quantities)
 
 
 def _fmt(v: float) -> str:
@@ -249,7 +251,7 @@ def _sweep_row_block(task) -> list:
             else:
                 p = replace(p, **{ax.name: v})
         cells.append((xv, p, t))
-    records = iter(correlations._band_integrals([(p, t) for _, p, t in cells if not t.is_ground]))
+    records = iter(thermo._band_integrals([(p, t) for _, p, t in cells if not t.is_ground]))
     rows = []
     for xv, p, t in cells:
         record, flags = _evaluate(p, t, spec.quantities, None if t.is_ground else next(records))
@@ -329,7 +331,7 @@ def run_oracle_compare(
     specs = [FiniteChainSpec(n, params, thermal) for n in sizes]
     eds = [dense_ed(spec) for spec in specs]
     ffs = [finite_free_fermion(spec) for spec in specs]
-    record, flags = _evaluate(params, thermal, quantities, None)
+    record, flags = _evaluate(params, thermal, quantities)
     if flags:
         print(f"oracle-compare: analytic values failed: {';'.join(flags)}", file=sys.stderr)
     rows = [["quantity", "n_sites", "analytic", "dense_ed", "abs_gap", "free_fermion"]]

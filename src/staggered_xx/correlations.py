@@ -24,25 +24,23 @@ For R = 1 the contraction is the whole story,
 is a string-ordered determinant of contractions (see :mod:`.entanglement`
 for the R = 2 case).
 
-Integrand factories are module level so the finite-ring sums in
-:mod:`.oracle` reuse them verbatim.  A sweep row takes the seven band
-integrals of all its finite-T cells from one batched tanh-sinh run.
+At finite temperature both parts are band integrals of
+``thermo._band_integral``; a record holds them for R = 1 and 2 only, and
+larger separations have a kernel of their own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ground
-from .model import ChainParams, Thermal, _in_units, _theta, band_crossings, lambda_pm
-from .quadrature import (
-    QuadResult, QuadSpec, _integrate_cells, integrate, require_converged, thermal_factor,
-)
+from .model import ChainParams, Thermal, lambda_pm
+from .quadrature import QuadSpec, thermal_factor
+from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 from .thermo import (
-    _BandIntegrals, _difference_ratio, _spec_for, magnetization, occupation_difference_ratio,
+    _band_integral, _difference_ratio, magnetization, occupation_difference_ratio,
     staggered_magnetization,
 )
 
@@ -134,54 +132,25 @@ def transverse_integrands(p: ChainParams, t: Thermal, r: int):
     return uniform, staggered
 
 
+def _contraction_kernel(r: int):
+    """(2, f) for ``thermo._cell_integrals``: the integrands of ``transverse_integrands``."""
+
+    def f(q, c, s, th, J, j, b, B, beta):
+        tp, tm = np.tanh(beta * (B + th)), np.tanh(beta * (B - th))
+        ratio = _difference_ratio(beta, B, th, tp - tm)
+        if r % 2 == 0:
+            return np.cos(q * r) * (tp + tm), np.cos(q * r) * b * ratio
+        return -np.cos(q * r) * J * c * ratio, -np.sin(q * r) * j * s * ratio
+
+    return 2, f
+
+
 def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
-    """Contraction pair at separation ``r`` from a ``_BandIntegrals`` ``quad``, else by
-    :func:`integrate`: over [0, pi] at finite T, over F at T = 0."""
-    if isinstance(quad, _BandIntegrals):
-        return CorrelatorPair(*quad.integral(f"g{r}"))
+    """Contraction pair at separation ``r``: over F at T = 0, else band integrals."""
     if t.is_ground:
         return CorrelatorPair(*ground._contractions(p, r, quad))
-    spec = _spec_for(p, quad)
-    fu, fs = transverse_integrands(p, t, r)
-    gu = require_converged(integrate(fu, spec)) / (2.0 * math.pi)
-    gs = require_converged(integrate(fs, spec)) / (2.0 * math.pi)
-    return CorrelatorPair(gu, gs)
-
-
-def _band_integrals(cells) -> list[_BandIntegrals]:
-    """The ``_BandIntegrals`` of finite-T cells ``(p, t)`` from one batched tanh-sinh run,
-    each cell in its own units (``model._in_units``) and split at its band crossing.
-
-    A record passes as ``quad`` to the quantity functions, which then read it.
-    """
-    if any(t.is_ground for _, t in cells):
-        raise ValueError("the band integrals of a sweep cell need a finite temperature")
-    units = [(*_in_units(p), t.beta) for p, t in cells]
-    # past 2^1000 in its own units a cell's tanh layers are finer than any node gap
-    cols = [(p.J, p.j, p.b, p.B, math.ldexp(bt, k) if math.frexp(bt)[1] + k < 1000 else 2.0**1000)
-            for k, p, bt in units]
-    J, j, b, B, beta = np.array(cols).reshape(-1, 5, 1).transpose(1, 0, 2)
-
-    def integrands(q, rows):
-        Jc, jc, bc, Bc, bt = J[rows], j[rows], b[rows], B[rows], beta[rows]
-        c, s, c2 = np.cos(q), np.sin(q), np.cos(2.0 * q)
-        th = _theta(Jc, jc, bc, c, s)
-        lp, lm = Bc + th, Bc - th
-        tp, tm = np.tanh(bt * lp), np.tanh(bt * lm)
-        ratio = _difference_ratio(bt, Bc, th, tp - tm)
-        return (-(lp * tp + lm * tm), tp + tm, bc * ratio, -c * Jc * c * ratio,
-                -s * jc * s * ratio, c2 * (tp + tm), c2 * bc * ratio)
-
-    x = [(band_crossings(p) or (math.pi / 2,))[0] for _, p, _ in units]
-    value, err, ok = _integrate_cells(integrands, 7, x)
-    value, err = value / (2.0 * math.pi), err / (2.0 * math.pi)
-    k = np.array([k for k, _, _ in units], dtype=int)
-    value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)  # u out of the cell's units
-    records = []
-    for cell in zip(value.T.tolist(), err.T.tolist(), ok.T.tolist()):
-        u, m, m_s, gu1, gs1, gu2, gs2 = (QuadResult(v, e, c, 2) for v, e, c in zip(*cell))
-        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2)))
-    return records
+    kernel = None if r <= 2 else _contraction_kernel(r)
+    return CorrelatorPair(*_band_integral(p, t, quad, f"g{r}", kernel))
 
 
 def g1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> CorrelatorPair:

@@ -15,9 +15,10 @@ and s_r = m - s m_s the <sz> of the two sites),
 
 For next-nearest neighbours the Wick-factorized coherence
 |G_{l,1} G_{l+1,1} - G_{l,2} <sz_{l+1}>| replaces |G_1|.  The witness
-compares the energy density against its bound over separable states:
+compares the exchange energy u + B m + b m_s = J gu_1 + j gs_1 against its
+bound over separable states, free of the field terms that cancel in u:
 
-    lhs = 4 |u + B m + b m_s| / (|J - j| + |J + j|),
+    lhs = 4 |J gu_1 + j gs_1| / (|J - j| + |J + j|),
 
 with entanglement certified whenever lhs > 1.
 """
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, Thermal
+from .model import ChainParams, Thermal, _in_units
 from .quadrature import QuadSpec
 from .correlations import g1, g_even, parity_sign
-from .thermo import internal_energy, magnetization, staggered_magnetization
+from .thermo import magnetization, staggered_magnetization
 
 __all__ = [
     "ConcurrencePair",
@@ -167,11 +168,11 @@ def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
 
 
 def witness(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> WitnessValue:
-    """Thermodynamic entanglement witness from the energy density."""
-    u, m = internal_energy(p, t, quad), magnetization(p, t, quad)
-    ms = staggered_magnetization(p, t, quad)
-    den = abs(p.J - p.j) + abs(p.J + p.j)
+    """Thermodynamic entanglement witness from the exchange energy, a scale-free ratio."""
+    unit = _in_units(p)[1]
+    den = abs(unit.J - unit.j) + abs(unit.J + unit.j)
     if den == 0:
         raise DegenerateCoupling("witness bound requires J or j nonzero")
-    lhs = 4.0 * abs(u + p.B * m + p.b * ms) / den
+    g = g1(p, t, quad)
+    lhs = 4.0 * abs(unit.J * g.uniform + unit.j * g.staggered) / den
     return WitnessValue(lhs=lhs, detected=lhs > 1.0)

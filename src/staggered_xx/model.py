@@ -251,8 +251,8 @@ def band_crossings(p: ChainParams) -> tuple[float, ...]:
     The interior endpoints of ``region_q`` at |B|, or pi/2 where the band
     top touches |B|; empty when theta is flat (J = |j|).  These are the
     only non-smooth points of zero-temperature integrands and the
-    sharp-layer centres at large beta, so integrals register them as
-    quadrature breakpoints.
+    sharp-layer centres at large beta, so the finite-T band integrals
+    are split there.
     """
     region, lo, hi = _filled_interval(p, abs(p.B))
     x = hi if p.J > abs(p.j) else lo  # the end of the filled interval where theta = |B|

@@ -16,9 +16,9 @@ Two oracles at desk scale:
 * ``finite_free_fermion``: the translation-invariant fermion solution on
   a finite ring, where each momentum pair contributes a 2x2 block whose
   eigenvalues are 2B +- 2 theta(q_k).  Bulk integrals (1/2pi) int dq
-  become (1/N) sum_k over q_k = 2 pi k / N, evaluated with literally the
-  same integrand closures as :mod:`.thermo` / :mod:`.correlations`; the
-  gap to the integral is pure quadrature-of-a-sum discretization error.
+  become (1/N) sum_k over q_k = 2 pi k / N of the integrand factories of
+  :mod:`.thermo` / :mod:`.correlations`, not of the fused kernels the bulk
+  integrals run; the gap is the discretization error of a sum.
 
 Reduced two-site density matrices are assembled blockwise: every
 eigenvector lives in one magnetization sector, which forbids coherence

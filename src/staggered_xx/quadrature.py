@@ -3,22 +3,23 @@
 Every observable of the chain is a one-dimensional integral over q in
 [0, pi] of a smooth function of the two bands.  At large beta the
 occupation factors turn sharply where a band crosses zero; those angles
-are known in closed form, so callers register them as breakpoints, which
-split the interval into pieces.
+are known in closed form, so the finite-T band integrals are split there
+into pieces that end on every sharp feature (``_integrate_cells``).
 
 Each piece [a, b] is mapped by the tanh-sinh (double-exponential)
 substitution q = (a + b)/2 + (b - a)/2 tanh((pi/2) sinh t) (Takahasi &
 Mori, Publ. RIMS 9 (1974) 721) and summed by the trapezoid rule in t on
 [-3.5, 3.5].  The nodes cluster double-exponentially at the ends of each
-piece, so a layer or a kink on a breakpoint needs no further seeds.  All
+piece, so a layer or a kink at an end needs no further seeds.  All
 pieces share nested levels, h = 1/2 down to 2^-9, and the run stops once
 |I_h - I_{h/2}| is within a quarter of max(abs_tol, rel_tol |I|);
 exhausting the levels returns the best estimate flagged as unconverged
 rather than raising mid-computation.
 
 Integrands must accept ndarray input (each level is one batched call).
-The finite-T cells of a sweep row run these levels together, as one
-(cells x nodes) array split at each cell's crossing (``_integrate_cells``).
+``integrate`` sums one piece [lo, hi], a T = 0 filled interval;
+``_integrate_cells`` runs the finite-T cells of a point or a sweep row
+together, as one (cells x nodes) array split at each cell's crossing.
 """
 
 from __future__ import annotations
@@ -62,29 +63,16 @@ _LEVELS = [(0.5**k, *_tanh_sinh_level(0.5**k, k == 1)) for k in range(1, 10)]
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and piece edges for :func:`integrate`.
-
-    ``breakpoints`` are interior points of (0, pi) where the interval is
-    split; physics modules add the band-crossing angles and pi/2.
-    """
+    """Tolerances of :func:`integrate` and ``_integrate_cells``."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.abs_tol >= 0 and self.rel_tol >= 0):
             raise ValueError("tolerances must be non-negative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("abs_tol and rel_tol cannot both be zero")
-        for x in self.breakpoints:
-            if not (0.0 < x < math.pi):
-                raise ValueError(f"breakpoints must lie strictly inside (0, pi), got {x!r}")
-
-    def with_breakpoints(self, points) -> "QuadSpec":
-        """Copy of this spec with extra breakpoints merged in."""
-        merged = sorted(set(self.breakpoints) | set(float(x) for x in points))
-        return QuadSpec(self.abs_tol, self.rel_tol, tuple(merged))
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -124,32 +112,30 @@ def thermal_factor(t: Thermal, lam):
 
 
 def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math.pi) -> QuadResult:
-    """Integrate a vectorized integrand over [lo, hi] (default [0, pi]).
+    """Integrate a vectorized integrand over the one piece [lo, hi] (default [0, pi]).
 
     Returns the best estimate together with an error estimate, |I_h - I_{h/2}|
     of the last two levels, and a convergence flag; it never raises on
-    tolerance failure.  Breakpoints from ``spec`` that fall strictly inside
-    (lo, hi) split the interval into pieces; ``n_panels`` counts them.
+    tolerance failure.  The nodes crowd toward lo and hi only: a sharp
+    feature inside needs the interval split there, one call per piece.
     """
     spec = DEFAULT_QUAD if spec is None else spec
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
 
-    edges = np.array([lo, *(x for x in sorted(spec.breakpoints) if lo < x < hi), hi])
-    a, b = edges[:-1, None], edges[1:, None]
-    width = b - a
+    width = hi - lo
     total, value, err = 0.0, math.nan, math.inf
     for h, distance, upper, jacobian in _LEVELS:
-        nodes = np.where(upper, b - distance * width, a + distance * width)
-        fx = np.asarray(f(nodes.ravel()), dtype=float)
+        nodes = np.where(upper, hi - distance * width, lo + distance * width)
+        fx = np.asarray(f(nodes), dtype=float)
         if not np.all(np.isfinite(fx)):
             raise ValueError("integrand returned non-finite values")
-        total += float(fx @ (jacobian * width).ravel())
+        total += float(fx @ (jacobian * width))
         coarse, value = value, h * total
         err = abs(value - coarse)
         if err <= 0.25 * max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return QuadResult(value, err, True, width.size)
-    return QuadResult(value, err, False, width.size)
+            return QuadResult(value, err, True, 1)
+    return QuadResult(value, err, False, 1)
 
 
 def _integrate_cells(f, n: int, x, spec: QuadSpec | None = None):

@@ -11,13 +11,13 @@ and its first derivatives are single integrals over q in [0, pi]:
 where u is the energy per site and m, m_s the uniform and staggered
 magnetizations (m = (1/beta) d(lnZ/N)/dB, m_s = (1/beta) d(lnZ/N)/db,
 u = -d(lnZ/N)/dbeta; these identities are enforced in the test suite).
-The tanh layers sit at the band-crossing angles, which are quadrature
-breakpoints together with the bands' extremum at pi/2.  At zero
-temperature u, m and m_s are the closed forms of :mod:`.ground`.
-
-The integrand factories are module-level so that the finite-ring momentum
-sums in :mod:`.oracle` evaluate literally the same functions on a discrete
-grid.
+At zero temperature u, m and m_s are the closed forms of :mod:`.ground`.
+At finite temperature every band integral, here and in :mod:`.correlations`,
+is read from a ``_BandIntegrals`` record or integrated with a ``QuadSpec``
+by ``_band_integral``, on the tanh-sinh nodes of ``_cell_integrals``.  The
+integrand factories (``ln_z_integrand``, ...) are the same integrands as
+plain functions of q, which the finite-ring sums in :mod:`.oracle` and the
+tests evaluate independently of those kernels.
 """
 
 from __future__ import annotations
@@ -29,15 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ground
-from .model import ChainParams, Thermal, _in_units, band_crossings, lambda_pm, theta_of_q
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadResult,
-    QuadSpec,
-    integrate,
-    require_converged,
-    thermal_factor,
-)
+from .model import ChainParams, Thermal, _in_units, _theta, band_crossings, lambda_pm, theta_of_q
+from .quadrature import QuadResult, QuadSpec, _integrate_cells, require_converged, thermal_factor
+from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 
 __all__ = [
     "ZeroTemperatureUnsupported",
@@ -69,7 +63,7 @@ class ThermoPoint:
 class _BandIntegrals(NamedTuple):
     """The seven band integrals of one finite-T point as per-site ``QuadResult``s:
     u, m, m_s and the (uniform, staggered) pairs g1 and g2 of separations 1
-    and 2, as ``correlations._band_integrals`` computes them on shared nodes.
+    and 2, as ``_band_integrals`` computes them on shared nodes.
 
     Given as ``quad``, a quantity function reads its band integrals from the
     record instead of integrating.  One the record does not hold is a
@@ -90,10 +84,61 @@ class _BandIntegrals(NamedTuple):
         return tuple(map(require_converged, got)) if pair else require_converged(got)
 
 
-def _spec_for(p: ChainParams, quad: QuadSpec | None) -> QuadSpec:
-    """``quad`` with the band crossings and pi/2 as breakpoints."""
-    spec = DEFAULT_QUAD if quad is None else quad
-    return spec.with_breakpoints((*band_crossings(p), math.pi / 2))
+def _cell_integrals(cells, n: int, kernel, quad: QuadSpec | None = None):
+    """(n, K) values (1/2pi) int_0^pi, error estimates and flags of the ``n`` integrands
+    ``kernel(q, c, s, th, J, j, b, B, beta)`` (cos q, sin q, theta, (cells, 1) columns)
+    at K finite-T cells ``(p, t)``, from one ``quadrature._integrate_cells`` run, each
+    cell split at its band crossing and in its own units (``model._in_units``)."""
+    if any(t.is_ground for _, t in cells):
+        raise ValueError("the band integrals of a cell need a finite temperature")
+    units = [(*_in_units(p), t.beta) for p, t in cells]
+    # past 2^1000 in its own units a cell's tanh layers are finer than any node gap
+    cols = [(p.J, p.j, p.b, p.B, math.ldexp(bt, k) if math.frexp(bt)[1] + k < 1000 else 2.0**1000)
+            for k, p, bt in units]
+    J, j, b, B, beta = np.array(cols).reshape(-1, 5, 1).transpose(1, 0, 2)
+
+    def integrands(q, rows):
+        c, s = np.cos(q), np.sin(q)
+        Jc, jc, bc = J[rows], j[rows], b[rows]
+        return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc, B[rows], beta[rows])
+
+    x = [(band_crossings(p) or (math.pi / 2,))[0] for _, p, _ in units]
+    value, err, ok = _integrate_cells(integrands, n, x, quad)
+    return value / (2.0 * math.pi), err / (2.0 * math.pi), ok
+
+
+def _band_kernel(q, c, s, th, J, j, b, B, beta):
+    """The seven integrands of a ``_BandIntegrals`` record, in its field order."""
+    lp, lm = B + th, B - th
+    tp, tm = np.tanh(beta * lp), np.tanh(beta * lm)
+    ratio = _difference_ratio(beta, B, th, tp - tm)
+    c2 = np.cos(2.0 * q)
+    return (-(lp * tp + lm * tm), tp + tm, b * ratio, -c * J * c * ratio,
+            -s * j * s * ratio, c2 * (tp + tm), c2 * b * ratio)
+
+
+def _band_integrals(cells, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
+    """The ``_BandIntegrals`` records of finite-T cells ``(p, t)``, from one batched run."""
+    value, err, ok = _cell_integrals(cells, 7, _band_kernel, quad)
+    k = np.array([_in_units(p)[0] for p, _ in cells], dtype=int)
+    value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)  # u out of the cell's units
+    records = []
+    for cell in zip(value.T.tolist(), err.T.tolist(), ok.T.tolist()):
+        u, m, m_s, gu1, gs1, gu2, gs2 = (QuadResult(v, e, c, 2) for v, e, c in zip(*cell))
+        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2)))
+    return records
+
+
+def _band_integral(p: ChainParams, t: Thermal, quad, name: str, kernel=None):
+    """Band integral ``name`` (a pair for ``g<r>``) of the finite-T point (p, t), per site.
+    The one record-or-spec decision: a ``_BandIntegrals`` ``quad`` is read; a QuadSpec (or
+    None) integrates a one-cell record, or the n-tuple of ``kernel`` = (n, f) for the rest."""
+    if isinstance(quad, _BandIntegrals):
+        return quad.integral(name)
+    if kernel is None:
+        return _band_integrals([(p, t)], quad)[0].integral(name)
+    cell = zip(*(a[:, 0].tolist() for a in _cell_integrals([(p, t)], *kernel, quad)))
+    return tuple(require_converged(QuadResult(v, e, c, 2)) for v, e, c in cell)
 
 
 def _sech2(x):
@@ -169,11 +214,8 @@ def staggered_magnetization_integrand(p: ChainParams, t: Thermal):
     return f
 
 
-def _quad_over_band(p, t, name: str, integrand, quad) -> float:
-    """Band integral ``name`` from a ``_BandIntegrals`` ``quad``, else by :func:`integrate`."""
-    if isinstance(quad, _BandIntegrals):
-        return quad.integral(name)
-    return require_converged(integrate(integrand(p, t), _spec_for(p, quad))) / (2.0 * math.pi)
+def _ln_z_kernel(q, c, s, th, J, j, b, B, beta):
+    return (_LOG4 + _log_cosh(beta * (B + th)) + _log_cosh(beta * (B - th)),)
 
 
 def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
@@ -186,26 +228,25 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
         raise ZeroTemperatureUnsupported(
             "ln Z per site grows like -beta * energy at T = 0; use ground.energy"
         )
-    return _quad_over_band(p, t, "ln_z", ln_z_integrand, quad)
+    # past beta 2^999 in its own units ln Z is linear in beta: below the kernel's cap
+    e = max(0, math.frexp(t.beta)[1] + _in_units(p)[0] - 999)
+    t_e = Thermal(math.ldexp(t.beta, -e))
+    return math.ldexp(_band_integral(p, t_e, quad, "ln_z", (1, _ln_z_kernel))[0], e)
 
 
 def internal_energy(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Energy per site, integrated in the chain's own units (``model._in_units``);
     ``ground.energy`` at T = 0."""
-    if isinstance(quad, _BandIntegrals):
-        return quad.integral("u")
     if t.is_ground:
         return ground.energy(p, quad)
-    k, p = _in_units(p)
-    u = _quad_over_band(p, Thermal(math.ldexp(t.beta, k)), "u", internal_energy_integrand, quad)
-    return math.ldexp(u, k)
+    return _band_integral(p, t, quad, "u")
 
 
 def magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Uniform magnetization per site, in [-1, 1], odd in B; ``ground.magnetization_t0`` at T = 0."""
     if t.is_ground:
         return ground.magnetization_t0(p)
-    return _quad_over_band(p, t, "m", magnetization_integrand, quad)
+    return _band_integral(p, t, quad, "m")
 
 
 def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
@@ -217,7 +258,7 @@ def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = 
         return 0.0
     if t.is_ground:
         return ground.staggered_magnetization_t0(p, quad)
-    return _quad_over_band(p, t, "m_s", staggered_magnetization_integrand, quad)
+    return _band_integral(p, t, quad, "m_s")
 
 
 def thermo_point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ThermoPoint:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -199,9 +200,9 @@ def _point_cells(argv, capsys):
 
 
 def test_sweep_cells_match_point_by_engine(capsys):
-    # T = 0 cells go through the ground closed forms, as point does, byte for
-    # byte; finite-T cells read the batched band integrals and may differ from
-    # point in the last printed digits only, beta = 1e5 included
+    # T = 0 cells go through the ground closed forms, as point does; finite-T
+    # cells read the batched band integrals of their row, and a point its own
+    # one-cell record: byte for byte the same, beta = 1e5 included
     for sweep, point_args in (
         (["--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2"],
          lambda x, y: ["--j", "0.3", "--b", "0.2", "--B", y, "--T", x]),
@@ -210,22 +211,31 @@ def test_sweep_cells_match_point_by_engine(capsys):
     ):
         cells = _sweep_cells(["sweep", *sweep, "--q", FINITE_T], capsys)
         for (x, y), row in cells.items():
-            point = _point_cells(point_args(x, y), capsys)
-            if x == "0":
-                assert row == point, (x, y)
-            else:
-                assert all(abs(float(a) - float(b)) < 1e-10 for a, b in zip(row[:-1], point[:-1]))
-                assert row[-1] == point[-1] == ""
+            assert row == _point_cells(point_args(x, y), capsys), (x, y)
 
 
-def test_finite_temperature_sweep_makes_no_adaptive_call(monkeypatch, capsys):
-    from staggered_xx import correlations, ground, thermo
+def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
+    # every finite-T band integral runs on the split nodes of the cell engine:
+    # point, oracle-compare, a sweep and the library's ln Z and g3, which no
+    # record holds; integrate is the T = 0 engine over the filled interval
+    from staggered_xx import (
+        correlations, g_odd, ground, ln_z_per_site, thermo, thermo_point,
+    )
 
-    def no_adaptive(*args, **kwargs):
-        raise AssertionError("adaptive quadrature called in a finite-T sweep")
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrate called at finite temperature")
 
-    for module in (thermo, correlations, ground):
-        monkeypatch.setattr(module, "integrate", no_adaptive)
+    for module in (quadrature, thermo, correlations, ground):
+        monkeypatch.setattr(module, "integrate", no_integrate)
+    p, t = ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.finite(3.0)
+    assert math.isfinite(ln_z_per_site(p, t)) and math.isfinite(thermo_point(p, t).u)
+    assert all(map(math.isfinite, (g_odd(p, t, 3).uniform, g_odd(p, t, 3).staggered)))
+    assert _point_cells(["--j", "0.4", "--b", "0.2", "--B", "0.7", "--T", "0.5"], capsys)[-1] == ""
+    code, _, _ = run_cli(
+        ["oracle-compare", "--j", "0.4", "--b", "0.2", "--B", "0.7", "--T", "0.5",
+         "--sizes", "4,6", "--tol", "1"], capsys,
+    )
+    assert code == 0
     cells = _sweep_cells(
         ["sweep", "--j", "0.4", "--b", "0.2", "--x", "B -1.5 1.5 4", "--y", "T 0.05 2 3",
          "--q", FINITE_T], capsys,
@@ -364,14 +374,18 @@ def test_point_at_extreme_scales(argv, want, capsys):
 
 def test_sweep_where_beta_overflows_the_chains_units(capsys):
     # beta J = 2e308 lies past the largest double: in its own units a cell is
-    # taken at beta = 2^1000, the ground state to within any node spacing
+    # taken at beta = 2^1000, the ground state to within any node spacing;
+    # point prints each cell's bytes
     argv = ["sweep", "--J", "1e308", "--beta", "2", "--x", "B 0 1 2", "--y", "b 0 1 2",
-            "--q", "u,m"]
+            "--q", "u,m,c1_odd"]
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     for row in parse_csv(out)[1]:
         assert math.isclose(float(row[2]), -2 / math.pi * 1e308, rel_tol=1e-11), row
         assert abs(float(row[3])) < 1e-300 and row[-1] == "", row
+        point = ["point", "--J", "1e308", "--beta", "2", "--B", row[0], "--b", row[1],
+                 "--q", "u,m,c1_odd"]
+        assert run_cli(point, capsys) == (0, f"u,m,c1_odd,err_flags\r\n{','.join(row[2:])}\r\n", "")
 
 
 def test_oracle_compare_at_a_large_field(capsys):
@@ -725,11 +739,15 @@ def test_readme_quantity_lists_match_the_table():
     assert listed("`oracle-compare` quantities:") == cli._ORACLE_CHOICES
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "staggered_xx", "point", "--B", "0.5", "--T", "0", "--q", "m_t0"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert "0.333333333333" in proc.stdout
@@ -749,7 +767,7 @@ def test_console_script_help():
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True
+        [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True, env=SRC_ENV
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: staggered-xx")

@@ -156,13 +156,61 @@ def test_witness_matches_energy_density():
         assert w.detected == (w.lhs > 1.0)
 
 
-def test_witness_limits():
+@pytest.mark.parametrize(
+    "J, j, b, B, beta",
+    [
+        (1.0, 0.5, 1e6, 0.3, 2.0),
+        (1.0, 0.5, 1e8, 0.3, 2.0),
+        (1.0, 0.5, 0.3, 1e8, 2.0),
+        (1.0, 0.5, 1e8, 1e8, 2.0),
+        (1.0, -0.5, -1e8, 1e8, 0.5),
+        (1.0, 0.5, 1e6, -1e6, 0.5),
+        (1.0, 1.5, 1e7, 3e7, 1.0),
+        (1.0, 0.5, 1e6, 0.3, math.inf),
+        (1.0, 0.5, 1e8, 0.3, math.inf),
+        (1.0, 0.5, 0.3, -1e8, math.inf),
+    ],
+)
+def test_witness_at_fields_far_above_the_exchange(J, j, b, B, beta):
+    # u + B m + b m_s cancels to the exchange energy J gu1 + j gs1, which is
+    # taken 40 digits deep in its cancellation-free form
+    #   -(1/2pi) int (J^2 cos^2 q + j^2 sin^2 q)/theta [f(lam_+) - f(lam_-)] dq,
+    # f = tanh(beta lam), or sign(lam) at T = 0.  Where B and theta are both
+    # near 1e8, lam_- = B - theta carries their rounding, about 1e-16 of the
+    # witness in absolute terms.
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    Jm, jm, bm, Bm = map(mp.mpf, (J, j, b, B))
+
+    def occupation(lam):
+        return mp.sign(lam) if math.isinf(beta) else mp.tanh(mp.mpf(beta) * lam)
+
+    def f(q):
+        c2, s2 = mp.cos(q) ** 2, mp.sin(q) ** 2
+        th = mp.sqrt(Jm**2 * c2 + bm**2 + jm**2 * s2)
+        return (Jm**2 * c2 + jm**2 * s2) / th * (occupation(Bm + th) - occupation(Bm - th))
+
+    exchange = -mp.quad(f, [0, mp.pi / 2]) / mp.pi  # the integrand is even about pi/2
+    want = float(4 * abs(exchange) / (abs(Jm - jm) + abs(Jm + jm)))
+    got = witness(ChainParams(J, j, b, B), Thermal(beta)).lhs
+    assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-16), (got, want)
+
+
+def test_witness_limits(monkeypatch):
     # beta -> 0: all correlations melt, lhs -> 0
     w = witness(ChainParams(J=1.0, j=0.5, b=0.3, B=0.7), Thermal.finite(1e-8))
     assert w.lhs < 1e-6 and not w.detected
     # fully polarized ground state: u = -B m exactly, lhs = 0
     w = witness(ChainParams(J=1.0, j=0.3, b=0.0, B=5.0), T0)
     assert w.lhs < 1e-10 and not w.detected
-    # both couplings zero: the bound degenerates
+    # both couplings zero: the bound degenerates, before anything is integrated
+    from staggered_xx import thermo
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("band integral taken for an empty witness bound")
+
+    monkeypatch.setattr(thermo, "_cell_integrals", no_integral)
     with pytest.raises(DegenerateCoupling):
         witness(ChainParams(J=0.0, j=0.0, b=0.3, B=0.7), Thermal.finite(1.0))

@@ -22,6 +22,7 @@ from staggered_xx import (
     c2,
     critical_fields,
     energy,
+    g1,
     internal_energy,
     ln_z_per_site,
     magnetization,
@@ -29,7 +30,7 @@ from staggered_xx import (
     staggered_magnetization,
     witness,
 )
-from staggered_xx.correlations import _band_integrals
+from staggered_xx.thermo import _band_integrals
 
 SEEDED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 TOL = 1e-12
@@ -90,6 +91,20 @@ def test_ranges(p, t):
     assert 0.0 <= meyer_wallach(p) <= 1.0
 
 
+@SEEDED
+@given(chains, betas)
+def test_witness_reads_the_exchange_energy(p, t):
+    # u + B m + b m_s = J gu1 + j gs1: the field terms of the energy are
+    # B m + b m_s, so the rest is the exchange energy, at finite T and T = 0
+    for state in (t, Thermal.zero()):
+        g = g1(p, state)
+        field = p.B * magnetization(p, state) + p.b * staggered_magnetization(p, state)
+        exchange = p.J * g.uniform + p.j * g.staggered
+        assert abs(internal_energy(p, state) + field - exchange) <= TOL
+        lhs = 4.0 * abs(exchange) / (abs(p.J - p.j) + abs(p.J + p.j))
+        assert witness(p, state).lhs == lhs
+
+
 def derivative(f, x: float, h: float) -> float:
     """Five-point central difference, with an error of order h^4."""
     return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
@@ -142,8 +157,8 @@ def test_scale_covariance(p, beta, e):
             scaled_t = Thermal(t.beta / s)
             want = values(p, t)
             u = want.pop("u")
-            # the adaptive engine, and at finite T the batch, on a row that
-            # also holds the unscaled cell
+            # the library's own integration (a one-cell record at finite T),
+            # and at finite T the batch, on a row that also holds the unscaled cell
             engines = [None]
             if not t.is_ground:
                 engines.append(_band_integrals([(p, t), (big, scaled_t)])[1])

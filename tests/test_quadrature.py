@@ -32,11 +32,11 @@ def test_quad_spec_validation():
         QuadSpec(abs_tol=-1e-10)
     with pytest.raises(ValueError):
         QuadSpec(abs_tol=0.0, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(breakpoints=(3.5,))
-    spec = QuadSpec(breakpoints=(2.0, 1.0))
-    merged = spec.with_breakpoints([1.0, 0.5])
-    assert merged.breakpoints == (0.5, 1.0, 2.0)
+
+
+def over_pieces(f, edges, spec=None):
+    """:func:`integrate` over each piece between consecutive ``edges``."""
+    return [integrate(f, spec, lo=lo, hi=hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def test_smooth_integrands_match_scipy():
@@ -63,10 +63,10 @@ def test_closed_forms():
     assert math.isclose(res.value, math.cos(0.3) - math.cos(1.2), rel_tol=1e-12)
 
 
-def test_sharp_thermal_layer_with_breakpoints():
+def test_sharp_thermal_layer_on_pieces_split_at_its_centres():
     # The layers are 1e-4 wide; with pieces ending at their centres the
     # tanh-sinh nodes crowd into them, so the crossings are the only seeds
-    # (as the physics modules give them).  scipy needs the layer edges too.
+    # (as the band integrals split).  scipy needs the layer edges too.
     p = ChainParams(J=1.0, j=0.4, b=0.2, B=0.7)
     beta = 1e4
     t = Thermal.finite(beta)
@@ -75,13 +75,13 @@ def test_sharp_thermal_layer_with_breakpoints():
     x = math.acos(math.sqrt(r))
     w = 18.4 / beta
     points = [x - w, x, x + w, math.pi - x - w, math.pi - x, math.pi - x + w]
-    res = integrate(f, QuadSpec(breakpoints=(x, math.pi - x)))
+    pieces = over_pieces(f, (0.0, x, math.pi - x, math.pi))
     ref, _ = sp_integrate.quad(
         scalar(f), 0.0, math.pi, points=points, limit=400,
         epsabs=1e-13, epsrel=1e-13,
     )
-    assert res.converged
-    assert abs(res.value - ref) < 1e-10
+    assert all(res.converged for res in pieces)
+    assert abs(sum(res.value for res in pieces) - ref) < 1e-10
 
 
 def test_layer_clipped_by_boundary_needs_only_its_centre():
@@ -89,7 +89,7 @@ def test_layer_clipped_by_boundary_needs_only_its_centre():
     # layer clipped by the integration boundary loses that cancellation,
     # and a rule whose nodes step over the layer reports a wrong value as
     # converged.  The tanh-sinh nodes crowd into the layer from both piece
-    # ends, so its centre is seed enough.
+    # ends, so a split at its centre is enough.
     beta, x0 = 1e4, 1e-3
     f = lambda q: np.tanh(beta * (q - x0))
     w = 18.4 / beta
@@ -97,11 +97,11 @@ def test_layer_clipped_by_boundary_needs_only_its_centre():
         scalar(f), 0.0, math.pi, points=[x0, x0 + w], limit=400,
         epsabs=1e-13, epsrel=1e-13,
     )
-    centre_only = integrate(f, QuadSpec(breakpoints=(x0,)))
-    seeded = integrate(f, QuadSpec(breakpoints=(x0, x0 + w)))
-    for res in (centre_only, seeded):
-        assert res.converged
-        assert abs(res.value - ref) < 1e-10
+    centre_only = over_pieces(f, (0.0, x0, math.pi))
+    seeded = over_pieces(f, (0.0, x0, x0 + w, math.pi))
+    for pieces in (centre_only, seeded):
+        assert all(res.converged for res in pieces)
+        assert abs(sum(res.value for res in pieces) - ref) < 1e-10
 
 
 def _levels(monkeypatch, n: int) -> None:
@@ -109,22 +109,21 @@ def _levels(monkeypatch, n: int) -> None:
     monkeypatch.setattr(quadrature, "_LEVELS", quadrature._LEVELS[:n])
 
 
-def test_breakpoint_restores_convergence_on_kink(monkeypatch):
+def test_split_at_a_kink_restores_convergence(monkeypatch):
     x0 = 1.0
     f = lambda q: np.sqrt(np.abs(q - x0))
     exact = (2.0 / 3.0) * ((math.pi - x0) ** 1.5 + x0**1.5)
-    tight = dict(abs_tol=1e-13, rel_tol=1e-13)
-    # equal refinement budget: the seeded grid is far more accurate
+    tight = QuadSpec(abs_tol=1e-13, rel_tol=1e-13)
+    # equal refinement budget: the pieces split at the kink are far more accurate
     with monkeypatch.context() as m:
         _levels(m, 4)
-        blind = integrate(f, QuadSpec(**tight))
-        seeded = integrate(f, QuadSpec(breakpoints=(x0,), **tight))
-    assert abs(seeded.value - exact) < abs(blind.value - exact) / 50.0
+        blind = integrate(f, tight)
+        split = sum(res.value for res in over_pieces(f, (0.0, x0, math.pi), tight))
+    assert abs(split - exact) < abs(blind.value - exact) / 50.0
     # all levels converge outright
-    full = integrate(f, QuadSpec(breakpoints=(x0,), **tight))
-    assert full.converged
-    assert abs(full.value - exact) < 1e-13
-    assert full.n_panels >= 2
+    full = over_pieces(f, (0.0, x0, math.pi), tight)
+    assert all(res.converged for res in full)
+    assert abs(sum(res.value for res in full) - exact) < 1e-13
 
 
 def test_halving_tolerances_consistent_within_error_estimates():
@@ -151,9 +150,9 @@ def test_exhaustion_flags_instead_of_raising(monkeypatch):
     with pytest.raises(ToleranceNotReached) as exc:
         require_converged(res)
     assert exc.value.result is res
-    # generous budget converges and passes through require_converged
-    ok = integrate(f, QuadSpec(breakpoints=(0.6,)))
-    assert require_converged(ok) == ok.value
+    # split at the step, both pieces converge and pass through require_converged
+    for ok in over_pieces(f, (0.0, 0.6, math.pi)):
+        assert require_converged(ok) == ok.value
 
 
 def test_thermal_factor_limits():
@@ -219,8 +218,17 @@ def _record_values(rec):
             *rec.integral("g1"), *rec.integral("g2"))
 
 
-def _adaptive_values(p, t):
-    """The same seven values from the library's adaptive ``integrate`` path."""
+def _reference_values(p, beta):
+    """The same seven values by QUADPACK on the model's formulas written out again."""
+    from band_reference import band_integrals
+
+    want, err = band_integrals(p.J, p.j, p.b, p.B, beta)
+    assert err < 1e-12, (p, beta, err)
+    return (want["u"], want["m"], want["m_s"], *want["g1"], *want["g2"])
+
+
+def _library_values(p, t):
+    """The same seven values from the library functions, each given no record."""
     from staggered_xx import g1, g_even, internal_energy, magnetization, staggered_magnetization
 
     pair1, pair2 = g1(p, t), g_even(p, t, 2)
@@ -229,23 +237,24 @@ def _adaptive_values(p, t):
 
 
 @pytest.mark.parametrize("p", STRUCTURAL_POINTS, ids=str)
-def test_batched_band_integrals_match_adaptive_band_integrals(p):
-    from staggered_xx.correlations import _band_integrals
+def test_batched_band_integrals_match_quadpack(p):
+    from staggered_xx.thermo import _band_integrals
 
     # one row holds every temperature at scale 1 and the same states at
     # 2^+-560, which the batch integrates in their own units; energies are
     # compared in those units
+    betas = (1e-3, 0.1, 1.0, 10.0, 100.0, 1e4)
+    want = {beta: _reference_values(p, beta) for beta in betas}
     row = [
-        (s, ChainParams(*(v * s for v in (p.J, p.j, p.b, p.B))), Thermal.finite(beta / s))
+        (s, beta, ChainParams(*(v * s for v in (p.J, p.j, p.b, p.B))), Thermal.finite(beta / s))
         for s in (1.0, 2.0**560, 2.0**-560)
-        for beta in (1e-3, 0.1, 1.0, 10.0, 100.0, 1e4)
+        for beta in betas
     ]
-    for (s, q, t), rec in zip(row, _band_integrals([(q, t) for _, q, t in row])):
-        got, want = _record_values(rec), _adaptive_values(q, t)
-        for k, (a, b) in enumerate(zip(got, want)):
+    for (s, beta, _, _), rec in zip(row, _band_integrals([(q, t) for _, _, q, t in row])):
+        for k, (a, b) in enumerate(zip(_record_values(rec), want[beta])):
             if k == 0:
-                a, b = a / s, b / s
-            assert abs(a - b) < 1e-10, (s, t.beta, k, a, b)
+                a = a / s
+            assert abs(a - b) < 1e-10, (s, beta, k, a, b)
 
 
 def _pair_concurrence(coherence, sz_l, sz_r, g):
@@ -264,22 +273,15 @@ def _pair_concurrence(coherence, sz_l, sz_r, g):
     ],
     ids=str,
 )
-def test_quantity_functions_read_band_integrals_record(p, beta, monkeypatch):
+def test_quantity_functions_read_band_integrals_record(p, beta):
     from staggered_xx import (
         ConcurrencePair, CorrelatorPair, c1, c2, correlation_set, g1, g_even, g_site,
         internal_energy, ln_z_per_site, magnetization, staggered_magnetization, witness,
     )
-    from staggered_xx import correlations, ground, thermo
-    from staggered_xx.correlations import _band_integrals
+    from staggered_xx.thermo import _band_integrals
 
     t = Thermal.finite(beta)
     (rec,) = _band_integrals([(p, t)])
-
-    def no_adaptive(*args, **kwargs):
-        raise AssertionError("adaptive quadrature called although the record was given")
-
-    for module in (thermo, correlations, ground):
-        monkeypatch.setattr(module, "integrate", no_adaptive)
     assert internal_energy(p, t, rec) == rec.u.value
     assert magnetization(p, t, rec) == rec.m.value
     assert staggered_magnetization(p, t, rec) == rec.m_s.value
@@ -295,7 +297,8 @@ def test_quantity_functions_read_band_integrals_record(p, beta, monkeypatch):
         want2[parity] = _pair_concurrence(coherence, m + s * ms, m + s * ms, g2_l)
     assert c1(p, t, rec) == ConcurrencePair(**want1)
     assert c2(p, t, rec) == ConcurrencePair(**want2)
-    lhs = 4.0 * abs(rec.u.value + p.B * m + p.b * ms) / (abs(p.J - p.j) + abs(p.J + p.j))
+    # the witness reads the exchange energy J gu1 + j gs1
+    lhs = 4.0 * abs(p.J * g.uniform + p.j * g.staggered) / (abs(p.J - p.j) + abs(p.J + p.j))
     assert witness(p, t, rec).lhs == lhs
     # ln Z and separations other than 1 and 2 are not in the record
     with pytest.raises(ValueError, match="ln_z"):
@@ -351,7 +354,7 @@ def test_batched_error_estimate_is_honest():
 
 
 def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
-    from staggered_xx.correlations import _band_integrals
+    from staggered_xx.thermo import _band_integrals
     from staggered_xx.quadrature import _integrate_cells
 
     # four levels resolve beta <= 10 but not the layers at beta = 1e3: in one
@@ -362,7 +365,7 @@ def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
         _levels(m, 4)
         hot, cold, warm = _band_integrals(row)
     for rec, (_, t) in ((hot, row[0]), (warm, row[2])):
-        assert _record_values(rec) == pytest.approx(_adaptive_values(p, t), abs=1e-10)
+        assert _record_values(rec) == pytest.approx(_reference_values(p, t.beta), abs=1e-10)
     for name in ("u", "m", "m_s", "g1", "g2"):
         with pytest.raises(ToleranceNotReached):
             cold.integral(name)
@@ -413,11 +416,11 @@ def _large_beta_points():
 def test_large_beta_band_integrals_match_an_independent_reference():
     # u, m, m_s and the g1, g2 pairs against QUADPACK on the model's formulas
     # written out again (band_reference.py); the thermal layers are down to
-    # 1e-8 wide.  Every point goes through the adaptive engine and, all 60 as
-    # one sweep row, through the batch.
+    # 1e-8 wide.  Every point goes through the library functions, each on a
+    # one-cell record, and, all 60 as one sweep row, through the batch.
     from band_reference import band_integrals
 
-    from staggered_xx.correlations import _band_integrals
+    from staggered_xx.thermo import _band_integrals
 
     points = _large_beta_points()
     cells = [(ChainParams(*point[:4]), Thermal.finite(point[4])) for point in points]
@@ -426,7 +429,7 @@ def test_large_beta_band_integrals_match_an_independent_reference():
         want, err = band_integrals(*point)
         assert err < 1e-12, (point, err)
         want = (want["u"], want["m"], want["m_s"], *want["g1"], *want["g2"])
-        for engine, got in (("adaptive", _adaptive_values(p, t)), ("batch", _record_values(rec))):
+        for engine, got in (("library", _library_values(p, t)), ("batch", _record_values(rec))):
             off = np.max(np.abs(np.subtract(got, want)))
             if off > 1e-10:
                 misses.append((point, engine, off))

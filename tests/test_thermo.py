@@ -65,6 +65,11 @@ def test_overflow_regime_stays_finite():
     # fully polarized band: energy per site -B, magnetization 1
     assert math.isclose(u, -5.0, rel_tol=0, abs_tol=1e-10)
     assert math.isclose(m, 1.0, rel_tol=0, abs_tol=1e-12)
+    # past beta 2^1000 in the chain's units ln Z is -beta times the ground
+    # energy, up to the largest double
+    for p, beta in ((ChainParams(J=1e308), 2.0), (ChainParams(1.0, 0.3, 0.2, 0.5), 1e305)):
+        want = -beta * internal_energy(p, Thermal.zero())
+        assert math.isclose(ln_z_per_site(p, Thermal.finite(beta)), want, rel_tol=1e-12)
 
 
 def test_magnetization_odd_in_field():
