@@ -40,7 +40,7 @@ from .model import ChainParams, Thermal, lambda_pm
 from .quadrature import QuadSpec, thermal_factor
 from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 from .thermo import (
-    _band_integral, _difference_ratio, magnetization, occupation_difference_ratio,
+    _band_integral, _difference_ratio, _point_record, magnetization, occupation_difference_ratio,
     staggered_magnetization,
 )
 
@@ -188,8 +188,7 @@ def g_site(
 
 def sigma_z(p: ChainParams, t: Thermal, parity: str, quad: QuadSpec | None = None) -> float:
     """On-site <sz> on the even or odd sublattice."""
-    s = parity_sign(parity)
-    return magnetization(p, t, quad) + s * staggered_magnetization(p, t, quad)
+    return sigma_z_pair(p, t, quad).at(parity)
 
 
 def zz_correlator(
@@ -197,9 +196,10 @@ def zz_correlator(
 ) -> float:
     """Full longitudinal correlator <sz_l sz_{l+r}>, l of given parity."""
     r = _check_distance(r)
-    sz = sigma_z_pair(p, t, quad)
+    rec = _point_record(p, t, quad)
+    sz = sigma_z_pair(p, t, rec)
     right_parity = parity if r % 2 == 0 else _OTHER_PARITY[parity]
-    g = g_site(p, t, parity, r, quad)
+    g = g_site(p, t, parity, r, rec if r <= 2 else quad)
     return sz.at(parity) * sz.at(right_parity) - g * g
 
 
@@ -212,6 +212,7 @@ def xx_plus_yy(
 
 def sigma_z_pair(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> SigmaZ:
     """Uniform and staggered parts of the on-site <sz>."""
+    quad = _point_record(p, t, quad)
     return SigmaZ(
         uniform=magnetization(p, t, quad),
         staggered=staggered_magnetization(p, t, quad),
@@ -221,8 +222,10 @@ def sigma_z_pair(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> Si
 def correlation_set(
     p: ChainParams, t: Thermal, rs=(1, 2, 3), quad: QuadSpec | None = None
 ) -> CorrelationSet:
-    """Bundle <sz> and the transverse pairs for the requested separations."""
+    """Bundle <sz> and the transverse pairs for the requested separations; one
+    band-integral record serves <sz> and r <= 2, larger r take ``quad``."""
+    rec = _point_record(p, t, quad)
     return CorrelationSet(
-        sigma_z=sigma_z_pair(p, t, quad),
-        g={int(r): _transverse_pair(p, t, _check_distance(r), quad) for r in rs},
+        sigma_z=sigma_z_pair(p, t, rec),
+        g={r: _transverse_pair(p, t, r, rec if r <= 2 else quad) for r in map(_check_distance, rs)},
     )

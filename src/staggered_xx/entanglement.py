@@ -33,7 +33,7 @@ import numpy as np
 from .model import ChainParams, Thermal, _in_units
 from .quadrature import QuadSpec
 from .correlations import g1, g_even, parity_sign
-from .thermo import magnetization, staggered_magnetization
+from .thermo import _point_record, magnetization, staggered_magnetization
 
 __all__ = [
     "ConcurrencePair",
@@ -135,6 +135,7 @@ def _concurrence(coherence: float, sz_l: float, sz_r: float, g: float) -> float:
 
 def c1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
     """Nearest-neighbour concurrence on each sublattice."""
+    quad = _point_record(p, t, quad)
     m, ms, g = magnetization(p, t, quad), staggered_magnetization(p, t, quad), g1(p, t, quad)
     out = {}
     for parity in ("odd", "even"):
@@ -152,6 +153,7 @@ def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
     opposite parity: g_{l,1} g_{l+1,1} - g_{l,2} <sz_{l+1}>.  Every
     factor, including the distance-2 contraction, is parity-resolved.
     """
+    quad = _point_record(p, t, quad)
     m, ms = magnetization(p, t, quad), staggered_magnetization(p, t, quad)
     g, g2 = g1(p, t, quad), g_even(p, t, 2, quad)
     out = {}

@@ -16,12 +16,17 @@ is 2 on them, so each part is a smooth integral over F, closed for the
 uniform part at even r.  Where F starts to shrink and where it vanishes,
 at the critical fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy
 has the kinks that ``qcp_scan`` picks up in its second derivative.  The
-residual integrals are evaluated with :mod:`.quadrature`.
+residual integrals over F are one-piece tanh-sinh integrals of
+:mod:`.quadrature`; ``qcp_scan`` integrates the filled intervals of its
+grid in batched runs of up to 64 chains (``_energies``), of which
+``energy`` is the one-chain case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,11 +36,12 @@ from .model import (
     PhaseRegion,
     _filled_interval,
     _in_units,
+    _theta,
     classify_region,
     critical_fields,
     theta_of_q,
 )
-from .quadrature import DEFAULT_QUAD, QuadSpec, integrate, require_converged
+from .quadrature import DEFAULT_QUAD, QuadSpec, _integrate_pieces, integrate, require_converged
 
 __all__ = [
     "GroundReport",
@@ -92,13 +98,35 @@ def _integral(f, lo: float, hi: float, quad: QuadSpec | None) -> float:
     return require_converged(integrate(f, quad, lo=lo, hi=hi))
 
 
+# At most this many chains share one batched run, so that the (pieces x nodes)
+# arrays of a level stay small whatever the length of a scan.
+_BLOCK = 64
+
+
+def _energies(ps, quad: QuadSpec | None) -> list[float]:
+    """Ground-state energies per site of the chains ``ps``, -(2/pi) int_F theta -
+    |B| (1 - 2|F|/pi), each integrated in its own units (``model._in_units``); the
+    filled intervals of each block of ``_BLOCK`` chains are the pieces of one
+    ``quadrature._integrate_pieces`` run."""
+    ps, out = iter(ps), []
+    while block := list(itertools.islice(ps, _BLOCK)):
+        units = [(k, p, _fill(p)) for k, p in map(_in_units, block)]
+        cells = [(p.J, p.j, p.b, lo, hi) for _, p, (lo, hi, _) in units if lo < hi]
+        filled = iter(())
+        if cells:
+            J, j, b, lo, hi = np.array(cells).reshape(-1, 5, 1).transpose(1, 0, 2)
+            filled = map(require_converged, _integrate_pieces(
+                lambda q, J, j, b: _theta(J, j, b, np.cos(q), np.sin(q)), lo, hi, quad, (J, j, b)))
+        for k, p, (lo, hi, outside) in units:
+            integral = next(filled) if lo < hi else 0.0
+            out.append(math.ldexp(-(2.0 / math.pi) * integral - abs(p.B) * outside, k))
+    return out
+
+
 def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
     """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi),
     integrated in the chain's own units (``model._in_units``)."""
-    k, p = _in_units(p)
-    lo, hi, outside = _fill(p)
-    filled = _integral(lambda q: theta_of_q(p, q), lo, hi, quad)
-    return math.ldexp(-(2.0 / math.pi) * filled - abs(p.B) * outside, k)
+    return _energies([p], quad)[0]
 
 
 def magnetization_t0(p: ChainParams) -> float:
@@ -202,6 +230,9 @@ def qcp_scan(
         raise ValueError(f"start/stop must be finite, got {start} and {stop}")
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
+    if not sys.float_info.min <= step * step < math.inf:  # d2e divides by step**2
+        raise ValueError(f"step^2 must be a normal float (step within about 1.5e-154 "
+                         f"to 1.3e154), got step {step!r}")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_SCAN_POINTS:  # inf too, when stop - start overflows
         raise ValueError(
@@ -213,7 +244,7 @@ def qcp_scan(
         raise ValueError("scan range must contain at least 3 grid points")
     q = DEFAULT_QUAD if quad is None else quad
     grid = start + step * np.arange(n)
-    e = np.array([energy(replace(p, **{axis: v}), q) for v in grid])
+    e = np.array(_energies((replace(p, **{axis: v}) for v in grid), q))
     d2e = (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2
     inner = grid[1:-1]
     # Worst-case second-difference error from independent per-point energy

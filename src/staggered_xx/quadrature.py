@@ -17,7 +17,11 @@ exhausting the levels returns the best estimate flagged as unconverged
 rather than raising mid-computation.
 
 Integrands must accept ndarray input (each level is one batched call).
-``integrate`` sums one piece [lo, hi], a T = 0 filled interval;
+``_integrate_pieces`` sums one integrand over K pieces [lo_k, hi_k] at
+once, the T = 0 filled intervals of a ``qcp-scan`` grid: each level is
+one (pieces x nodes) array, a piece leaves once it has converged, and
+its level sum is one dot product, as a single piece is summed.
+``integrate`` sums one piece [lo, hi], its K = 1 case.
 ``_integrate_cells`` runs the finite-T cells of a point or a sweep row
 together, as one (cells x nodes) array split at each cell's crossing.
 """
@@ -118,24 +122,53 @@ def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math
     of the last two levels, and a convergence flag; it never raises on
     tolerance failure.  The nodes crowd toward lo and hi only: a sharp
     feature inside needs the interval split there, one call per piece.
+    The one-piece case of ``_integrate_pieces``.
     """
-    spec = DEFAULT_QUAD if spec is None else spec
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
+    return _integrate_pieces(lambda q: f(q[0]), lo, hi, spec)[0]
 
-    width = hi - lo
-    total, value, err = 0.0, math.nan, math.inf
+
+def _integrate_pieces(f, lo, hi, spec: QuadSpec | None = None, cols=()) -> list[QuadResult]:
+    """The ``QuadResult`` of one integrand over each of K pieces [lo_k, hi_k], lo_k < hi_k.
+
+    ``f(q, *cols)`` gives the integrand at the nodes ``q`` (pieces, nodes) of the
+    pieces still running, as an array of that size; each of ``cols`` is a (K, 1)
+    column of per-piece data, handed over in the rows of those pieces.  A
+    non-finite value is a ValueError.  Each level is one array over the running
+    pieces; a piece's level sum is one dot product, and the piece stops once
+    |I_h - I_{h/2}| is within a quarter of max(abs_tol, rel_tol |I|).
+    """
+    spec = DEFAULT_QUAD if spec is None else spec
+    lo = np.asarray(lo, dtype=float).reshape(-1, 1)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 1)
+    width, rows = hi - lo, list(range(len(lo)))
+    out = [None] * len(lo)
+    totals, values, errs = [0.0] * len(lo), [math.nan] * len(lo), [math.inf] * len(lo)
     for h, distance, upper, jacobian in _LEVELS:
-        nodes = np.where(upper, hi - distance * width, lo + distance * width)
-        fx = np.asarray(f(nodes), dtype=float)
-        if not np.all(np.isfinite(fx)):
+        dw = distance * width
+        fx = np.asarray(f(np.where(upper, hi - dw, lo + dw), *cols), dtype=float)
+        sums = np.matmul(fx.reshape(len(dw), 1, -1), (jacobian * width)[:, :, None]).ravel().tolist()
+        # inf or NaN times any weight leaves its sum non-finite
+        if not all(map(math.isfinite, sums)) and not np.isfinite(fx).all():
             raise ValueError("integrand returned non-finite values")
-        total += float(fx @ (jacobian * width))
-        coarse, value = value, h * total
-        err = abs(value - coarse)
-        if err <= 0.25 * max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return QuadResult(value, err, True, 1)
-    return QuadResult(value, err, False, 1)
+        keep = []
+        for i, s in enumerate(sums):
+            totals[i] += s
+            coarse, values[i] = values[i], h * totals[i]
+            errs[i] = abs(values[i] - coarse)
+            if errs[i] <= 0.25 * max(spec.abs_tol, spec.rel_tol * abs(values[i])):
+                out[rows[i]] = QuadResult(values[i], errs[i], True, 1)
+            else:
+                keep.append(i)
+        if len(keep) < len(sums):
+            if not keep:
+                return out
+            lo, hi, width, cols = lo[keep], hi[keep], width[keep], [c[keep] for c in cols]
+            rows, totals, values, errs = ([x[i] for i in keep] for x in (rows, totals, values, errs))
+    for i, row in enumerate(rows):
+        out[row] = QuadResult(values[i], errs[i], False, 1)
+    return out
 
 
 def _integrate_cells(f, n: int, x, spec: QuadSpec | None = None):

@@ -129,14 +129,24 @@ def _band_integrals(cells, quad: QuadSpec | None = None) -> list[_BandIntegrals]
     return records
 
 
+def _point_record(p: ChainParams, t: Thermal, quad):
+    """What a composite call passes to each quantity it reads: ``quad`` itself at T = 0
+    or when it is already a ``_BandIntegrals`` record, else the point's one-cell record
+    integrated with the QuadSpec ``quad`` (or None)."""
+    if isinstance(quad, _BandIntegrals) or t.is_ground:
+        return quad
+    return _band_integrals([(p, t)], quad)[0]
+
+
 def _band_integral(p: ChainParams, t: Thermal, quad, name: str, kernel=None):
     """Band integral ``name`` (a pair for ``g<r>``) of the finite-T point (p, t), per site.
     The one record-or-spec decision: a ``_BandIntegrals`` ``quad`` is read; a QuadSpec (or
-    None) integrates a one-cell record, or the n-tuple of ``kernel`` = (n, f) for the rest."""
+    None) integrates the record of ``_point_record``, or the n-tuple of ``kernel`` = (n, f)
+    for the rest."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral(name)
     if kernel is None:
-        return _band_integrals([(p, t)], quad)[0].integral(name)
+        return _point_record(p, t, quad).integral(name)
     cell = zip(*(a[:, 0].tolist() for a in _cell_integrals([(p, t)], *kernel, quad)))
     return tuple(require_converged(QuadResult(v, e, c, 2)) for v, e, c in cell)
 
@@ -262,10 +272,12 @@ def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = 
 
 
 def thermo_point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ThermoPoint:
-    """All four quantities in one record; finite temperature only."""
+    """All four quantities in one record; finite temperature only.  ln Z takes ``quad``
+    and its own kernel; u, m and m_s read one band-integral record."""
+    rec = _point_record(p, t, quad)
     return ThermoPoint(
         ln_z_per_site=ln_z_per_site(p, t, quad),
-        u=internal_energy(p, t, quad),
-        m=magnetization(p, t, quad),
-        m_s=staggered_magnetization(p, t, quad),
+        u=internal_energy(p, t, rec),
+        m=magnetization(p, t, rec),
+        m_s=staggered_magnetization(p, t, rec),
     )

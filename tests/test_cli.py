@@ -217,7 +217,8 @@ def test_sweep_cells_match_point_by_engine(capsys):
 def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
     # every finite-T band integral runs on the split nodes of the cell engine:
     # point, oracle-compare, a sweep and the library's ln Z and g3, which no
-    # record holds; integrate is the T = 0 engine over the filled interval
+    # record holds; the one-piece engine, which integrate wraps and the ground
+    # energies call directly, is the T = 0 engine over the filled interval
     from staggered_xx import (
         correlations, g_odd, ground, ln_z_per_site, thermo, thermo_point,
     )
@@ -227,6 +228,13 @@ def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
 
     for module in (quadrature, thermo, correlations, ground):
         monkeypatch.setattr(module, "integrate", no_integrate)
+    for module in (quadrature, ground):
+        monkeypatch.setattr(module, "_integrate_pieces", no_integrate)
+    # the guard is live: T = 0 reaches the engine by both routes
+    for zero_temperature in (lambda: energy(ChainParams(1.0, 0.4, 0.2, 0.7)),
+                             lambda: quadrature.integrate(lambda q: q)):
+        with pytest.raises(AssertionError, match="integrate called"):
+            zero_temperature()
     p, t = ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.finite(3.0)
     assert math.isfinite(ln_z_per_site(p, t)) and math.isfinite(thermo_point(p, t).u)
     assert all(map(math.isfinite, (g_odd(p, t, 3).uniform, g_odd(p, t, 3).staggered)))
@@ -431,6 +439,33 @@ def test_qcp_scan_cli(tmp_path, capsys):
     assert any(math.isclose(float(r["x"]), 0.4, abs_tol=0.005) for r in flagged)
 
 
+def test_qcp_scan_step_out_of_range_exits_2_without_traceback():
+    # step**2 overflows past 1.3e154 and is subnormal below 1.5e-154, where
+    # every d2e would read nan or inf: both are refused as invalid input
+    for stop, step in (("1e200", "1e196"), ("1e-160", "1e-163")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "staggered_xx", "qcp-scan", "--j=0.5", "--b=0.3",
+             "--axis", "B", "--start=0", f"--stop={stop}", f"--step={step}"],
+            capture_output=True, text=True, env=SRC_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: step^2 must be a normal float")
+        assert "Traceback" not in proc.stderr
+
+
+def test_unconverged_ground_energy_exits_qcp_scan_3(monkeypatch, capsys):
+    # two levels resolve no filled interval of the grid: exit 3, nothing printed
+    monkeypatch.setattr(quadrature, "_LEVELS", quadrature._LEVELS[:2])
+    code, out, err = run_cli(
+        ["qcp-scan", "--j=0.5", "--b=0.3", "--axis", "B", "--start=0", "--stop=2", "--step=0.005"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "qcp-scan: ground-energy quadrature did not reach tolerance\n"
+
+
 def test_oracle_compare_cli(tmp_path):
     out = tmp_path / "oracle.csv"
     code = main(
@@ -551,6 +586,10 @@ def test_oracle_compare_rejects_bad_sizes_and_tol_before_work(argv, message, mon
          "start/stop must be finite"),
         (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "1e30", "--step", "1e-6"],
          "grid points, more than 1000000"),
+        (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "1e200", "--step", "1e196"],
+         "step^2 must be a normal float"),
+        (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "1e-160", "--step", "1e-163"],
+         "step^2 must be a normal float"),
     ],
 )
 def test_rejected_run_leaves_out_file_untouched(argv, message, tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import staggered_xx.ground
+from staggered_xx import quadrature
 from staggered_xx import (
     ChainParams,
     GroundReport,
@@ -25,6 +26,7 @@ from staggered_xx import (
     theta_of_q,
     xi,
 )
+from staggered_xx.model import _in_units
 
 
 def test_uniform_chain_anchors():
@@ -185,6 +187,82 @@ def test_qcp_scan_bounds_its_grid_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match="12 grid points, more than 11"):
         qcp_scan(p, "B", 0.0, 1.1, 0.1)
     assert len(qcp_scan(p, "B", 0.0, 1.0, 0.1).values) == 9
+
+
+def test_qcp_scan_refuses_a_step_whose_square_is_not_normal(monkeypatch):
+    # d2e divides by step**2: past 1.3e154 it overflows, below 1.5e-154 it is
+    # subnormal or 0 and every d2e would read nan; both are refused first
+    def no_energies(*args):
+        raise AssertionError("energy computed before the step was checked")
+
+    monkeypatch.setattr(staggered_xx.ground, "_energies", no_energies)
+    p = ChainParams(J=1.0, j=0.5, b=0.3)
+    for stop, step in ((1e200, 1e196), (1e-160, 1e-163), (1e155, 2e154), (1e-150, 1e-154)):
+        with pytest.raises(ValueError, match="step\\^2 must be a normal float"):
+            qcp_scan(p, "B", 0.0, stop, step)
+    monkeypatch.undo()
+    assert len(qcp_scan(p, "B", 0.0, 1.6e-152, 1.6e-153).values) == 9
+
+
+def _energy_one_point(p):
+    """ground.energy computed point by point, as the scalar one-piece engine summed it:
+    theta_of_q at the nodes of each level, ``fx @ (jacobian * width)``, default tolerances."""
+    k, p = _in_units(p)
+    lo, hi, outside = staggered_xx.ground._fill(p)
+    filled = 0.0
+    if lo < hi:
+        width, total, value = hi - lo, 0.0, math.nan
+        for h, distance, upper, jacobian in quadrature._LEVELS:
+            nodes = np.where(upper, hi - distance * width, lo + distance * width)
+            total += float(theta_of_q(p, nodes) @ (jacobian * width))
+            coarse, value = value, h * total
+            if abs(value - coarse) <= 0.25 * max(1e-10, 1e-10 * abs(value)):
+                break
+        else:
+            raise AssertionError(f"unconverged at {p}")
+        filled = value
+    return math.ldexp(-(2.0 / math.pi) * filled - abs(p.B) * outside, k)
+
+
+_BIG, _SMALL = 2.0**560, 2.0**-560
+
+
+@pytest.mark.parametrize(
+    "p, axis, start, stop, step",
+    [
+        # critical fields 0.625 and 1.0625 on the grid: compensated, partial
+        # (the lower one opens F) and saturated (the upper one closes it)
+        (ChainParams(0.9375, 0.375, 0.5), "B", 0.0, 1.5, 0.0625),
+        (ChainParams(1.0, 0.5, 0.3), "B", -2.0, 2.0, 0.005),
+        (ChainParams(1.0, -1.2, 0.4, 0.9), "B", 0.3, 1.7, 0.01),
+        # b through both critical fields, a flat-band line, the all-zero corner
+        (ChainParams(1.0, 0.3, 0.0, 0.5), "b", -1.2, 1.2, 0.01),
+        (ChainParams(1.0, 1.0, 0.0, 0.7), "b", -1.0, 1.0, 0.125),
+        (ChainParams(0.0, 0.0, 0.0, 0.0), "b", -0.5, 0.5, 0.25),
+        # j through J = |j| = 1 on the grid, at fields in every regime
+        (ChainParams(1.0, 0.0, 0.2, 0.6), "j", -1.5, 1.5, 0.25),
+        (ChainParams(1.0, 0.0, 0.0, 1.0), "j", -1.5, 1.5, 0.0625),
+        (ChainParams(1.0, 0.0, 0.3, 1.5), "j", -2.0, 2.0, 0.02),
+        # chains at 2^+-560, rescaled into their own units cell by cell
+        # (a step's square is a normal float, so the windows at 2^560 are narrow)
+        (ChainParams(_BIG, 0.5 * _BIG, 0.3 * _BIG), "B", 0.0, 2.0**515, 2.0**510),
+        (ChainParams(_BIG, 0.5 * _BIG, 0.3 * _BIG), "B",
+         math.hypot(1.0, 0.3) * _BIG - 2.0**519, math.hypot(1.0, 0.3) * _BIG + 2.0**519, 2.0**510),
+        (ChainParams(_BIG, 0.5 * _BIG, 0.3 * _BIG, _BIG), "j", 0.5 * _BIG, 0.5 * _BIG + 2.0**516, 2.0**510),
+        (ChainParams(_SMALL, 0.5 * _SMALL, 0.3 * _SMALL), "B", 0.0, 1e-150, 1e-151),
+        (ChainParams(_SMALL, 0.5 * _SMALL, 0.3 * _SMALL, 1e-150), "b", -1e-150, 1e-150, 2.5e-151),
+    ],
+)
+def test_qcp_scan_second_differences_match_per_point_energies(p, axis, start, stop, step):
+    # the batched runs over the grid give every energy the scalar engine gave,
+    # bit for bit, so the printed d2e cannot move
+    scan = qcp_scan(p, axis, start, stop, step)
+    grid = start + step * np.arange(len(scan.values) + 2)
+    e = np.array([_energy_one_point(replace(p, **{axis: v})) for v in grid])
+    assert np.array_equal(scan.values, grid[1:-1])
+    assert np.array_equal(scan.d2e, (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2)
+    for v in grid[:: max(1, len(grid) // 7)]:
+        assert energy(replace(p, **{axis: v})) == _energy_one_point(replace(p, **{axis: v}))
 
 
 def test_one_regime_decision_at_the_critical_fields():

@@ -162,6 +162,37 @@ def test_thermo_point_bundles_the_four_quantities():
     assert tp.m_s == staggered_magnetization(p, t)
 
 
+def test_composite_calls_integrate_one_record(monkeypatch):
+    # a composite call builds the point's band-integral record once and passes
+    # it to each quantity it reads; ln Z and r = 3 run their own kernels
+    from staggered_xx import c1, c2, correlation_set, sigma_z, sigma_z_pair, thermo, zz_correlator
+
+    p, t = ChainParams(J=1.0, j=0.5, b=0.3, B=0.8), Thermal.finite(2.0)
+    expected = {
+        c1: 1, c2: 1, sigma_z_pair: 1, thermo_point: 2,
+        lambda p, t: sigma_z(p, t, "odd"): 1,
+        lambda p, t: zz_correlator(p, t, "even", 2): 1,
+        lambda p, t: zz_correlator(p, t, "odd", 3): 2,
+        lambda p, t: correlation_set(p, t, rs=(1, 2, 3)): 2,
+    }
+    runs = []
+    cell_integrals = thermo._cell_integrals
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return cell_integrals(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "_cell_integrals", counted)
+    for call, want in expected.items():
+        runs.clear()
+        call(p, t)
+        assert len(runs) == want, call
+    # at T = 0 the composite calls read the filled interval
+    runs.clear()
+    c2(p, Thermal.zero()), correlation_set(p, Thermal.zero())
+    assert runs == []
+
+
 def test_occupation_ratio_flat_band_limit():
     # theta -> 0 at q = pi/2 when b = j = 0; the ratio must approach its
     # analytic limit continuously
