@@ -4,7 +4,7 @@ Output is RFC-4180-style CSV (CRLF rows, '.' decimal, 12 significant
 digits).  Sweep rows are emitted row-major with the x axis varying
 fastest, and the bytes are identical for any worker count: the grid is
 fixed up front and each point is a pure function of its parameters.  A
-row's finite-T cells share one batched run of the engine ``point`` uses.
+row's finite-T cells share one engine run, and so do its T = 0 cells.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -51,8 +51,8 @@ class _Quantity:
     """How the CLI computes one named quantity.
 
     ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
-    by the quantities of that point.  ``quad`` is None at T = 0, and at finite
-    T the point's record of ``thermo._band_integrals``, which the library
+    by the quantities of that point.  ``quad`` is the point's record of
+    ``thermo._band_integrals``, at T = 0 as at finite T, which the library
     functions read instead of integrating.  ``ed``/``fermion`` read it
     from a ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out
     of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
@@ -199,9 +199,9 @@ class SweepSpec:
 
 
 def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad=None) -> tuple[dict, list]:
-    """Values of already validated quantities, at finite T read from the record
-    ``quad`` (built here if None); a failed one is NaN and flagged."""
-    if quad is None and not thermal.is_ground:
+    """Values of already validated quantities, read from the point's record ``quad``
+    (built here if None); a failed one is NaN and flagged."""
+    if quad is None:
         (quad,) = thermo._band_integrals([(params, thermal)])
     record, flags, memo = {}, [], {}
     for name in quantities:
@@ -240,7 +240,7 @@ def _fmt(v: float) -> str:
 
 def _sweep_row_block(task) -> list:
     """All cells for one y value (one task so rows stay contiguous); its finite-T
-    cells share one batched integration, T = 0 cells read the ground closed forms."""
+    cells share one batched integration, and its T = 0 cells another."""
     spec, yv = task
     cells = []
     for xv in spec.x.values():
@@ -251,10 +251,9 @@ def _sweep_row_block(task) -> list:
             else:
                 p = replace(p, **{ax.name: v})
         cells.append((xv, p, t))
-    records = iter(thermo._band_integrals([(p, t) for _, p, t in cells if not t.is_ground]))
     rows = []
-    for xv, p, t in cells:
-        record, flags = _evaluate(p, t, spec.quantities, None if t.is_ground else next(records))
+    for (xv, p, t), rec in zip(cells, thermo._band_integrals([(p, t) for _, p, t in cells])):
+        record, flags = _evaluate(p, t, spec.quantities, rec)
         rows.append(
             [_fmt(xv), _fmt(yv)]
             + [_fmt(record[qn]) for qn in spec.quantities]

@@ -14,7 +14,7 @@ case reproduces the on-site <sz> (m and m_s) component by component; at
 odd R the weights are J cos q and j sin q with cos(qR)/sin(qR) kernels.
 The staggered part is proportional to b at even R and to j at odd R, and
 vanishes only with that coupling.  At zero temperature both parts are
-read off the filled interval (``ground._contractions``).  Longitudinal
+integrals over the filled interval F of :mod:`.ground`.  Longitudinal
 correlators follow from Wick's theorem for the underlying free fermions:
 
     <sz_l sz_{l+R}> = <sz_l><sz_{l+R}> - (gu_R + (-1)^l gs_R)^2.
@@ -24,9 +24,10 @@ For R = 1 the contraction is the whole story,
 is a string-ordered determinant of contractions (see :mod:`.entanglement`
 for the R = 2 case).
 
-At finite temperature both parts are band integrals of
+At both temperatures the parts are band integrals of
 ``thermo._band_integral``; a record holds them for R = 1 and 2 only, and
-larger separations have a kernel of their own.
+larger separations have a kernel of their own, over F at T = 0
+(``ground._contractions``).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .model import ChainParams, Thermal, lambda_pm
 from .quadrature import QuadSpec, thermal_factor
 from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 from .thermo import (
-    _band_integral, _difference_ratio, _point_record, magnetization, occupation_difference_ratio,
-    staggered_magnetization,
+    _BandIntegrals, _band_integral, _difference_ratio, _point_record, magnetization,
+    occupation_difference_ratio, staggered_magnetization,
 )
 
 __all__ = [
@@ -146,8 +147,9 @@ def _contraction_kernel(r: int):
 
 
 def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
-    """Contraction pair at separation ``r``: over F at T = 0, else band integrals."""
-    if t.is_ground:
+    """Contraction pair at separation ``r``: the record's band integrals for r <= 2, a
+    kernel of its own for larger r (over F at T = 0); no record holds r > 2."""
+    if r > 2 and t.is_ground and not isinstance(quad, _BandIntegrals):
         return CorrelatorPair(*ground._contractions(p, r, quad))
     kernel = None if r <= 2 else _contraction_kernel(r)
     return CorrelatorPair(*_band_integral(p, t, quad, f"g{r}", kernel))

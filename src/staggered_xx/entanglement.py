@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, Thermal, _in_units
+from .model import ChainParams, Thermal
 from .quadrature import QuadSpec
 from .correlations import g1, g_even, parity_sign
 from .thermo import _point_record, magnetization, staggered_magnetization
@@ -170,11 +170,13 @@ def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
 
 
 def witness(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> WitnessValue:
-    """Thermodynamic entanglement witness from the exchange energy, a scale-free ratio."""
-    unit = _in_units(p)[1]
-    den = abs(unit.J - unit.j) + abs(unit.J + unit.j)
-    if den == 0:
+    """Thermodynamic entanglement witness from the exchange energy, a scale-free ratio taken
+    in units of max(J, |j|), where neither underflows however large |b| is."""
+    scale = max(p.J, abs(p.j))
+    if scale == 0:
         raise DegenerateCoupling("witness bound requires J or j nonzero")
+    k = math.frexp(scale)[1]
+    J, j = math.ldexp(p.J, -k), math.ldexp(p.j, -k)
     g = g1(p, t, quad)
-    lhs = 4.0 * abs(unit.J * g.uniform + unit.j * g.staggered) / den
+    lhs = 4.0 * abs(J * g.uniform + j * g.staggered) / (abs(J - j) + abs(J + j))
     return WitnessValue(lhs=lhs, detected=lhs > 1.0)

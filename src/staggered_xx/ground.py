@@ -1,4 +1,4 @@
-"""Zero-temperature closed forms and quantum-critical-point detection.
+"""Zero-temperature closed forms, the ground record and quantum-critical-point detection.
 
 The ground state fills every mode with B - theta(q) < 0.  theta is
 monotone on [0, pi/2] and even about pi/2, so the angles where
@@ -7,7 +7,7 @@ it, with the boundary convention shared by every quantity here).  With
 w the width of F,
 
     energy = -(2/pi) int_F theta dq - |B| (1 - 2w/pi),
-    m = sign(B) (1 - 2w/pi),    m_s = (2b/pi) int_F dq/theta,
+    m = sign(B) (1 - 2w/pi),    m_s = (2/pi) int_F b/theta dq,
 
 and the compensated, saturated and flat-band closed forms are special
 cases.  The transverse contractions of :mod:`.correlations` are read off
@@ -15,11 +15,12 @@ F too: tf+ + tf- is 2 sign(B) off F and its mirror pi - F, and tf+ - tf-
 is 2 on them, so each part is a smooth integral over F, closed for the
 uniform part at even r.  Where F starts to shrink and where it vanishes,
 at the critical fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy
-has the kinks that ``qcp_scan`` picks up in its second derivative.  The
-residual integrals over F are one-piece tanh-sinh integrals of
-:mod:`.quadrature`; ``qcp_scan`` integrates the filled intervals of its
-grid in batched runs of up to 64 chains (``_energies``), of which
-``energy`` is the one-chain case.
+has the kinks that ``qcp_scan`` picks up in its second derivative.
+
+Each residual integral is (2/pi) int_F of a kernel, for K chains in their
+own units in one engine run (``_over_filled``): the five integrals of the
+T = 0 record every T = 0 quantity reads (``_records``), the energy alone
+(``_energies``: ``energy``, the ``qcp_scan`` grid) or a contraction at r > 2.
 """
 
 from __future__ import annotations
@@ -28,20 +29,19 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
-    ChainParams,
-    PhaseRegion,
-    _filled_interval,
-    _in_units,
-    _theta,
-    classify_region,
+    _SAFE_EXPONENT, ChainParams, PhaseRegion, _filled_interval, _in_units, _theta, classify_region,
     critical_fields,
-    theta_of_q,
 )
-from .quadrature import DEFAULT_QUAD, QuadSpec, _integrate_pieces, integrate, require_converged
+from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
+from .quadrature import (
+    DEFAULT_QUAD, QuadResult, QuadSpec, ToleranceNotReached, _integrate_cells, require_converged,
+)
+from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 
 __all__ = [
     "GroundReport",
@@ -81,6 +81,27 @@ class QcpScan:
         return list(zip(self.values.tolist(), self.d2e.tolist()))
 
 
+class _BandIntegrals(NamedTuple):
+    """The band integrals of one point as per-site ``QuadResult``s: u, m, m_s and the
+    (uniform, staggered) pairs g1 and g2 of separations 1 and 2; at finite T all seven on
+    shared nodes, at T = 0 five over F and two closed (``_records``).  Given as ``quad``, a
+    quantity function reads them; one not held is a ValueError, an unconverged one a
+    ToleranceNotReached."""
+
+    u: QuadResult
+    m: QuadResult
+    m_s: QuadResult
+    g1: tuple
+    g2: tuple
+
+    def integral(self, name: str):
+        if name not in self._fields:
+            raise ValueError(f"the band integrals of one point hold no {name}")
+        got = getattr(self, name)
+        pair = isinstance(got, tuple)
+        return tuple(map(require_converged, got)) if pair else require_converged(got)
+
+
 def _fill(p: ChainParams) -> tuple[float, float, float]:
     """F = [lo, hi] and the share of the half zone outside it, 1 - 2(hi - lo)/pi.
 
@@ -91,86 +112,118 @@ def _fill(p: ChainParams) -> tuple[float, float, float]:
     return lo, hi, (1.0 - 2.0 * hi / math.pi) + 2.0 * lo / math.pi
 
 
-def _integral(f, lo: float, hi: float, quad: QuadSpec | None) -> float:
-    """Integral of f over [lo, hi]; 0 if empty."""
-    if hi <= lo:
-        return 0.0
-    return require_converged(integrate(f, quad, lo=lo, hi=hi))
+def _over_filled(ps, n: int, kernel, quad: QuadSpec | None):
+    """(k, p / 2^k, F) per chain of ``ps`` (its own units), and (n, K) values (2/pi) int_F,
+    error estimates and flags of ``n`` integrands ``kernel(q, c, s, th, J, j, b)`` (theta;
+    (cells, 1) columns): one ``quadrature._integrate_cells`` run over the non-empty F."""
+    units = [(k, p, _fill(p)) for k, p in map(_in_units, ps)]
+    rows = [i for i, (_, _, (lo, hi, _)) in enumerate(units) if lo < hi]
+    value, err, ok = np.zeros((n, len(ps))), np.zeros((n, len(ps))), np.ones((n, len(ps)), bool)
+    if rows:  # 0 exactly over an empty F
+        J, j, b, lo, hi = np.array([(p.J, p.j, p.b, lo, hi) for _, p, (lo, hi, _) in units
+                                    if lo < hi]).T[:, :, None]
+
+        def integrands(q, cells):
+            c, s = np.cos(q), np.sin(q)
+            Jc, jc, bc = J[cells], j[cells], b[cells]
+            return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc)
+
+        v, e, ok[:, rows] = _integrate_cells(integrands, n, np.hstack([lo, hi]), quad)
+        value[:, rows], err[:, rows] = 2.0 / math.pi * v, 2.0 / math.pi * e
+    return units, value, err, ok
 
 
-# At most this many chains share one batched run, so that the (pieces x nodes)
+def _record_kernel(q, c, s, th, J, j, b):
+    """The five integrands over F of a T = 0 record: the energy's -theta, m_s's b/theta,
+    g1's -J cos^2 q/theta and -j sin^2 q/theta, and g2's b cos 2q/theta."""
+    return -th, b / th, -J * c * c / th, -j * s * s / th, b * np.cos(2.0 * q) / th
+
+
+def _even_uniform(p: ChainParams, lo: float, hi: float, r: int) -> float:
+    """The uniform contraction at even r, -(2 sign(B)/pi) int_F cos(qr) dq, closed."""
+    sin = math.sin(r * lo) - math.sin(r * hi)
+    return math.copysign(2.0, p.B) * sin / (math.pi * r) if p.B else 0.0
+
+
+def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
+    """The T = 0 ``_BandIntegrals`` records of the chains ``ps``, from one run of the five
+    integrands of ``_record_kernel``; m and the uniform part of g2 are closed forms."""
+    units, *run = _over_filled(ps, 5, _record_kernel, quad)
+    records = []
+    for (k, p, (lo, hi, out)), cell in zip(units, zip(*(a.T.tolist() for a in run))):
+        e, m_s, gu1, gs1, gs2 = (QuadResult(*r, 1) for r in zip(*cell))
+        u = QuadResult(math.ldexp(e.value - abs(p.B) * out, k), math.ldexp(e.error, k),
+                       e.converged, 1)
+        m, gu2 = (QuadResult(v, 0.0, True, 0)
+                  for v in (math.copysign(out, p.B) if p.B else 0.0, _even_uniform(p, lo, hi, 2)))
+        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2)))
+    return records
+
+
+# At most this many chains share one batched run, so that the (chains x nodes)
 # arrays of a level stay small whatever the length of a scan.
 _BLOCK = 64
 
 
 def _energies(ps, quad: QuadSpec | None) -> list[float]:
-    """Ground-state energies per site of the chains ``ps``, -(2/pi) int_F theta -
-    |B| (1 - 2|F|/pi), each integrated in its own units (``model._in_units``); the
-    filled intervals of each block of ``_BLOCK`` chains are the pieces of one
-    ``quadrature._integrate_pieces`` run."""
+    """Ground-state energies per site of the chains ``ps``, each in its own units; each
+    block of ``_BLOCK`` chains is one ``_over_filled`` run of -theta alone."""
     ps, out = iter(ps), []
     while block := list(itertools.islice(ps, _BLOCK)):
-        units = [(k, p, _fill(p)) for k, p in map(_in_units, block)]
-        cells = [(p.J, p.j, p.b, lo, hi) for _, p, (lo, hi, _) in units if lo < hi]
-        filled = iter(())
-        if cells:
-            J, j, b, lo, hi = np.array(cells).reshape(-1, 5, 1).transpose(1, 0, 2)
-            filled = map(require_converged, _integrate_pieces(
-                lambda q, J, j, b: _theta(J, j, b, np.cos(q), np.sin(q)), lo, hi, quad, (J, j, b)))
-        for k, p, (lo, hi, outside) in units:
-            integral = next(filled) if lo < hi else 0.0
-            out.append(math.ldexp(-(2.0 / math.pi) * integral - abs(p.B) * outside, k))
+        units, (value,), (err,), (ok,) = _over_filled(
+            block, 1, lambda q, c, s, th, *_: (-th,), quad)
+        if not ok.all():
+            raise ToleranceNotReached(QuadResult(value[~ok][0], err[~ok][0], False, 1))
+        out += [math.ldexp(v - abs(p.B) * f[2], k) for (k, p, f), v in zip(units, value.tolist())]
     return out
 
 
-def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi),
-    integrated in the chain's own units (``model._in_units``)."""
+def energy(p: ChainParams, quad=None) -> float:
+    """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi), in the chain's
+    own units: read from a T = 0 record ``quad``, else integrated alone, as ``qcp_scan`` does."""
+    if isinstance(quad, _BandIntegrals):
+        return quad.integral("u")
     return _energies([p], quad)[0]
 
 
 def magnetization_t0(p: ChainParams) -> float:
-    """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi)."""
-    if p.B == 0:
-        return 0.0  # m is odd in B
-    return math.copysign(_fill(p)[2], p.B)
+    """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi): a T = 0 record's m."""
+    return math.copysign(_fill(p)[2], p.B) if p.B else 0.0  # m is odd in B
 
 
-def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Ground-state staggered magnetization, (2/pi) int_F b/theta dq; exactly 0 at b = 0.
+def staggered_magnetization_t0(p: ChainParams, quad=None) -> float:
+    """Ground-state staggered magnetization, (2/pi) int_F b/theta dq, from the T = 0 record
+    ``quad`` (integrated if a QuadSpec or None); exactly 0 at b = 0.
 
     |b|/theta <= 1, so the tolerance holds for m_s where int_F dq/theta diverges.
     """
     if p.b == 0:
         return 0.0
-    lo, hi, _ = _fill(p)
-    return 2.0 / math.pi * _integral(lambda q: p.b / theta_of_q(p, q), lo, hi, quad)
+    return (quad if isinstance(quad, _BandIntegrals) else _records([p], quad)[0]).integral("m_s")
 
 
 def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float, float]:
-    """Ground-state (uniform, staggered) transverse contraction at separation r >= 1.
-
+    """Ground-state (uniform, staggered) transverse contraction at separation r by a
+    kernel of its own (a T = 0 record holds r = 1 and 2).
     Even r: (-(2 sign(B)/pi) int_F cos(qr) dq, (2/pi) int_F b cos(qr)/theta dq);
     odd r: -(2/pi) int_F (J cos(qr) cos q, j sin(qr) sin q)/theta dq.  Every
     kernel over theta is bounded by 1.
     """
-    p = _in_units(p)[1]  # the contractions are scale-free
-    lo, hi, _ = _fill(p)
+    even = r % 2 == 0
 
-    def over_f(kernel) -> float:
-        return 2.0 / math.pi * _integral(lambda q: kernel(q) / theta_of_q(p, q), lo, hi, quad)
+    def kernel(q, c, s, th, J, j, b):
+        if even:
+            return (b * np.cos(q * r) / th,)
+        return -J * np.cos(q * r) * c / th, -j * np.sin(q * r) * s / th
 
-    if r % 2 == 0:
-        closed = math.copysign(2.0, p.B) * (math.sin(r * lo) - math.sin(r * hi)) / (math.pi * r)
-        return (closed if p.B else 0.0), over_f(lambda q: p.b * np.cos(q * r))
-    return (
-        -over_f(lambda q: p.J * np.cos(q * r) * np.cos(q)),
-        -over_f(lambda q: p.j * np.sin(q * r) * np.sin(q)),
-    )
+    ((_, p, (lo, hi, _)),), *run = _over_filled([p], 2 - even, kernel, quad)
+    got = tuple(require_converged(QuadResult(*x, 1)) for x in zip(*(a[:, 0].tolist() for a in run)))
+    return (_even_uniform(p, lo, hi, r), *got) if even else got
 
 
-def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2.
+def meyer_wallach(p: ChainParams, quad=None) -> float:
+    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2, m_s from
+    the T = 0 record ``quad`` (integrated if a QuadSpec or None).
 
     f = 1 - 2|F|/pi is |m|, except that it stays 1 on the all-zero chain
     (saturated at B = 0), whose measure is 0.
@@ -181,11 +234,12 @@ def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:
 
 
 def ground_report(p: ChainParams, quad: QuadSpec | None = None) -> GroundReport:
+    rec = _records([p], quad)[0]
     return GroundReport(
         region=classify_region(p),
-        energy=energy(p, quad),
+        energy=energy(p, rec),
         m_g=magnetization_t0(p),
-        e_mw=meyer_wallach(p, quad),
+        e_mw=meyer_wallach(p, rec),
         qcp_fields=critical_fields(p),
     )
 
@@ -230,9 +284,17 @@ def qcp_scan(
         raise ValueError(f"start/stop must be finite, got {start} and {stop}")
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
+    # Below unit scale, and past 2^500 where model._in_units rescales, scan in the chain's
+    # units 2^k (exactly), so that the energies' tolerance and noise floor follow its scale.
+    k = math.frexp(max(p.J, abs(p.j), abs(p.b)))[1]
+    k = 0 if 0 <= k <= _SAFE_EXPONENT else k
+    k = max(k, math.frexp(max(abs(p.B), abs(start), abs(stop)))[1] - 1024)  # all stay finite
+    p = ChainParams(*(math.ldexp(v, -k) for v in (p.J, p.j, p.b, p.B)))
+    start, stop, step = (math.ldexp(v, -k) for v in (start, stop, step))
     if not sys.float_info.min <= step * step < math.inf:  # d2e divides by step**2
+        units = f" times 2^{k}, the chain's units" if k else ""
         raise ValueError(f"step^2 must be a normal float (step within about 1.5e-154 "
-                         f"to 1.3e154), got step {step!r}")
+                         f"to 1.3e154{units}), got step {math.ldexp(step, k)!r}")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_SCAN_POINTS:  # inf too, when stop - start overflows
         raise ValueError(
@@ -260,10 +322,6 @@ def qcp_scan(
         # >= left, > right: a flat plateau of equal maxima reports once.
         if mag[i] >= mag[i - 1] and mag[i] > mag[i + 1]:
             peaks.append(float(inner[i]))
-    return QcpScan(
-        axis=axis,
-        values=inner,
-        d2e=d2e,
-        threshold=threshold,
-        peaks=tuple(peaks),
-    )
+    # back out of the chain's units: d2e is an energy over step^2
+    return QcpScan(axis, np.ldexp(inner, k), np.ldexp(d2e, -k), math.ldexp(threshold, -k),
+                   tuple(math.ldexp(v, k) for v in peaks))

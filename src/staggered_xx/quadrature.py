@@ -4,7 +4,8 @@ Every observable of the chain is a one-dimensional integral over q in
 [0, pi] of a smooth function of the two bands.  At large beta the
 occupation factors turn sharply where a band crosses zero; those angles
 are known in closed form, so the finite-T band integrals are split there
-into pieces that end on every sharp feature (``_integrate_cells``).
+into pieces that end on every sharp feature, and at T = 0 each integral
+runs over the filled interval F alone.
 
 Each piece [a, b] is mapped by the tanh-sinh (double-exponential)
 substitution q = (a + b)/2 + (b - a)/2 tanh((pi/2) sinh t) (Takahasi &
@@ -17,13 +18,12 @@ exhausting the levels returns the best estimate flagged as unconverged
 rather than raising mid-computation.
 
 Integrands must accept ndarray input (each level is one batched call).
-``_integrate_pieces`` sums one integrand over K pieces [lo_k, hi_k] at
-once, the T = 0 filled intervals of a ``qcp-scan`` grid: each level is
-one (pieces x nodes) array, a piece leaves once it has converged, and
-its level sum is one dot product, as a single piece is summed.
-``integrate`` sums one piece [lo, hi], its K = 1 case.
-``_integrate_cells`` runs the finite-T cells of a point or a sweep row
-together, as one (cells x nodes) array split at each cell's crossing.
+``_integrate_cells`` is the one engine: it sums n integrands over K cells
+of P pieces each, as one (cells x nodes) array per level, and a cell
+leaves once all n have converged.  The finite-T cells of a point or a
+sweep row are the half zone split at the crossing (P = 2), the T = 0
+cells of a point, a row or a ``qcp-scan`` block their F (P = 1).
+``integrate`` is its one-cell, one-piece case.
 """
 
 from __future__ import annotations
@@ -122,84 +122,46 @@ def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math
     of the last two levels, and a convergence flag; it never raises on
     tolerance failure.  The nodes crowd toward lo and hi only: a sharp
     feature inside needs the interval split there, one call per piece.
-    The one-piece case of ``_integrate_pieces``.
+    The one-cell, one-piece case of ``_integrate_cells``; a non-finite value
+    is a ValueError.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
-    return _integrate_pieces(lambda q: f(q[0]), lo, hi, spec)[0]
+    cell = _integrate_cells(lambda q, cells: [[f(q[0])]], 1, [[lo, hi]], spec)
+    value, err, ok = (a.item() for a in cell)
+    if math.isnan(value):
+        raise ValueError("integrand returned non-finite values")
+    return QuadResult(value, err, ok, 1)
 
 
-def _integrate_pieces(f, lo, hi, spec: QuadSpec | None = None, cols=()) -> list[QuadResult]:
-    """The ``QuadResult`` of one integrand over each of K pieces [lo_k, hi_k], lo_k < hi_k.
-
-    ``f(q, *cols)`` gives the integrand at the nodes ``q`` (pieces, nodes) of the
-    pieces still running, as an array of that size; each of ``cols`` is a (K, 1)
-    column of per-piece data, handed over in the rows of those pieces.  A
-    non-finite value is a ValueError.  Each level is one array over the running
-    pieces; a piece's level sum is one dot product, and the piece stops once
-    |I_h - I_{h/2}| is within a quarter of max(abs_tol, rel_tol |I|).
+def _integrate_cells(f, n: int, edges, spec: QuadSpec | None = None):
+    """(n, K) values, error estimates and convergence flags of ``n`` integrands over K
+    cells, cell k the sum of its P pieces between consecutive ``edges[k]`` ((K, P + 1)).
+    ``f(q, cells)`` gives an (n, len(cells), P x nodes) array at the nodes ``q`` of the
+    running ``cells``.  A cell stops once all ``n`` meet the stopping rule of ``integrate``,
+    or one is not finite (NaN, unconverged).  Level sums are pairwise, ``(fx * w).sum(-1)``.
     """
     spec = DEFAULT_QUAD if spec is None else spec
-    lo = np.asarray(lo, dtype=float).reshape(-1, 1)
-    hi = np.asarray(hi, dtype=float).reshape(-1, 1)
-    width, rows = hi - lo, list(range(len(lo)))
-    out = [None] * len(lo)
-    totals, values, errs = [0.0] * len(lo), [math.nan] * len(lo), [math.inf] * len(lo)
-    for h, distance, upper, jacobian in _LEVELS:
-        dw = distance * width
-        fx = np.asarray(f(np.where(upper, hi - dw, lo + dw), *cols), dtype=float)
-        sums = np.matmul(fx.reshape(len(dw), 1, -1), (jacobian * width)[:, :, None]).ravel().tolist()
-        # inf or NaN times any weight leaves its sum non-finite
-        if not all(map(math.isfinite, sums)) and not np.isfinite(fx).all():
-            raise ValueError("integrand returned non-finite values")
-        keep = []
-        for i, s in enumerate(sums):
-            totals[i] += s
-            coarse, values[i] = values[i], h * totals[i]
-            errs[i] = abs(values[i] - coarse)
-            if errs[i] <= 0.25 * max(spec.abs_tol, spec.rel_tol * abs(values[i])):
-                out[rows[i]] = QuadResult(values[i], errs[i], True, 1)
-            else:
-                keep.append(i)
-        if len(keep) < len(sums):
-            if not keep:
-                return out
-            lo, hi, width, cols = lo[keep], hi[keep], width[keep], [c[keep] for c in cols]
-            rows, totals, values, errs = ([x[i] for i in keep] for x in (rows, totals, values, errs))
-    for i, row in enumerate(rows):
-        out[row] = QuadResult(values[i], errs[i], False, 1)
-    return out
-
-
-def _integrate_cells(f, n: int, x, spec: QuadSpec | None = None):
-    """(n, K) values, error estimates and convergence flags of ``n`` integrands
-    even about pi/2 over [0, pi], for K cells: cell k doubles its half zone,
-    summed as [0, x_k] and [x_k, pi/2].  ``f(q, cells)`` gives, at the nodes
-    ``q`` (len(cells), nodes) of the cells indexed by ``cells``, an (n,
-    len(cells), nodes) array.  A cell runs the levels and the stopping rule
-    of :func:`integrate` until all ``n`` meet it, or one is not finite (NaN).
-    """
-    spec = DEFAULT_QUAD if spec is None else spec
-    x = np.asarray(x, dtype=float).reshape(-1, 1, 1)
-    a = np.concatenate([np.zeros_like(x), x], axis=1)  # (K, 2 pieces, 1)
-    b = np.concatenate([x, np.full_like(x, math.pi / 2)], axis=1)
-    total, err = np.zeros((n, len(x))), np.full((n, len(x)), math.inf)
-    value, ok = np.full_like(total, math.nan), np.zeros(total.shape, dtype=bool)
-    active = np.arange(len(x))
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:, :-1, None], edges[:, 1:, None]  # (K, P pieces, 1)
+    w = hi - lo
+    value, err = np.full((n, len(edges)), math.nan), np.full((n, len(edges)), math.inf)
+    ok, active = np.zeros(value.shape, dtype=bool), np.arange(len(edges))
+    total, fine = np.zeros(value.shape), value  # of the running cells
     for h, distance, upper, jacobian in _LEVELS:
         if not active.size:
             break
-        lo, hi = a[active], b[active]
-        w = hi - lo
         nodes = np.where(upper, hi - distance * w, lo + distance * w).reshape(len(active), -1)
         fx = np.asarray(f(nodes, active), dtype=float)
-        total[:, active] += (fx * (jacobian * w).reshape(len(active), -1)).sum(axis=-1)
-        fine = 2.0 * h * total[:, active]
-        err[:, active] = np.abs(fine - value[:, active])
-        value[:, active] = fine
-        tol = 0.25 * np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
-        ok[:, active] = err[:, active] <= tol
+        total = total + (fx * (jacobian * w).reshape(len(active), -1)).sum(axis=-1)
+        coarse, fine = fine, h * total
+        e = np.abs(fine - coarse)
+        done = e <= 0.25 * np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
         finite = np.isfinite(fine).all(axis=0)
-        value[:, active[~finite]], ok[:, active[~finite]] = math.nan, False
-        active = active[finite & ~ok[:, active].all(axis=0)]
+        value[:, active], err[:, active] = np.where(finite, fine, math.nan), e
+        ok[:, active] = done & finite
+        keep = finite & ~done.all(axis=0)
+        if not keep.all():
+            active, lo, hi, w = active[keep], lo[keep], hi[keep], w[keep]
+            total, fine = total[:, keep], fine[:, keep]
     return value, err, ok

@@ -11,11 +11,11 @@ and its first derivatives are single integrals over q in [0, pi]:
 where u is the energy per site and m, m_s the uniform and staggered
 magnetizations (m = (1/beta) d(lnZ/N)/dB, m_s = (1/beta) d(lnZ/N)/db,
 u = -d(lnZ/N)/dbeta; these identities are enforced in the test suite).
-At zero temperature u, m and m_s are the closed forms of :mod:`.ground`.
-At finite temperature every band integral, here and in :mod:`.correlations`,
-is read from a ``_BandIntegrals`` record or integrated with a ``QuadSpec``
-by ``_band_integral``, on the tanh-sinh nodes of ``_cell_integrals``.  The
-integrand factories (``ln_z_integrand``, ...) are the same integrands as
+Every band integral, here and in :mod:`.correlations`, is read from a
+``_BandIntegrals`` record or integrated with a ``QuadSpec`` by
+``_band_integral``: at finite temperature on the tanh-sinh nodes of
+``_cell_integrals``, at zero temperature over the filled interval of
+:mod:`.ground`.  The integrand factories (``ln_z_integrand``, ...) are the same integrands as
 plain functions of q, which the finite-ring sums in :mod:`.oracle` and the
 tests evaluate independently of those kernels.
 """
@@ -23,14 +23,16 @@ tests evaluate independently of those kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ground
 from .model import ChainParams, Thermal, _in_units, _theta, band_crossings, lambda_pm, theta_of_q
-from .quadrature import QuadResult, QuadSpec, _integrate_cells, require_converged, thermal_factor
+from .ground import _BandIntegrals
+from .quadrature import (
+    DEFAULT_QUAD, QuadResult, QuadSpec, _integrate_cells, require_converged, thermal_factor,
+)
 from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 
 __all__ = [
@@ -60,30 +62,6 @@ class ThermoPoint:
     m_s: float
 
 
-class _BandIntegrals(NamedTuple):
-    """The seven band integrals of one finite-T point as per-site ``QuadResult``s:
-    u, m, m_s and the (uniform, staggered) pairs g1 and g2 of separations 1
-    and 2, as ``_band_integrals`` computes them on shared nodes.
-
-    Given as ``quad``, a quantity function reads its band integrals from the
-    record instead of integrating.  One the record does not hold is a
-    ValueError, an unconverged one (a NaN too) a ToleranceNotReached.
-    """
-
-    u: QuadResult
-    m: QuadResult
-    m_s: QuadResult
-    g1: tuple
-    g2: tuple
-
-    def integral(self, name: str):
-        if name not in self._fields:
-            raise ValueError(f"the band integrals of one finite-T point hold no {name}")
-        got = getattr(self, name)
-        pair = isinstance(got, tuple)
-        return tuple(map(require_converged, got)) if pair else require_converged(got)
-
-
 def _cell_integrals(cells, n: int, kernel, quad: QuadSpec | None = None):
     """(n, K) values (1/2pi) int_0^pi, error estimates and flags of the ``n`` integrands
     ``kernel(q, c, s, th, J, j, b, B, beta)`` (cos q, sin q, theta, (cells, 1) columns)
@@ -102,9 +80,11 @@ def _cell_integrals(cells, n: int, kernel, quad: QuadSpec | None = None):
         Jc, jc, bc = J[rows], j[rows], b[rows]
         return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc, B[rows], beta[rows])
 
-    x = [(band_crossings(p) or (math.pi / 2,))[0] for _, p, _ in units]
-    value, err, ok = _integrate_cells(integrands, n, x, quad)
-    return value / (2.0 * math.pi), err / (2.0 * math.pi), ok
+    # the half zone [0, pi/2] split at the crossing, against half the tolerance of [0, pi]
+    edges = [(0.0, (band_crossings(p) or (math.pi / 2,))[0], math.pi / 2) for _, p, _ in units]
+    quad = DEFAULT_QUAD if quad is None else quad
+    value, err, ok = _integrate_cells(integrands, n, edges, replace(quad, abs_tol=quad.abs_tol / 2))
+    return value / math.pi, err / math.pi, ok
 
 
 def _band_kernel(q, c, s, th, J, j, b, B, beta):
@@ -117,32 +97,36 @@ def _band_kernel(q, c, s, th, J, j, b, B, beta):
             -s * j * s * ratio, c2 * (tp + tm), c2 * b * ratio)
 
 
-def _band_integrals(cells, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
-    """The ``_BandIntegrals`` records of finite-T cells ``(p, t)``, from one batched run."""
+def _finite_records(cells, quad: QuadSpec | None) -> list[_BandIntegrals]:
+    """The ``_BandIntegrals`` records of finite-T cells ``(p, t)``, from one run."""
     value, err, ok = _cell_integrals(cells, 7, _band_kernel, quad)
     k = np.array([_in_units(p)[0] for p, _ in cells], dtype=int)
     value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)  # u out of the cell's units
-    records = []
-    for cell in zip(value.T.tolist(), err.T.tolist(), ok.T.tolist()):
-        u, m, m_s, gu1, gs1, gu2, gs2 = (QuadResult(v, e, c, 2) for v, e, c in zip(*cell))
-        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2)))
-    return records
+    cells = ([QuadResult(*r, 2) for r in zip(*cell)]
+             for cell in zip(value.T.tolist(), err.T.tolist(), ok.T.tolist()))
+    return [_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2))
+            for u, m, m_s, gu1, gs1, gu2, gs2 in cells]
 
 
-def _point_record(p: ChainParams, t: Thermal, quad):
-    """What a composite call passes to each quantity it reads: ``quad`` itself at T = 0
-    or when it is already a ``_BandIntegrals`` record, else the point's one-cell record
-    integrated with the QuadSpec ``quad`` (or None)."""
-    if isinstance(quad, _BandIntegrals) or t.is_ground:
-        return quad
-    return _band_integrals([(p, t)], quad)[0]
+def _band_integrals(cells, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
+    """The ``_BandIntegrals`` records of cells ``(p, t)`` at any temperature: one engine
+    run over the finite-T cells, one over the T = 0 cells (``ground._records``)."""
+    hot, cold = [(p, t) for p, t in cells if not t.is_ground], [p for p, t in cells if t.is_ground]
+    hot, cold = iter(hot and _finite_records(hot, quad)), iter(cold and ground._records(cold, quad))
+    return [next(cold if t.is_ground else hot) for _, t in cells]
+
+
+def _point_record(p: ChainParams, t: Thermal, quad) -> _BandIntegrals:
+    """What a composite call passes to each quantity it reads: ``quad`` itself if it is a
+    record, else the point's one-cell record integrated with the QuadSpec ``quad`` (or None)."""
+    return quad if isinstance(quad, _BandIntegrals) else _band_integrals([(p, t)], quad)[0]
 
 
 def _band_integral(p: ChainParams, t: Thermal, quad, name: str, kernel=None):
-    """Band integral ``name`` (a pair for ``g<r>``) of the finite-T point (p, t), per site.
-    The one record-or-spec decision: a ``_BandIntegrals`` ``quad`` is read; a QuadSpec (or
-    None) integrates the record of ``_point_record``, or the n-tuple of ``kernel`` = (n, f)
-    for the rest."""
+    """Band integral ``name`` (a pair for ``g<r>``) of the point (p, t), per site.  The one
+    record-or-spec decision: a ``_BandIntegrals`` ``quad`` is read; a QuadSpec (or None)
+    integrates the record of ``_point_record``, or, at finite T, the n-tuple of
+    ``kernel`` = (n, f) for the rest."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral(name)
     if kernel is None:
@@ -245,38 +229,30 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
 
 
 def internal_energy(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
-    """Energy per site, integrated in the chain's own units (``model._in_units``);
-    ``ground.energy`` at T = 0."""
-    if t.is_ground:
-        return ground.energy(p, quad)
+    """Energy per site, integrated in the chain's own units (``model._in_units``); at
+    T = 0 the ground energy of :mod:`.ground`."""
     return _band_integral(p, t, quad, "u")
 
 
 def magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
-    """Uniform magnetization per site, in [-1, 1], odd in B; ``ground.magnetization_t0`` at T = 0."""
-    if t.is_ground:
-        return ground.magnetization_t0(p)
+    """Uniform magnetization per site, in [-1, 1], odd in B; closed at T = 0."""
     return _band_integral(p, t, quad, "m")
 
 
 def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
-    """Staggered magnetization per site, odd in b; exactly 0 at b = 0.
-
-    ``ground.staggered_magnetization_t0`` at T = 0.
-    """
+    """Staggered magnetization per site, odd in b; exactly 0 at b = 0."""
     if p.b == 0:
         return 0.0
-    if t.is_ground:
-        return ground.staggered_magnetization_t0(p, quad)
     return _band_integral(p, t, quad, "m_s")
 
 
 def thermo_point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ThermoPoint:
     """All four quantities in one record; finite temperature only.  ln Z takes ``quad``
     and its own kernel; u, m and m_s read one band-integral record."""
+    ln_z = ln_z_per_site(p, t, quad)  # refuses T = 0 before the record is built
     rec = _point_record(p, t, quad)
     return ThermoPoint(
-        ln_z_per_site=ln_z_per_site(p, t, quad),
+        ln_z_per_site=ln_z,
         u=internal_energy(p, t, rec),
         m=magnetization(p, t, rec),
         m_s=staggered_magnetization(p, t, rec),

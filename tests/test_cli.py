@@ -100,6 +100,32 @@ def test_point_at_zero_temperature_reads_the_filled_interval(argv, want, capsys)
     assert {name: got[name] for name in want} == want
 
 
+def test_zero_temperature_point_and_sweep_row_are_one_engine_run(monkeypatch, capsys):
+    # a T = 0 point with every quantity reads one ground record, and a sweep row
+    # builds the records of its T = 0 cells in one run, as of its finite-T ones
+    from staggered_xx import ground, thermo
+
+    runs = []
+    for module in (ground, thermo):
+        def counted(f, n, edges, spec=None, engine=module._integrate_cells):
+            runs.append(len(edges))
+            return engine(f, n, edges, spec)
+
+        monkeypatch.setattr(module, "_integrate_cells", counted)
+    code, _, _ = run_cli(["point", "--j", "0.5", "--b", "0.3", "--B", "0.8", "--T", "0",
+                          "--q", ",".join(cli.QUANTITIES)], capsys)
+    assert (code, runs) == (0, [1])
+    runs.clear()
+    code, _, _ = run_cli(["sweep", "--j", "0.5", "--b", "0.3", "--x", "B 0 1.5 4",
+                          "--y", "j 0 1 3", "--q", FINITE_T], capsys)
+    # one run per row, over the cells whose F is not empty (B = 1.5 saturates some)
+    assert (code, runs) == (0, [3, 3, 3])
+    runs.clear()
+    code, _, _ = run_cli(["sweep", "--j", "0.5", "--b", "0.3", "--x", "T 0 1 3",
+                          "--y", "B 0.2 0.6 2", "--q", FINITE_T], capsys)
+    assert (code, runs) == (0, [2, 1, 2, 1])
+
+
 def test_point_rejects_t0_only_quantity_at_finite_temperature(capsys):
     code, _, err = run_cli(["point", "--T", "0.5", "--q", "energy_t0"], capsys)
     assert code == 2
@@ -215,26 +241,31 @@ def test_sweep_cells_match_point_by_engine(capsys):
 
 
 def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
-    # every finite-T band integral runs on the split nodes of the cell engine:
-    # point, oracle-compare, a sweep and the library's ln Z and g3, which no
-    # record holds; the one-piece engine, which integrate wraps and the ground
-    # energies call directly, is the T = 0 engine over the filled interval
+    # every band integral runs on the batched cell engine, at finite T on the
+    # split nodes of the half zone (point, oracle-compare, a sweep and the
+    # library's ln Z and g3, which no record holds) and at T = 0 over the
+    # filled interval (the same commands, a scan, and g3 over F); integrate is
+    # the engine's one-piece case for callers outside the package
     from staggered_xx import (
         correlations, g_odd, ground, ln_z_per_site, thermo, thermo_point,
     )
 
     def no_integrate(*args, **kwargs):
-        raise AssertionError("integrate called at finite temperature")
+        raise AssertionError("integrate called")
 
     for module in (quadrature, thermo, correlations, ground):
         monkeypatch.setattr(module, "integrate", no_integrate)
-    for module in (quadrature, ground):
-        monkeypatch.setattr(module, "_integrate_pieces", no_integrate)
-    # the guard is live: T = 0 reaches the engine by both routes
-    for zero_temperature in (lambda: energy(ChainParams(1.0, 0.4, 0.2, 0.7)),
-                             lambda: quadrature.integrate(lambda q: q)):
-        with pytest.raises(AssertionError, match="integrate called"):
-            zero_temperature()
+    # the guard is live
+    with pytest.raises(AssertionError, match="integrate called"):
+        quadrature.integrate(lambda q: q)
+    p, t0 = ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.zero()
+    assert math.isfinite(energy(p)) and math.isfinite(g_odd(p, t0, 3).staggered)
+    code, out, _ = run_cli(["point", "--j", "0.4", "--b", "0.2", "--B", "0.7", "--T", "0",
+                            "--q", ",".join(cli.QUANTITIES)], capsys)
+    assert code == 0 and parse_csv(out)[1][0][-1] == ""
+    code, _, _ = run_cli(["qcp-scan", "--j", "0.4", "--axis", "B", "--start", "0", "--stop", "1.5",
+                          "--step", "0.1"], capsys)
+    assert code == 0
     p, t = ChainParams(1.0, 0.4, 0.2, 0.7), Thermal.finite(3.0)
     assert math.isfinite(ln_z_per_site(p, t)) and math.isfinite(thermo_point(p, t).u)
     assert all(map(math.isfinite, (g_odd(p, t, 3).uniform, g_odd(p, t, 3).staggered)))
@@ -245,7 +276,7 @@ def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
     )
     assert code == 0
     cells = _sweep_cells(
-        ["sweep", "--j", "0.4", "--b", "0.2", "--x", "B -1.5 1.5 4", "--y", "T 0.05 2 3",
+        ["sweep", "--j", "0.4", "--b", "0.2", "--x", "B -1.5 1.5 4", "--y", "T 0 2 3",
          "--q", FINITE_T], capsys,
     )
     assert all(row[-1] == "" for row in cells.values())

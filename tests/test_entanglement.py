@@ -156,6 +156,19 @@ def test_witness_matches_energy_density():
         assert w.detected == (w.lhs > 1.0)
 
 
+@pytest.mark.parametrize("t", [T0, Thermal.finite(2.0), Thermal.finite(141.8)], ids=str)
+def test_witness_where_the_couplings_underflow_in_the_fields_units(t):
+    # |b| is 5.5e396 times max(J, |j|): in units of the chain's largest coupling J
+    # and j flush to 0, but the bound is decided on J and j themselves, and the
+    # exchange energy is 0 far within 1e-10
+    from staggered_xx.cli import run_point
+
+    record, flags = run_point(ChainParams(2e-142, -2e-142, 1.1e255, 141.8), t, ["witness_lhs"])
+    assert flags == [] and 0.0 <= record["witness_lhs"] <= 1e-10
+    with pytest.raises(DegenerateCoupling):
+        witness(ChainParams(0.0, 0.0, 1.1e255, 141.8), t)
+
+
 @pytest.mark.parametrize(
     "J, j, b, B, beta",
     [

@@ -205,8 +205,9 @@ def test_qcp_scan_refuses_a_step_whose_square_is_not_normal(monkeypatch):
 
 
 def _energy_one_point(p):
-    """ground.energy computed point by point, as the scalar one-piece engine summed it:
-    theta_of_q at the nodes of each level, ``fx @ (jacobian * width)``, default tolerances."""
+    """ground.energy computed point by point, as the scalar one-piece engine sums it:
+    theta_of_q at the nodes of each level, ``(fx * (jacobian * width)).sum()``, default
+    tolerances."""
     k, p = _in_units(p)
     lo, hi, outside = staggered_xx.ground._fill(p)
     filled = 0.0
@@ -214,7 +215,7 @@ def _energy_one_point(p):
         width, total, value = hi - lo, 0.0, math.nan
         for h, distance, upper, jacobian in quadrature._LEVELS:
             nodes = np.where(upper, hi - distance * width, lo + distance * width)
-            total += float(theta_of_q(p, nodes) @ (jacobian * width))
+            total += float((theta_of_q(p, nodes) * (jacobian * width)).sum())
             coarse, value = value, h * total
             if abs(value - coarse) <= 0.25 * max(1e-10, 1e-10 * abs(value)):
                 break
@@ -263,6 +264,25 @@ def test_qcp_scan_second_differences_match_per_point_energies(p, axis, start, st
     assert np.array_equal(scan.d2e, (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2)
     for v in grid[:: max(1, len(grid) // 7)]:
         assert energy(replace(p, **{axis: v})) == _energy_one_point(replace(p, **{axis: v}))
+
+
+def test_qcp_scan_at_the_chains_own_scale():
+    # (1, .5, .3) has its transitions at B = 0.5831 and 1.0440; scanned at scale s
+    # the peaks sit at s times those, within two steps, and a chain below unit
+    # scale is scanned in its own units, where tolerance and floor follow it
+    s = 1e-6
+    scan = qcp_scan(ChainParams(s, 0.5 * s, 0.3 * s), "B", 0.0, 2.0 * s, 5e-3 * s)
+    assert len(scan.peaks) == 2
+    for got, want in zip(scan.peaks, (0.585, 1.04)):
+        assert abs(got - want * s) <= 2 * 5e-3 * s
+    # exact powers of two: equal peaks and flags at every scale, out to 2^+-560,
+    # where the step's square is a normal float only in the chain's units
+    ref = qcp_scan(ChainParams(1.0, 0.5, 0.3), "B", 0.0, 2.0, 5e-3)
+    for s in (2.0**20, 2.0**-20, 2.0**560, 2.0**-560):
+        scan = qcp_scan(ChainParams(s, 0.5 * s, 0.3 * s), "B", 0.0, 2.0 * s, 5e-3 * s)
+        assert np.array_equal(scan.values, ref.values * s)
+        assert scan.peaks == tuple(v * s for v in ref.peaks)
+        assert np.array_equal(np.abs(scan.d2e) > scan.threshold, np.abs(ref.d2e) > ref.threshold)
 
 
 def test_one_regime_decision_at_the_critical_fields():

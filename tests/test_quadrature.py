@@ -316,20 +316,21 @@ def test_batched_error_estimate_is_honest():
 
     # integrands even about pi/2 with closed-form integrals over [0, pi], taken
     # to 30 digits so that a double's rounding of them does not count, on
-    # cells split anywhere in the half zone
+    # cells split anywhere in the half zone and doubled, against half the
+    # absolute tolerance, as thermo._cell_integrals runs them
     mp = mpmath.mp.clone()
     mp.dps = 30
     exact = [
         (lambda q: 1.0 / (1.0 + 60.0 * np.cos(q) ** 2), mp.pi / mp.sqrt(61)),
         (lambda q: np.exp(3.0 * np.cos(2.0 * q)), mp.pi * mp.besseli(0, 3)),
     ]
-    splits = (0.3, 1.0, math.pi / 2)
+    splits = [(0.0, x, math.pi / 2) for x in (0.3, 1.0, math.pi / 2)]
     for tol in (1e-3, 1e-6, 1e-9, 1e-12):
         got, err, ok = _integrate_cells(
-            lambda q, rows: [f(q) for f, _ in exact], 2, splits, QuadSpec(tol, tol)
+            lambda q, rows: [f(q) for f, _ in exact], 2, splits, QuadSpec(tol / 2, tol)
         )
         assert np.all(ok)
-        for (_, value), got_r, err_r in zip(exact, got, err):
+        for (_, value), got_r, err_r in zip(exact, 2.0 * got, 2.0 * err):
             for v, e in zip(got_r, err_r):
                 assert abs(mp.mpf(v) - value) <= e + 1e-15
     # band integrands against a fine adaptive reference, on a row of two
@@ -341,8 +342,9 @@ def test_batched_error_estimate_is_honest():
     for tol in (1e-4, 1e-8):
         got, err, ok = _integrate_cells(
             lambda q, rows: [[fs[c][r](qc) for c, qc in zip(rows, q)] for r in range(7)],
-            7, (x, x), QuadSpec(tol, tol),
+            7, [(0.0, x, math.pi / 2)] * 2, QuadSpec(tol / 2, tol),
         )
+        got, err = 2.0 * got, 2.0 * err
         assert np.all(ok)
         for cell, cell_fs in enumerate(fs):
             for r, f in enumerate(cell_fs):
@@ -379,17 +381,22 @@ def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
             out[1, rows == 1, 0] = np.nan
         return out
 
-    value, _, ok = _integrate_cells(f, 2, (0.4, 0.9, math.pi / 2))
+    value, _, ok = _integrate_cells(f, 2, [(0.0, x, math.pi / 2) for x in (0.4, 0.9, math.pi / 2)])
     assert np.all(np.isnan(value[:, 1])) and not np.any(ok[:, 1])
-    want = [[math.pi] * 2, [2.0 * 1.1981402347355922] * 2]  # 2 int_0^(pi/2) sqrt(sin q)
+    want = [[math.pi / 2] * 2, [1.1981402347355922] * 2]  # int_0^(pi/2) sqrt(sin q)
     np.testing.assert_allclose(value[:, [0, 2]], want, rtol=0, atol=1e-12)
     assert np.all(ok[:, [0, 2]])
     broken = hot._replace(m=QuadResult(math.nan, math.nan, False, 2))
     with pytest.raises(ToleranceNotReached):
         broken.integral("m")
     assert broken.integral("u") == hot.integral("u")
+    # the finite-T engine refuses a T = 0 cell; _band_integrals gives it the ground record
+    from staggered_xx.ground import _records
+    from staggered_xx.thermo import _band_kernel, _cell_integrals
+
     with pytest.raises(ValueError, match="finite temperature"):
-        _band_integrals([(p, Thermal.zero())])
+        _cell_integrals([(p, Thermal.zero())], 7, _band_kernel)
+    assert _band_integrals([row[0], (p, Thermal.zero())]) == [hot, *_records([p])]
     assert _band_integrals([]) == []
 
 

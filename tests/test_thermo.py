@@ -107,32 +107,74 @@ def test_staggered_magnetization_odd_in_alternating_field():
     assert staggered_magnetization(ChainParams(J=1.0, j=0.5, B=0.7), Thermal.finite(2.0)) == 0.0
 
 
-def test_zero_temperature_integrals_match_closed_forms():
-    # u, m and m_s at T = 0 are ground's closed forms over the filled
-    # interval; both against QUADPACK on the sign-function band integrals
-    from band_reference import band_integrals
-
-    t0 = Thermal.zero()
-    pts = [
+def _ground_record_cases():
+    """(chain, scale): chains with their whole T = 0 record in view, each at its own
+    scale 1 and some at 2^+-560, where the reference runs on the unit chain."""
+    rng = np.random.default_rng(83)
+    chains = [
         ChainParams(J=1.0, j=0.5, b=0.4, B=0.3),   # below both critical fields
         ChainParams(J=1.0, j=0.5, b=0.4, B=0.9),   # between them
-        ChainParams(J=1.0, j=0.5, b=0.4, B=1.5),   # above both
+        ChainParams(J=1.0, j=0.5, b=0.4, B=1.5),   # above both: F empty
         ChainParams(J=1.0, j=1.7, b=0.3, B=1.2),   # j > J ordering
         ChainParams(J=1.0, j=0.0, b=0.0, B=0.5),   # uniform chain
         ChainParams(J=0.0, j=0.0, b=0.0, B=0.0),   # all-zero chain
         ChainParams(J=1.0, j=1.0, b=0.0, B=-1.0),  # flat band at its level
+        # B exactly at a critical field: dyadic couplings whose fields are exact,
+        # 0.625 = |(0.375, 0.5)| and 1.0625 = |(0.9375, 0.5)|, and 1.25 = |(1, 0.75)|
+        ChainParams(J=1.0, j=-1.0, b=0.75, B=1.25),        # flat band at its level, b != 0
+        ChainParams(J=0.9375, j=0.375, b=0.5, B=0.625),    # at the lower field
+        ChainParams(J=0.9375, j=0.375, b=0.5, B=-1.0625),  # at the upper one
+        ChainParams(J=0.375, j=0.9375, b=0.5, B=1.0625),   # upper field, J < |j|
+        ChainParams(J=1.0, j=0.5, b=0.4, B=0.0),   # F the whole half zone
+        ChainParams(J=1.0, j=0.7, b=0.0, B=0.8),   # b = 0
+        ChainParams(J=1.0, j=0.0, b=0.6, B=0.9),   # j = 0
     ]
-    for p in pts:
-        want, err = band_integrals(p.J, p.j, p.b, p.B, rs=())
-        assert err < 1e-12
-        got = {
-            "u": (internal_energy(p, t0), ground.energy(p)),
-            "m": (magnetization(p, t0), ground.magnetization_t0(p)),
-            "m_s": (staggered_magnetization(p, t0), ground.staggered_magnetization_t0(p)),
-        }
-        for name, pair in got.items():
-            for value in pair:
-                assert abs(value - want[name]) < 1e-10, (p, name, value, want[name])
+    for _ in range(6):
+        J, j, b, B = rng.uniform(0.0, 1.5), *rng.uniform(-1.5, 1.5, 2), rng.uniform(-2.0, 2.0)
+        chains.append(ChainParams(J=float(J), j=float(j), b=float(b), B=float(B)))
+    cases = [(p, 1.0) for p in chains]
+    for s in (2.0**560, 2.0**-560):
+        cases += [(p, s) for p in (chains[1], chains[3], chains[7], chains[12])]
+    return cases
+
+
+def test_zero_temperature_integrals_match_closed_forms():
+    # Every field of the T = 0 record (u, m, m_s and both parts of g1 and g2),
+    # g3 through its own kernel over F, and the library functions that read
+    # them, against QUADPACK on the sign-function band integrals over the whole
+    # zone; the chain (J, j, b, B) s against the reference at s = 1, energies in
+    # units of s
+    for p, s in _ground_record_cases():
+        _check_ground_record(p, s)
+
+
+def _check_ground_record(p, s):
+    from band_reference import band_integrals
+    from staggered_xx import g_odd
+    from staggered_xx.thermo import _band_integrals
+
+    t0 = Thermal.zero()
+    want, err = band_integrals(p.J, p.j, p.b, p.B, rs=(1, 2, 3))
+    assert err < 1e-12
+    scaled = ChainParams(*(s * v for v in (p.J, p.j, p.b, p.B)))
+    (rec,) = _band_integrals([(scaled, t0)])
+    g3 = g_odd(scaled, t0, 3)
+    got = {
+        "u": (rec.integral("u") / s, internal_energy(scaled, t0) / s, ground.energy(scaled) / s),
+        "m": (rec.integral("m"), magnetization(scaled, t0), ground.magnetization_t0(scaled)),
+        "m_s": (rec.integral("m_s"), staggered_magnetization(scaled, t0),
+                ground.staggered_magnetization_t0(scaled)),
+        "g1": rec.integral("g1"),
+        "g2": rec.integral("g2"),
+        "g3": (g3.uniform, g3.staggered),
+    }
+    for name, values in got.items():
+        want_r = want[name] if isinstance(want[name], tuple) else (want[name],) * len(values)
+        for value, w in zip(values, want_r):
+            assert abs(value - w) < 1e-10, (p, s, name, value, w)
+    # the all-zero chain is saturated at B = 0: m = 0, but the measure is 0
+    if not (p.J or p.j or p.b or p.B):
+        assert ground.meyer_wallach(scaled) == 0.0
 
 
 def test_large_beta_converges_to_zero_temperature():
@@ -164,10 +206,14 @@ def test_thermo_point_bundles_the_four_quantities():
 
 def test_composite_calls_integrate_one_record(monkeypatch):
     # a composite call builds the point's band-integral record once and passes
-    # it to each quantity it reads; ln Z and r = 3 run their own kernels
-    from staggered_xx import c1, c2, correlation_set, sigma_z, sigma_z_pair, thermo, zz_correlator
+    # it to each quantity it reads; ln Z and r = 3 run their own kernels.  Each
+    # is one run of the one engine, at finite T over the split half zone and at
+    # T = 0 over the filled interval
+    from staggered_xx import (
+        c1, c2, correlation_set, ground, sigma_z, sigma_z_pair, thermo, zz_correlator,
+    )
 
-    p, t = ChainParams(J=1.0, j=0.5, b=0.3, B=0.8), Thermal.finite(2.0)
+    p = ChainParams(J=1.0, j=0.5, b=0.3, B=0.8)
     expected = {
         c1: 1, c2: 1, sigma_z_pair: 1, thermo_point: 2,
         lambda p, t: sigma_z(p, t, "odd"): 1,
@@ -176,21 +222,23 @@ def test_composite_calls_integrate_one_record(monkeypatch):
         lambda p, t: correlation_set(p, t, rs=(1, 2, 3)): 2,
     }
     runs = []
-    cell_integrals = thermo._cell_integrals
+    for module in (thermo, ground):
+        def counted(*args, engine=module._integrate_cells, **kwargs):
+            runs.append(1)
+            return engine(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return cell_integrals(*args, **kwargs)
-
-    monkeypatch.setattr(thermo, "_cell_integrals", counted)
-    for call, want in expected.items():
-        runs.clear()
-        call(p, t)
-        assert len(runs) == want, call
-    # at T = 0 the composite calls read the filled interval
-    runs.clear()
-    c2(p, Thermal.zero()), correlation_set(p, Thermal.zero())
-    assert runs == []
+        monkeypatch.setattr(module, "_integrate_cells", counted)
+    for t in (Thermal.finite(2.0), Thermal.zero()):
+        for call, want in expected.items():
+            runs.clear()
+            if call is thermo_point and t.is_ground:
+                # ln Z has no T = 0 value, refused before anything is integrated
+                with pytest.raises(ZeroTemperatureUnsupported):
+                    call(p, t)
+                want = 0
+            else:
+                call(p, t)
+            assert len(runs) == want, (call, t)
 
 
 def test_occupation_ratio_flat_band_limit():
