@@ -8,6 +8,7 @@ belongs to the regime above it.
 """
 
 import math
+from fractions import Fraction
 
 from scipy import integrate
 
@@ -56,7 +57,10 @@ def band_integrals(J, j, b, B, beta=math.inf, rs=(1, 2)):
 
     centres = [math.pi / 2]
     if J * J != j * j:
-        x = (B * B - b * b - j * j) / (J * J - j * j)  # cos^2 of the crossing
+        # cos^2 of the crossing, exact: in floats it cancels when B lies within
+        # rounding of the lower critical field sqrt(j^2 + b^2)
+        J_, j_, b_, B_ = map(Fraction, (J, j, b, B))
+        x = (B_ * B_ - b_ * b_ - j_ * j_) / (J_ * J_ - j_ * j_)
         if 0.0 < x < 1.0:
             x = math.acos(math.sqrt(x))
             centres += [x, math.pi - x]

@@ -90,7 +90,7 @@ def kron_ed(n, p, t, tol=1e-10):
     """Every EDResult field from the full 2^n kron Hamiltonian."""
     evals, evecs = np.linalg.eigh(kron_hamiltonian(n, p))
     e0 = evals.min()
-    ground = evals <= e0 + tol * max(1.0, abs(e0))
+    ground = evals <= e0 + tol * abs(e0)
     w = ground.astype(float) if t.is_ground else np.exp(-t.beta * (evals - e0))
     w /= w.sum()
     rho = (evecs * w) @ evecs.conj().T
@@ -210,7 +210,7 @@ def test_dense_ed_ground_degeneracy_counting():
     res = dense_ed(FiniteChainSpec(6, p, Thermal.zero()))
     evals = np.linalg.eigvalsh(kron_hamiltonian(6, p))
     e0 = evals.min()
-    want = int((evals <= e0 + 1e-10 * max(1.0, abs(e0))).sum())
+    want = int((evals <= e0 + 1e-10 * abs(e0)).sum())
     assert res.ground_degeneracy == want
     assert abs(res.magnetization) < 1e-12
     assert math.isclose(res.g[("odd", 1)], res.g[("even", 1)], abs_tol=1e-12)
@@ -224,6 +224,117 @@ def test_dense_ed_size_cap():
         FiniteChainSpec(7, p, Thermal.zero())
     with pytest.raises(ValueError):
         FiniteChainSpec(2, p, Thermal.zero())
+
+
+def _ed_fields(res, s=1.0):
+    """Every EDResult field by name, energies divided by the scale s."""
+    out = {"ground_degeneracy": res.ground_degeneracy, "e_mw": res.e_mw,
+           "energy_per_site": res.energy_per_site / s}
+    for name in ("magnetization", "staggered_magnetization", "witness_lhs"):
+        out[name] = getattr(res, name)
+    for name in ("sigma_z", "g", "zz", "rho2", "concurrence"):
+        for key, value in getattr(res, name).items():
+            out[name, key] = np.asarray(value).tolist()
+    return out
+
+
+def test_dense_ed_ground_states_follow_the_chain_scale():
+    # a cut in absolute units took distinct levels of a chain far below unit
+    # scale for ground states: at 1e-9 it found 2 of them, m = 0.125, C1 = 0
+    unit = ChainParams(J=1.0, j=0.4, b=0.2, B=0.5)
+    for n, beta in ((8, math.inf), (8, 2.0), (10, math.inf), (6, 0.7)):
+        t = Thermal.zero() if math.isinf(beta) else Thermal.finite(beta)
+        want = _ed_fields(dense_ed(FiniteChainSpec(n, unit, t)))
+        for s in (2.0**-30, 2.0**-40):
+            scaled = ChainParams(*(s * v for v in (unit.J, unit.j, unit.b, unit.B)))
+            ts = Thermal.zero() if math.isinf(beta) else Thermal.finite(beta / s)
+            assert _ed_fields(dense_ed(FiniteChainSpec(n, scaled, ts)), s) == want, (n, beta, s)
+    res = dense_ed(FiniteChainSpec(8, ChainParams(J=1e-9, j=4e-10, b=2e-10, B=5e-10), Thermal.zero()))
+    assert res.ground_degeneracy == 1
+    assert math.isclose(res.magnetization, 0.25, abs_tol=1e-12)
+    assert math.isclose(res.concurrence[("odd", 1)], 0.0971, abs_tol=1e-4)
+    # the all-zero chain keeps every state
+    zero = dense_ed(FiniteChainSpec(6, ChainParams(J=0.0), Thermal.zero()))
+    assert zero.ground_degeneracy == 2**6
+
+
+def _mirror_chains(rng):
+    chains = [ChainParams(J=float(rng.uniform(0.2, 1.5)), j=float(rng.uniform(-1.5, 1.5)),
+                          b=float(rng.uniform(-1.5, 1.5)), B=float(rng.uniform(-2, 2)))
+              for _ in range(3)]
+    chains += [
+        ChainParams(J=1.0, j=0.45, b=0.3, B=0.0),    # partners degenerate
+        ChainParams(J=1.0, j=-0.6, b=0.0, B=0.7),    # b = 0
+        ChainParams(J=1.0, j=1.0, b=0.35, B=-0.4),   # j = J
+        ChainParams(J=0.8, j=-0.8, b=0.2, B=0.9),    # j = -J
+        ChainParams(J=0.0),                          # all-zero chain
+    ]
+    return chains + [ChainParams(*(s * v for v in (chains[0].J, chains[0].j, chains[0].b,
+                                                   chains[0].B))) for s in (2.0**560, 2.0**-560)]
+
+
+def test_mirrored_blocks_are_eigensystems_of_their_own_block():
+    from staggered_xx.oracle import _block_eigensystems, _hamiltonian, _ring_basis, _site_signs
+
+    rng = np.random.default_rng(17)
+    for n in (4, 6, 8, 10):
+        basis = _ring_basis(n)
+        signs = _site_signs(n)
+        mirrored = [i for i, s in enumerate(basis.sectors) if s.mirror is not None]
+        assert len(mirrored) == sum(2 * s.n_up > n for s in basis.sectors) > 0
+        for p in _mirror_chains(rng):
+            scale = max(p.J, abs(p.j), abs(p.b), abs(p.B))
+            j_bond = p.J + signs * p.j
+            energy = -(basis.spins @ (p.B + signs * p.b))
+            blocks = _block_eigensystems(n, p)
+            for i in mirrored:
+                s, b = basis.sectors[i], blocks[i]
+                h = _hamiltonian(s, j_bond, energy)  # as an unmirrored block is built
+                assert np.iscomplexobj(b.evecs) == (not s.real), (n, p, i)
+                residual = np.max(np.abs(h @ b.evecs - b.evecs * b.evals))
+                assert residual <= 1e-12 * scale, (n, p, s.n_up, residual)
+                overlap = b.evecs.conj().T @ b.evecs - np.eye(len(s.reps))
+                assert np.max(np.abs(overlap)) <= 1e-12, (n, p, s.n_up)
+
+
+def test_half_the_magnetization_sectors_are_diagonalized(monkeypatch):
+    from staggered_xx.oracle import _block_eigensystems
+
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
+    for n, want in ((8, 13), (10, 16), (12, 25)):
+        calls.clear()
+        _block_eigensystems(n, ChainParams(J=1.0, j=0.4, b=0.2, B=0.5))
+        assert len(calls) == want, n
+
+
+def test_ring_basis_is_read_only():
+    from staggered_xx.oracle import _ring_basis
+
+    for n in (4, 6, 8):
+        basis = _ring_basis(n)
+        arrays = [basis.spins]
+        for s in basis.sectors:
+            arrays += [s.reps, s.flat, s.bond, s.factor, s.diagonal, *s.coherence]
+            arrays += list(s.mirror[1:]) if s.mirror is not None else []
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            basis.spins[0, 0] = 0.0
+
+
+def test_dense_ed_does_not_depend_on_what_ran_before():
+    from staggered_xx.oracle import _ring_basis
+
+    p1, p2 = ChainParams(J=1.0, j=-0.3, b=0.6, B=1.1), ChainParams(J=1.0, j=0.4, b=0.2, B=0.5)
+    for t in (Thermal.finite(2.0), Thermal.zero()):
+        specs = [FiniteChainSpec(n, p2, t) for n in (8, 10, 12)]
+        for n in (8, 10, 12):
+            dense_ed(FiniteChainSpec(n, p1, t))
+        after = [_ed_fields(dense_ed(spec)) for spec in specs]
+        _ring_basis.cache_clear()
+        assert [_ed_fields(dense_ed(spec)) for spec in specs] == after
 
 
 def test_fermion_block_closed_form_eigenvalues():

@@ -128,6 +128,9 @@ def _ground_record_cases():
         ChainParams(J=1.0, j=0.5, b=0.4, B=0.0),   # F the whole half zone
         ChainParams(J=1.0, j=0.7, b=0.0, B=0.8),   # b = 0
         ChainParams(J=1.0, j=0.0, b=0.6, B=0.9),   # j = 0
+        # B the rounded lower field of a chain whose field is not a float: a crossing
+        # within about 3e-9 of pi/2, and m = 3.22e-9
+        ChainParams(J=1.0, j=0.5, b=0.4, B=math.hypot(0.5, 0.4)),
     ]
     for _ in range(6):
         J, j, b, B = rng.uniform(0.0, 1.5), *rng.uniform(-1.5, 1.5, 2), rng.uniform(-2.0, 2.0)
