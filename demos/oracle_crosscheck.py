@@ -2,8 +2,10 @@
 
 Route 1: dense diagonalization of periodic spin rings (N = 8, 10, 12),
 whose bulk averages must close in on the thermodynamic-limit analytics.
-Route 2: free-fermion momentum sums on much larger rings, which share
-the integrands but replace quadrature with discrete sums.
+Route 2: the free fermions of much larger periodic rings, diagonalized
+numerically from their real-space hoppings in 2x2 Bloch blocks; they
+share no integrand with the analytics, and their gap is the ring's
+finite-size error.
 
 Run:  python demos/oracle_crosscheck.py
 """
@@ -58,10 +60,10 @@ def main() -> None:
         gaps = "".join(f" {abs(values[k] - targets[k]):8.1e}" for k in targets)
         print(f"{n:>4}{gaps}")
 
-    # the sums only distinguish N once the thermal layers are narrower
+    # the rings only distinguish N once the thermal layers are narrower
     # than the momentum spacing, so probe this route deep in the cold regime
     cold = Thermal.finite(400.0)
-    print(f"\nfree-fermion momentum sums at beta={cold.beta} (gap to bulk integrals):")
+    print(f"\nfree-fermion rings at beta={cold.beta} (gap to bulk integrals):")
     refs = {
         "u": internal_energy(p, cold, TIGHT),
         "m": magnetization(p, cold, TIGHT),

@@ -188,6 +188,10 @@ class SweepSpec:
                 raise ConfigError(f"axis {ax.name}: steps must be >= 2, got {ax.steps}")
             if ax.name == "T" and (ax.start < 0 or ax.stop < 0):
                 raise ConfigError("temperature axis values must be >= 0")
+        # refused before AxisSpec.values builds a grid, the bound of a qcp-scan grid
+        if self.x.steps * self.y.steps > ground._MAX_SCAN_POINTS:
+            raise ConfigError(f"sweep grid holds {self.x.steps * self.y.steps} cells, "
+                              f"more than {ground._MAX_SCAN_POINTS}")
         if self.x.name == self.y.name:
             raise ConfigError(f"sweep axes must name distinct parameters, both are {self.x.name!r}")
         if "T" in (self.x.name, self.y.name):
@@ -308,9 +312,10 @@ def run_oracle_compare(
 ) -> tuple[int, list]:
     """Analytic vs finite-ring values per N; exit code 0 iff gaps shrink below tol.
 
-    The free-fermion column shares the analytic formulas (it differs only
-    by sum-vs-integral), so convergence is asserted on the dense-ED gaps,
-    which carry the genuine boundary-term discrepancy; an energy's gaps are
+    The free-fermion column is the periodic fermion ring, diagonalized from
+    its own hoppings; it drops the spin ring's boundary term, so it is
+    reported but not judged.  Convergence is asserted on the dense-ED gaps,
+    which carry that boundary-term discrepancy; an energy's gaps are
     judged in units of the chain's scale max(J, |j|, |b|, |B|).  A failed analytic
     value is NaN, so its gaps fail.  Sizes that do not increase strictly or
     exceed the dense cap, or a tol that is not positive and finite, raise

@@ -26,8 +26,11 @@ for the R = 2 case).
 
 At both temperatures the parts are band integrals of
 ``thermo._band_integral``; a record holds them for R = 1 and 2 only, and
-larger separations have a kernel of their own, over F at T = 0
-(``ground._contractions``).
+larger separations run ``_contraction_kernel``, or over F at T = 0
+``ground._contractions``.  These kernels are the only copy of the
+integrands.  On the Jordan-Wigner fermions of a ring the contraction is
+g_{l,R} = (-1)^R 2 Re <c+_l c_{l+R}>, which is how the free-fermion
+oracle of :mod:`.oracle` reads it, without any integrand.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ground
-from .model import ChainParams, Thermal, lambda_pm
-from .quadrature import QuadSpec, thermal_factor
+from .model import ChainParams, Thermal
+from .quadrature import QuadSpec
 from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 from .thermo import (
     _BandIntegrals, _band_integral, _difference_ratio, _point_record, magnetization,
-    occupation_difference_ratio, staggered_magnetization,
+    staggered_magnetization,
 )
 
 __all__ = [
@@ -103,38 +106,9 @@ def _check_distance(r: int) -> int:
     return int(r)
 
 
-def transverse_integrands(p: ChainParams, t: Thermal, r: int):
-    """(uniform, staggered) integrand pair for the distance-``r`` contraction.
-
-    The formal case r = 0 is accepted: both integrands then reduce to the
-    magnetization/staggered-magnetization integrands, a consistency hook
-    used by the tests.  At b = 0 (even r) or j = 0 (odd r) the staggered
-    integrand is identically zero, so its quadrature returns an exact 0.0.
-    """
-    if r != 0:
-        r = _check_distance(r)
-    if r % 2 == 0:
-
-        def uniform(q):
-            lp, lm = lambda_pm(p, q)
-            return np.cos(q * r) * (thermal_factor(t, lp) + thermal_factor(t, lm))
-
-        def staggered(q):
-            return np.cos(q * r) * p.b * occupation_difference_ratio(p, t, q)
-
-        return uniform, staggered
-
-    def uniform(q):
-        return -np.cos(q * r) * p.J * np.cos(q) * occupation_difference_ratio(p, t, q)
-
-    def staggered(q):
-        return -np.sin(q * r) * p.j * np.sin(q) * occupation_difference_ratio(p, t, q)
-
-    return uniform, staggered
-
-
 def _contraction_kernel(r: int):
-    """(2, f) for ``thermo._cell_integrals``: the integrands of ``transverse_integrands``."""
+    """(2, f) for ``thermo._cell_integrals``: the (uniform, staggered) integrands of the
+    distance-``r`` contraction.  The formal r = 0 gives those of m and m_s."""
 
     def f(q, c, s, th, J, j, b, B, beta):
         tp, tm = np.tanh(beta * (B + th)), np.tanh(beta * (B - th))

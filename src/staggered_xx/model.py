@@ -31,7 +31,6 @@ __all__ = [
     "Thermal",
     "PhaseRegion",
     "theta_of_q",
-    "lambda_pm",
     "theta_bounds",
     "critical_fields",
     "xi",
@@ -158,12 +157,6 @@ def _theta(J, j, b, c, s):
     d = (J - aj) * (J + aj)
     w = np.where(d > 0, c, s)
     return np.sqrt(np.minimum(J, aj) ** 2 + b**2 + abs(d) * (w * w))
-
-
-def lambda_pm(p: ChainParams, q):
-    """Both excitation bands (lam_plus, lam_minus) = (B + theta, B - theta)."""
-    th = theta_of_q(p, q)
-    return p.B + th, p.B - th
 
 
 def theta_bounds(p: ChainParams) -> tuple[float, float]:

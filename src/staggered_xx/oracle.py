@@ -17,12 +17,14 @@ Two oracles at desk scale:
   drops, so agreement with the analytic module is O(1/N) convergence
   data, never exact equality.
 
-* ``finite_free_fermion``: the translation-invariant fermion solution on
-  a finite ring, where each momentum pair contributes a 2x2 block whose
-  eigenvalues are 2B +- 2 theta(q_k).  Bulk integrals (1/2pi) int dq
-  become (1/N) sum_k over q_k = 2 pi k / N of the integrand factories of
-  :mod:`.thermo` / :mod:`.correlations`, not of the fused kernels the bulk
-  integrals run; the gap is the discretization error of a sum.
+* ``finite_free_fermion``: the Jordan-Wigner fermions on the periodic
+  ring (Lieb, Schultz & Mattis, Ann. Phys. 16 (1961) 407).  Their
+  real-space one-body matrix is translation invariant by a two-site cell,
+  so it is diagonalized numerically in 2x2 Bloch blocks, one per cell
+  momentum, and every quantity is read from the mode energies and the
+  one-body correlation matrix.  No band integrand and no closed-form
+  spectrum enters; the gap to the bulk integrals is the finite-size error
+  of the fermion ring.
 
 Reduced two-site density matrices are assembled blockwise: every
 eigenvector lives in one magnetization sector, which forbids coherence
@@ -43,14 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ChainParams, Thermal
-from .correlations import CorrelatorPair, transverse_integrands
+from .correlations import CorrelatorPair
 from .entanglement import wootters
-from .thermo import (
-    internal_energy_integrand,
-    ln_z_integrand,
-    magnetization_integrand,
-    staggered_magnetization_integrand,
-)
 
 __all__ = [
     "DimensionTooLarge",
@@ -59,8 +55,6 @@ __all__ = [
     "FreeFermionResult",
     "dense_ed",
     "finite_free_fermion",
-    "fermion_block",
-    "block_eigenvalues",
 ]
 
 _DENSE_CAP = 12
@@ -114,7 +108,7 @@ class EDResult:
 
 @dataclass(frozen=True)
 class FreeFermionResult:
-    """Finite-ring momentum sums of the bulk integrands."""
+    """Bulk averages of the free fermions on a periodic ring of ``n_sites``."""
 
     n_sites: int
     ln_z: float | None
@@ -397,71 +391,62 @@ def dense_ed(chain: FiniteChainSpec) -> EDResult:
     )
 
 
-def _momentum_blocks(p: ChainParams, k: np.ndarray, n: int):
-    """2x2 momentum blocks at q_k = 2 pi k / n and their closed-form eigenvalues.
+def _bloch_blocks(p: ChainParams, n: int) -> tuple[int, np.ndarray]:
+    """(e, h): the 2x2 Bloch blocks h(k) of one two-site cell at the n/2 cell momenta
+    k = 4 pi m / n, for the couplings divided by 2^e, so that no entry overflows.
 
-    Returns (q, blocks, lam) with blocks[i] the block at q[i] and lam[i] =
-    (2B - 2 theta(q_i), 2B + 2 theta(q_i)).
+    H = c^+ A c + N B on the Jordan-Wigner fermions, with A_ll = -2 B_l and
+    A_{l,l+1} = A_{l+1,l} = -J_l on the periodic ring.  A cell holds sites 1
+    (odd) and 2; t0 is the block of A within a cell and t1 that from a cell to
+    the next, so h(k) = t0 + t1 e^(ik) + t1^T e^(-ik).
     """
-    q = 2.0 * math.pi * k / n
-    blocks = np.empty((len(k), 2, 2), dtype=complex)
-    blocks[:, 0, 0] = 2.0 * p.B - 2.0 * p.J * np.cos(q)
-    blocks[:, 1, 1] = 2.0 * p.B + 2.0 * p.J * np.cos(q)
-    blocks[:, 0, 1] = 2.0 * p.b + 2.0j * p.j * np.sin(q)
-    blocks[:, 1, 0] = np.conj(blocks[:, 0, 1])
-    # theta of couplings divided by an exact power of two, so no square overflows
-    k = math.frexp(max(p.J, abs(p.j), abs(p.b)))[1]
-    J, j, b = (math.ldexp(v, -k) for v in (p.J, p.j, p.b))
-    th = np.ldexp(np.sqrt((J * np.cos(q)) ** 2 + b**2 + (j * np.sin(q)) ** 2), k)
-    lam = np.stack([2.0 * p.B - 2.0 * th, 2.0 * p.B + 2.0 * th], axis=1)
-    return q, blocks, lam
-
-
-def _one_momentum(k: int, n: int) -> np.ndarray:
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"momentum index must satisfy 1 <= k <= n/2, got k={k}, n={n}")
-    return np.array([k])
-
-
-def fermion_block(p: ChainParams, k: int, n: int) -> np.ndarray:
-    """2x2 momentum block of the quadratic fermion form at q = 2 pi k / n."""
-    return _momentum_blocks(p, _one_momentum(k, n), n)[1][0]
-
-
-def block_eigenvalues(p: ChainParams, k: int, n: int) -> tuple[float, float]:
-    """Closed-form eigenvalues 2B -+ 2 theta(q_k) of the momentum block."""
-    lo, hi = _momentum_blocks(p, _one_momentum(k, n), n)[2][0]
-    return float(lo), float(hi)
+    e = math.frexp(max(p.J, abs(p.j), abs(p.b), abs(p.B)))[1]
+    J, j, b, B = (math.ldexp(v, -e) for v in (p.J, p.j, p.b, p.B))
+    t0 = np.array([[-2.0 * (B - b), -(J - j)], [-(J - j), -2.0 * (B + b)]])
+    t1 = np.array([[0.0, 0.0], [-(J + j), 0.0]])
+    hop = np.exp(2j * np.pi * np.arange(n // 2) / (n // 2))[:, None, None]
+    return e, t0 + t1 * hop + t1.T * hop.conj()
 
 
 def finite_free_fermion(chain: FiniteChainSpec, rs: tuple = (1, 2, 3)) -> FreeFermionResult:
-    """Finite-ring momentum sums of the bulk thermodynamic integrands.
+    """Thermal/ground expectations of the free fermions on the periodic ring.
 
-    Verifies the block-spectrum identity at every momentum before
-    summing, then replaces (1/2pi) int_0^pi dq -> (1/N) sum_k.
+    One ``eigh`` of the stacked Bloch blocks gives the mode energies eps and
+    tau = tanh(beta eps / 2), at T = 0 the sign, 0 for a mode at zero energy
+    to within ``_DEGENERACY_TOL`` of the chain's scale: a mode's Fermi factor
+    is (1 - tau) / 2.  ln Z / N, u and m are means over the modes of
+    ln(2 cosh(beta eps / 2)), -eps tau / 2 and -tau.  With the one-body
+    correlation matrix C_{l,m} = <c^+_l c_m> and gamma = 1 - 2C,
+    <sz_l> = -gamma_ll and, in the library's sign, the contraction is
+    g_{l,r} = (-1)^(r+1) Re gamma_{l,l+r}.
     """
     n = chain.n_sites
     if n > _FERMION_CAP:
         raise DimensionTooLarge(f"free-fermion sums are capped at {_FERMION_CAP} sites")
     p, t = chain.params, chain.thermal
 
-    q, blocks, lam = _momentum_blocks(p, np.arange(1, n // 2 + 1), n)
-    dev = float(np.max(np.abs(np.linalg.eigvalsh(blocks) - lam)))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if dev > 1e-12 * scale:
-        raise ArithmeticError(f"block spectrum deviates from closed form by {dev:.3e}")
-
-    # (1/2pi) int_0^pi dq  ->  (1/N) sum over the N/2 momenta in (0, pi]
-    mean = lambda f: float(np.sum(f(q))) / n
+    e, h = _bloch_blocks(p, n)
+    eps, vec = np.linalg.eigh(h)  # in units of 2^e; mode i of block k is vec[k, :, i]
+    if t.is_ground:
+        level = _DEGENERACY_TOL * math.ldexp(max(p.J, abs(p.j), abs(p.b), abs(p.B)), -e)
+        tau, ln_z = np.where(np.abs(eps) > level, np.sign(eps), 0.0), None
+    else:
+        x = np.abs(np.ldexp(0.5 * t.beta * eps, e))
+        tau = np.sign(eps) * np.tanh(x)
+        ln_z = float(np.sum(x + np.log1p(np.exp(-2.0 * x)))) / n
+    # gamma[d, a, b]: between site a of one cell and site b of the cell d along
+    gamma = np.fft.ifft(np.einsum("kai,kbi,ki->kab", vec.conj(), vec, tau), axis=0)
+    sz_odd, sz_even = -gamma[0].diagonal().real
     g = {}
     for r in rs:
-        fu, fs = transverse_integrands(p, t, r)
-        g[int(r)] = CorrelatorPair(mean(fu), mean(fs))
+        odd, even = ((-1) ** (r + 1) * gamma[(a + r) // 2 % (n // 2), a, (a + r) % 2].real
+                     for a in (0, 1))
+        g[int(r)] = CorrelatorPair(0.5 * (even + odd), 0.5 * (even - odd))
     return FreeFermionResult(
         n_sites=n,
-        ln_z=None if t.is_ground else mean(ln_z_integrand(p, t)),
-        u=mean(internal_energy_integrand(p, t)),
-        m=mean(magnetization_integrand(p, t)),
-        m_s=mean(staggered_magnetization_integrand(p, t)),
+        ln_z=ln_z,
+        u=math.ldexp(-float(np.sum(eps * tau)) / (2 * n), e),
+        m=-float(np.sum(tau)) / n,
+        m_s=float(0.5 * (sz_even - sz_odd)),
         g=g,
     )

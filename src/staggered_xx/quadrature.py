@@ -33,15 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Thermal
-
 __all__ = [
     "QuadSpec",
     "QuadResult",
     "ToleranceNotReached",
     "integrate",
     "require_converged",
-    "thermal_factor",
     "DEFAULT_QUAD",
 ]
 
@@ -105,14 +102,6 @@ def require_converged(result: QuadResult) -> float:
     if not result.converged:
         raise ToleranceNotReached(result)
     return result.value
-
-
-def thermal_factor(t: Thermal, lam):
-    """Band occupation factor: tanh(beta * lam), degrading to sign(lam) at T = 0."""
-    lam = np.asarray(lam, dtype=float)
-    if t.is_ground:
-        return np.sign(lam)
-    return np.tanh(t.beta * lam)
 
 
 def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math.pi) -> QuadResult:

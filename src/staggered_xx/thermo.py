@@ -15,9 +15,10 @@ Every band integral, here and in :mod:`.correlations`, is read from a
 ``_BandIntegrals`` record or integrated with a ``QuadSpec`` by
 ``_band_integral``: at finite temperature on the tanh-sinh nodes of
 ``_cell_integrals``, at zero temperature over the filled interval of
-:mod:`.ground`.  The integrand factories (``ln_z_integrand``, ...) are the same integrands as
-plain functions of q, which the finite-ring sums in :mod:`.oracle` and the
-tests evaluate independently of those kernels.
+:mod:`.ground`.  The fused kernels (``_band_kernel``, ``_ln_z_kernel``,
+``correlations._contraction_kernel`` and, over F, ``ground._record_kernel``)
+are the only copy of these integrands; the finite-ring oracles of
+:mod:`.oracle` use none of them.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ground
-from .model import ChainParams, Thermal, _in_units, _theta, band_crossings, lambda_pm, theta_of_q
+from .model import ChainParams, Thermal, _in_units, _theta, band_crossings
+from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 from .ground import _BandIntegrals
-from .quadrature import (
-    DEFAULT_QUAD, QuadResult, QuadSpec, _integrate_cells, require_converged, thermal_factor,
-)
+from .quadrature import DEFAULT_QUAD, QuadResult, QuadSpec, _integrate_cells, require_converged
 from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 
 __all__ = [
@@ -141,27 +141,9 @@ def _sech2(x):
     return 4.0 * t / (1.0 + t) ** 2
 
 
-def occupation_difference_ratio(p: ChainParams, t: Thermal, q):
-    """[tanh(beta lam_+) - tanh(beta lam_-)] / theta, with the theta -> 0 limit.
-
-    theta vanishes only at isolated angles and only when b = 0 together
-    with J cos q = j sin q = 0; there the ratio tends to 2 beta sech^2(beta B)
-    at finite temperature and to 0 at zero temperature for B != 0.  The
-    remaining double limit (theta -> 0 at B = 0, T = 0) is always hit with
-    a vanishing weight in every correlator, so 0 is used.
-    """
-    th = theta_of_q(p, q)
-    num = thermal_factor(t, p.B + th) - thermal_factor(t, p.B - th)
-    if t.is_ground:
-        # sign() is exact: the difference is 0 or 2 with no cancellation,
-        # only theta = 0 itself needs the (weightless) limit value
-        safe = th > 0
-        return np.where(safe, num / np.where(safe, th, 1.0), 0.0)
-    return _difference_ratio(t.beta, p.B, th, num)
-
-
 def _difference_ratio(beta, B, th, num):
-    """``num`` = tanh(beta lam_+) - tanh(beta lam_-) over theta at finite beta."""
+    """``num`` = tanh(beta lam_+) - tanh(beta lam_-) over theta at finite beta; where
+    theta -> 0 (b = 0 with J cos q = j sin q = 0) its limit 2 beta sech^2(beta B)."""
     # The tanh difference loses all significant digits once beta*theta
     # drops toward eps/(2 sech^2); switch to the series limit well above
     # that, where its own (beta*theta)^2 error is ~1e-10 relative.
@@ -173,39 +155,6 @@ def _log_cosh(x):
     # overflow-free ln cosh
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def ln_z_integrand(p: ChainParams, t: Thermal):
-    beta = t.beta
-
-    def f(q):
-        lp, lm = lambda_pm(p, q)
-        return _LOG4 + _log_cosh(beta * lp) + _log_cosh(beta * lm)
-
-    return f
-
-
-def internal_energy_integrand(p: ChainParams, t: Thermal):
-    def f(q):
-        lp, lm = lambda_pm(p, q)
-        return -(lp * thermal_factor(t, lp) + lm * thermal_factor(t, lm))
-
-    return f
-
-
-def magnetization_integrand(p: ChainParams, t: Thermal):
-    def f(q):
-        lp, lm = lambda_pm(p, q)
-        return thermal_factor(t, lp) + thermal_factor(t, lm)
-
-    return f
-
-
-def staggered_magnetization_integrand(p: ChainParams, t: Thermal):
-    def f(q):
-        return p.b * occupation_difference_ratio(p, t, q)
-
-    return f
 
 
 def _ln_z_kernel(q, c, s, th, J, j, b, B, beta):

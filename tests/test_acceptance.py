@@ -19,13 +19,11 @@ from staggered_xx import (
     FiniteChainSpec,
     QuadSpec,
     Thermal,
-    block_eigenvalues,
     c1,
     c2,
     critical_fields,
     dense_ed,
     energy,
-    fermion_block,
     finite_free_fermion,
     g1,
     g_even,
@@ -40,11 +38,13 @@ from staggered_xx import (
     sigma_z,
     staggered_magnetization,
     staggered_magnetization_t0,
+    theta_of_q,
     witness,
     zz_correlator,
 )
 from staggered_xx.cli import main
-from staggered_xx.thermo import occupation_difference_ratio
+from staggered_xx.oracle import _bloch_blocks
+from staggered_xx.thermo import _difference_ratio
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -121,8 +121,10 @@ def test_01_closed_forms_match_zero_temperature_quadrature():
 
 
 def test_02_momentum_block_spectrum_identity():
-    # Numerical eigenvalues of every sampled 2x2 momentum block match the
-    # closed form 2B -+ 2 theta(q_k) to 1e-12 over 1e4 random (p, k, N).
+    # Numerical eigenvalues of every sampled 2x2 Bloch block of the
+    # free-fermion oracle, built from the real-space hoppings, match the
+    # closed form -(2B -+ 2 theta(q)) to 1e-12 over 1e4 random (p, k, N),
+    # where q = 2 pi k / N is half the cell momentum.
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(10_000):
@@ -133,10 +135,11 @@ def test_02_momentum_block_spectrum_identity():
             B=float(rng.uniform(-2.0, 2.0)),
         )
         n = 2 * int(rng.integers(2, 2048))
-        k = int(rng.integers(1, n // 2 + 1))
-        lo, hi = np.linalg.eigvalsh(fermion_block(p, k, n))
-        lo_ref, hi_ref = block_eigenvalues(p, k, n)
-        worst = max(worst, abs(lo - lo_ref), abs(hi - hi_ref))
+        k = int(rng.integers(0, n // 2))
+        e, h = _bloch_blocks(p, n)
+        lo, hi = np.ldexp(np.linalg.eigvalsh(h[k]), e)
+        th = float(theta_of_q(p, 2.0 * math.pi * k / n))
+        worst = max(worst, abs(lo - (-2.0 * p.B - 2.0 * th)), abs(hi - (-2.0 * p.B + 2.0 * th)))
     assert worst < 1e-12
     _pass("02 momentum block spectrum", f"worst {worst:.2e} over 1e4 draws")
 
@@ -356,10 +359,14 @@ def test_09_symmetry_suite():
             B=float(rng.uniform(0.1, 1.9)),
         )
         t = Thermal.finite(float(rng.uniform(0.5, 6.0)))
+
+        def ratio(q):
+            th = theta_of_q(p, q)
+            tanh_diff = np.tanh(t.beta * (p.B + th)) - np.tanh(t.beta * (p.B - th))
+            return _difference_ratio(t.beta, p.B, th, tanh_diff)
+
         for r in (2, 4, 6):
-            val = integrate(
-                lambda q: p.b * np.sin(q * r) * occupation_difference_ratio(p, t, q)
-            ).value
+            val = integrate(lambda q: p.b * np.sin(q * r) * ratio(q)).value
             assert abs(val) / (2.0 * math.pi) < 1e-10
 
         assert math.isclose(

@@ -852,3 +852,24 @@ def test_installed_console_script_help():
     proc = subprocess.run(["staggered-xx", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
+
+
+def test_sweep_grid_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # a grid past 10^6 cells exits 2 from the flags and from a config file, and no
+    # axis builds its values on the way
+    monkeypatch.setattr(cli.AxisSpec, "values", lambda self: pytest.fail("grid built"))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--x", "B 0 1 1000000000", "--y", "b 0 1 2", "--q", "m", "--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert "sweep grid holds 2000000000 cells, more than 1000000" in err
+    assert not out.exists()
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[sweep]\nx = B 0 1 1001\ny = b 0 1 1000\nquantities = m\n")
+    for command in (["validate-config"], ["sweep", "--out", str(out)]):
+        code, _, err = run_cli([*command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "sweep grid holds 1001000 cells" in err
+    # the bound itself is a valid grid
+    cfg.write_text("[sweep]\nx = B 0 1 1000\ny = b 0 1 1000\nquantities = m\n")
+    assert run_cli(["validate-config", "--config", str(cfg)], capsys)[0] == 0

@@ -24,12 +24,13 @@ from staggered_xx import (
     sigma_z,
     sigma_z_pair,
     staggered_magnetization,
+    theta_of_q,
     xx_plus_yy,
     zz_correlator,
 )
-from staggered_xx.correlations import _check_distance, parity_sign, transverse_integrands
+from staggered_xx.correlations import _check_distance, _contraction_kernel, parity_sign
 from staggered_xx.entanglement import ConcurrencePair
-from staggered_xx.thermo import occupation_difference_ratio
+from staggered_xx.thermo import _cell_integrals, _difference_ratio
 
 T0 = Thermal.zero()
 XX = ChainParams(J=1.0, j=0.0, b=0.0, B=0.0)
@@ -83,11 +84,18 @@ def test_distance_zero_integrands_reduce_to_magnetizations():
     rng = np.random.default_rng(41)
     for _ in range(5):
         p, t = random_point(rng)
-        fu, fs = transverse_integrands(p, t, 0)
-        val_u = require_converged(integrate(fu)) / (2.0 * math.pi)
-        val_s = require_converged(integrate(fs)) / (2.0 * math.pi)
+        value, _, ok = _cell_integrals([(p, t)], *_contraction_kernel(0))
+        assert ok.all()
+        val_u, val_s = value[:, 0]
         assert math.isclose(val_u, magnetization(p, t), abs_tol=1e-10)
         assert math.isclose(val_s, staggered_magnetization(p, t), abs_tol=1e-10)
+
+
+def _occupation_ratio(p, t, q):
+    """[tanh(beta lam_+) - tanh(beta lam_-)] / theta at finite T, as the kernels take it."""
+    th = theta_of_q(p, q)
+    tanh_diff = np.tanh(t.beta * (p.B + th)) - np.tanh(t.beta * (p.B - th))
+    return _difference_ratio(t.beta, p.B, th, tanh_diff)
 
 
 def test_even_distance_sin_kernel_integrates_to_zero():
@@ -97,7 +105,7 @@ def test_even_distance_sin_kernel_integrates_to_zero():
     rng = np.random.default_rng(42)
     for r in (2, 4, 6):
         p, t = random_point(rng)
-        f = lambda q: p.b * np.sin(q * r) * occupation_difference_ratio(p, t, q)
+        f = lambda q: p.b * np.sin(q * r) * _occupation_ratio(p, t, q)
         val = require_converged(integrate(f, QuadSpec(abs_tol=1e-12, rel_tol=1e-12)))
         assert abs(val) / (2.0 * math.pi) < 1e-10
 

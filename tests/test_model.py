@@ -12,7 +12,6 @@ from staggered_xx import (
     band_crossings,
     classify_region,
     critical_fields,
-    lambda_pm,
     region_q,
     theta_bounds,
     theta_of_q,
@@ -108,17 +107,6 @@ def test_theta_reflection_symmetry_and_bounds():
         assert math.isclose(max(edge, mid), hi, rel_tol=0, abs_tol=1e-12)
 
 
-def test_band_split_symmetric_about_field():
-    rng = np.random.default_rng(13)
-    q = np.linspace(0.0, math.pi, 23)
-    for _ in range(50):
-        p = random_params(rng)
-        up, dn = lambda_pm(p, q)
-        np.testing.assert_allclose(up, p.B + theta_of_q(p, q), atol=1e-14)
-        np.testing.assert_allclose(dn, p.B - theta_of_q(p, q), atol=1e-14)
-        assert np.all(up >= dn)
-
-
 def test_critical_fields_follow_couplings():
     p = ChainParams(J=1.0, j=0.5, b=0.4)
     assert critical_fields(p) == (math.hypot(1.0, 0.4), math.hypot(0.5, 0.4))
@@ -209,7 +197,7 @@ def test_region_q_marks_negative_band():
         intervals = region_q(p)
         for lo, hi in intervals:
             mids = np.linspace(lo, hi, 9)[1:-1]
-            _, dn = lambda_pm(p, mids)
+            dn = p.B - theta_of_q(p, mids)
             assert np.all(dn < 1e-12)
         # complement carries a non-negative lower band
         edges = [0.0] + [v for iv in intervals for v in iv] + [math.pi]
@@ -217,7 +205,7 @@ def test_region_q_marks_negative_band():
             if hi - lo < 1e-9:
                 continue
             mids = np.linspace(lo, hi, 9)[1:-1]
-            _, dn = lambda_pm(p, mids)
+            dn = p.B - theta_of_q(p, mids)
             assert np.all(dn > -1e-12)
 
 

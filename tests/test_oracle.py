@@ -19,9 +19,7 @@ from staggered_xx import (
     FreeFermionResult,
     QuadSpec,
     Thermal,
-    block_eigenvalues,
     dense_ed,
-    fermion_block,
     finite_free_fermion,
     g1,
     g_even,
@@ -29,8 +27,10 @@ from staggered_xx import (
     ln_z_per_site,
     magnetization,
     staggered_magnetization,
+    theta_of_q,
     wootters,
 )
+from staggered_xx.oracle import _bloch_blocks
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -337,7 +337,17 @@ def test_dense_ed_does_not_depend_on_what_ran_before():
         assert [_ed_fields(dense_ed(spec)) for spec in specs] == after
 
 
-def test_fermion_block_closed_form_eigenvalues():
+def bloch_mode_energies(p, n, m):
+    """Numerical eigenvalues of the oracle's Bloch block m of the n-ring, at cell
+    momentum 2 pi m / (n/2), and the closed form -(2B -+ 2 theta(q)), q = 2 pi m / n."""
+    e, h = _bloch_blocks(p, n)
+    blk = h[m]
+    assert np.max(np.abs(blk - blk.conj().T)) < 1e-14
+    th = float(theta_of_q(p, 2.0 * math.pi * m / n))
+    return np.ldexp(np.linalg.eigvalsh(blk), e), (-2.0 * p.B - 2.0 * th, -2.0 * p.B + 2.0 * th)
+
+
+def test_bloch_block_closed_form_eigenvalues():
     rng = np.random.default_rng(71)
     for _ in range(300):
         p = ChainParams(
@@ -347,27 +357,29 @@ def test_fermion_block_closed_form_eigenvalues():
             B=float(rng.uniform(-2, 2)),
         )
         n = 2 * int(rng.integers(2, 40))
-        k = int(rng.integers(1, n // 2 + 1))
-        blk = fermion_block(p, k, n)
-        assert np.max(np.abs(blk - blk.conj().T)) < 1e-14
-        lo, hi = np.linalg.eigvalsh(blk)
-        want_lo, want_hi = block_eigenvalues(p, k, n)
-        assert abs(lo - want_lo) < 1e-12 and abs(hi - want_hi) < 1e-12
+        got, want = bloch_mode_energies(p, n, int(rng.integers(0, n // 2)))
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_fermion_block_eigenvalues_at_a_large_field():
+def test_bloch_block_eigenvalues_at_a_large_field():
     # squaring b = 1e200 unscaled overflows
     p = ChainParams(J=1.0, b=1e200)
-    assert block_eigenvalues(p, 1, 4) == (-2e200, 2e200)
-    assert np.all(np.isfinite(fermion_block(p, 1, 4)))
+    assert np.all(np.isfinite(_bloch_blocks(p, 4)[1]))
+    got, want = bloch_mode_energies(p, 4, 1)
+    assert want == (-2e200, 2e200)
+    assert np.max(np.abs(got - want)) <= 1e-12 * 2e200
 
 
-def test_fermion_block_argument_validation():
-    p = ChainParams(J=1.0)
-    with pytest.raises(ValueError):
-        fermion_block(p, 0, 8)
-    with pytest.raises(ValueError):
-        fermion_block(p, 5, 8)
+def test_bloch_blocks_hold_the_spectrum_of_the_real_space_ring():
+    # one block per cell momentum: together they hold every mode of the n x n ring
+    rng = np.random.default_rng(72)
+    for n in (4, 8, 10, 64):
+        p = ChainParams(J=float(rng.uniform(0, 2)), j=float(rng.uniform(-2, 2)),
+                        b=float(rng.uniform(-2, 2)), B=float(rng.uniform(-2, 2)))
+        e, h = _bloch_blocks(p, n)
+        assert h.shape == (n // 2, 2, 2)
+        got = np.sort(np.ldexp(np.linalg.eigvalsh(h), e).ravel())
+        assert np.max(np.abs(got - np.linalg.eigvalsh(ring_matrix(n, p)))) < 1e-12
 
 
 def test_finite_free_fermion_approaches_integrals():
@@ -403,3 +415,86 @@ def test_finite_free_fermion_size_cap():
     p = ChainParams(J=1.0)
     with pytest.raises(DimensionTooLarge):
         finite_free_fermion(FiniteChainSpec(2**21, p, Thermal.zero()))
+
+
+def _parity_signs(n):
+    return np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)  # (-1)^l, 1-based l
+
+
+def ring_matrix(n, p):
+    """The whole n x n one-body matrix A of the fermions on the periodic n-ring,
+    A_ll = -2 B_l and A_{l,l+1} = -J_l, so that H = c^+ A c + n B."""
+    sign = _parity_signs(n)
+    a = np.diag(-2.0 * (p.B + sign * p.b))
+    here, right = np.arange(n), (np.arange(n) + 1) % n
+    a[here, right] = a[right, here] = -(p.J + sign * p.j)
+    return a
+
+
+def real_space_ring(n, p, t, rs=(1, 2, 3)):
+    """(ln Z, u, m, m_s, {r: (gu, gs)}) of the free fermions on the periodic n-ring, from
+    their whole one-body matrix.  A mode within 1e-9 of zero energy at T = 0 is half
+    filled."""
+    sign, here = _parity_signs(n), np.arange(n)
+    eps, v = np.linalg.eigh(ring_matrix(n, p))
+    scale = max(p.J, abs(p.j), abs(p.b), abs(p.B))
+    if t.is_ground:
+        occ, ln_z = np.where(np.abs(eps) < 1e-9 * scale, 0.5, (eps < 0).astype(float)), None
+    else:
+        occ = 1.0 / (1.0 + np.exp(t.beta * eps))
+        ln_z = float(np.sum(np.logaddexp(0.0, -t.beta * eps))) / n - t.beta * p.B
+    c = (v * occ) @ v.T  # <c+_l c_m>, real
+    sz = 2.0 * c.diagonal() - 1.0
+    g = {}
+    for r in rs:
+        g_l = (-1) ** r * 2.0 * c[here, (here + r) % n]
+        g[r] = (g_l.mean(), (sign * g_l).mean())
+    return ln_z, (eps @ occ) / n + p.B, sz.mean(), (sign * sz).mean(), g
+
+
+RING_CHAINS = [
+    ChainParams(J=1.0, j=0.4, b=0.2, B=0.5),
+    ChainParams(J=1.0, j=0.4, b=0.3, B=0.5),  # a mode at zero energy on the 8-ring
+    ChainParams(J=1.0, j=0.4, b=0.3, B=0.5 + 1e-7),  # and one 2e-7 below zero
+    ChainParams(J=1.0, j=1.4, b=-0.2, B=1.1),
+    ChainParams(J=1.0, j=-1.0, b=0.0, B=0.5),
+    ChainParams(J=0.0, j=0.0, b=0.5, B=-0.2),
+    ChainParams(J=2.5, j=0.7, b=-1.3, B=0.9),
+]
+
+
+@pytest.mark.parametrize("p", RING_CHAINS, ids=str)
+def test_finite_free_fermion_matches_the_real_space_ring(p):
+    scale = max(p.J, abs(p.j), abs(p.b), abs(p.B))
+    for n in (4, 8, 12, 64):
+        for t in (Thermal.zero(), Thermal.finite(0.5), Thermal.finite(2.0), Thermal.finite(50.0)):
+            res = finite_free_fermion(FiniteChainSpec(n, p, t))
+            ln_z, u, m, m_s, g = real_space_ring(n, p, t)
+            assert (res.ln_z is None) == t.is_ground
+            if ln_z is not None:
+                assert abs(res.ln_z - ln_z) < 1e-12, (n, t)
+            assert abs(res.u - u) / scale < 1e-12, (n, t)
+            assert abs(res.m - m) < 1e-12 and abs(res.m_s - m_s) < 1e-12, (n, t)
+            for r, (gu, gs) in g.items():
+                assert abs(res.g[r].uniform - gu) < 1e-12, (n, t, r)
+                assert abs(res.g[r].staggered - gs) < 1e-12, (n, t, r)
+
+
+def test_finite_free_fermion_half_fills_a_mode_at_zero_energy():
+    # theta(pi/2) = sqrt(b^2 + j^2) = B: the 8-ring has a mode at zero energy, which a
+    # plain eigh puts a rounding error off zero
+    p = ChainParams(J=1.0, j=0.4, b=0.3, B=0.5)
+    spec = FiniteChainSpec(8, p, Thermal.zero())
+    assert abs(finite_free_fermion(spec).m - 0.125) < 1e-15
+    assert abs(real_space_ring(8, p, Thermal.zero())[2] - 0.125) < 1e-12
+
+
+def test_finite_free_fermion_stays_finite_at_a_huge_field():
+    p = ChainParams(J=1.0, j=0.4, b=1e200, B=0.5)
+    for t in (Thermal.zero(), Thermal.finite(2.0)):
+        res = finite_free_fermion(FiniteChainSpec(8, p, t))
+        pairs = [(pair.uniform, pair.staggered) for pair in res.g.values()]
+        values = [res.u, res.m, res.m_s, *(v for pair in pairs for v in pair)]
+        assert all(math.isfinite(v) for v in values)
+        assert t.is_ground or math.isfinite(res.ln_z)
+        assert abs(res.u / 1e200 + 1.0) < 1e-12 and abs(res.m_s - 1.0) < 1e-12

@@ -6,10 +6,10 @@ from staggered_xx import correlations, entanglement, ground, model, oracle, quad
 MODULES = (model, quadrature, thermo, correlations, ground, entanglement, oracle)
 
 EXPORTED = {
-    "ChainParams", "Thermal", "PhaseRegion", "theta_of_q", "lambda_pm", "theta_bounds",
+    "ChainParams", "Thermal", "PhaseRegion", "theta_of_q", "theta_bounds",
     "critical_fields", "xi", "region_q", "band_crossings", "classify_region",
     "QuadSpec", "QuadResult", "ToleranceNotReached", "integrate", "require_converged",
-    "thermal_factor", "DEFAULT_QUAD",
+    "DEFAULT_QUAD",
     "ZeroTemperatureUnsupported", "ThermoPoint", "ln_z_per_site", "internal_energy",
     "magnetization", "staggered_magnetization", "thermo_point",
     "CorrelatorPair", "SigmaZ", "CorrelationSet", "g1", "g_even", "g_odd", "g_site",
@@ -19,7 +19,7 @@ EXPORTED = {
     "ConcurrencePair", "WitnessValue", "InvalidState", "NegativeRadicand",
     "DegenerateCoupling", "wootters", "c1", "c2", "witness",
     "DimensionTooLarge", "FiniteChainSpec", "EDResult", "FreeFermionResult", "dense_ed",
-    "finite_free_fermion", "fermion_block", "block_eigenvalues",
+    "finite_free_fermion",
     "__version__",
 }
 

@@ -18,7 +18,6 @@ from staggered_xx import (
     integrate,
     require_converged,
     theta_of_q,
-    thermal_factor,
 )
 
 
@@ -69,8 +68,7 @@ def test_sharp_thermal_layer_on_pieces_split_at_its_centres():
     # (as the band integrals split).  scipy needs the layer edges too.
     p = ChainParams(J=1.0, j=0.4, b=0.2, B=0.7)
     beta = 1e4
-    t = Thermal.finite(beta)
-    f = lambda q: thermal_factor(t, p.B - theta_of_q(p, q))
+    f = lambda q: np.tanh(beta * (p.B - theta_of_q(p, q)))
     r = (p.B**2 - p.b**2 - p.j**2) / (p.J**2 - p.j**2)
     x = math.acos(math.sqrt(r))
     w = 18.4 / beta
@@ -140,8 +138,7 @@ def test_halving_tolerances_consistent_within_error_estimates():
 
 
 def test_exhaustion_flags_instead_of_raising(monkeypatch):
-    t = Thermal.finite(1e6)
-    f = lambda q: thermal_factor(t, 0.6 - q)  # step at q = 0.6, no seed
+    f = lambda q: np.tanh(1e6 * (0.6 - q))  # step at q = 0.6, no seed
     with monkeypatch.context() as m:
         _levels(m, 3)
         res = integrate(f, QuadSpec(abs_tol=1e-14, rel_tol=1e-14))
@@ -153,16 +150,6 @@ def test_exhaustion_flags_instead_of_raising(monkeypatch):
     # split at the step, both pieces converge and pass through require_converged
     for ok in over_pieces(f, (0.0, 0.6, math.pi)):
         assert require_converged(ok) == ok.value
-
-
-def test_thermal_factor_limits():
-    lam = np.array([-2.0, -1e-3, 0.0, 1e-3, 2.0])
-    t = Thermal.finite(3.0)
-    np.testing.assert_allclose(thermal_factor(t, lam), np.tanh(3.0 * lam), atol=1e-15)
-    g = thermal_factor(Thermal.zero(), lam)
-    np.testing.assert_array_equal(g, np.sign(lam))
-    # scalar input stays scalar-shaped
-    assert thermal_factor(t, 0.5).shape == ()
 
 
 def test_error_estimate_is_honest():
@@ -196,20 +183,16 @@ STRUCTURAL_POINTS = [
 
 
 def _band_integrands(p, t):
-    from staggered_xx.correlations import transverse_integrands
-    from staggered_xx.thermo import (
-        internal_energy_integrand,
-        magnetization_integrand,
-        staggered_magnetization_integrand,
-    )
+    """The seven integrands of a ``_BandIntegrals`` record (``thermo._band_kernel``) at a
+    finite-T point, each a function of q alone."""
+    from staggered_xx.thermo import _band_kernel
 
-    return (
-        internal_energy_integrand(p, t),
-        magnetization_integrand(p, t),
-        staggered_magnetization_integrand(p, t),
-        *transverse_integrands(p, t, 1),
-        *transverse_integrands(p, t, 2),
-    )
+    def one(k):
+        return lambda q: _band_kernel(
+            q, np.cos(q), np.sin(q), theta_of_q(p, q), p.J, p.j, p.b, p.B, t.beta
+        )[k]
+
+    return tuple(one(k) for k in range(7))
 
 
 def _record_values(rec):

@@ -16,10 +16,11 @@ from staggered_xx import (
     ln_z_per_site,
     magnetization,
     staggered_magnetization,
+    theta_of_q,
     thermo_point,
 )
 from staggered_xx import ground
-from staggered_xx.thermo import occupation_difference_ratio
+from staggered_xx.thermo import _difference_ratio
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -248,11 +249,13 @@ def test_occupation_ratio_flat_band_limit():
     # theta -> 0 at q = pi/2 when b = j = 0; the ratio must approach its
     # analytic limit continuously
     p = ChainParams(J=1.0, j=0.0, b=0.0, B=0.4)
-    t = Thermal.finite(3.0)
-    at_limit = occupation_difference_ratio(p, t, np.array([math.pi / 2]))[0]
-    want = 2.0 * t.beta / math.cosh(t.beta * p.B) ** 2
-    assert math.isclose(at_limit, want, rel_tol=1e-12)
-    near = occupation_difference_ratio(p, t, np.array([math.pi / 2 - 1e-7]))[0]
-    assert math.isclose(near, want, rel_tol=1e-6)
-    # at T = 0 the jump contributes no weight: limit value is 0
-    assert occupation_difference_ratio(p, Thermal.zero(), np.array([math.pi / 2]))[0] == 0.0
+    beta = 3.0
+
+    def ratio(q):
+        th = theta_of_q(p, np.array([q]))
+        tanh_diff = np.tanh(beta * (p.B + th)) - np.tanh(beta * (p.B - th))
+        return _difference_ratio(beta, p.B, th, tanh_diff)[0]
+
+    want = 2.0 * beta / math.cosh(beta * p.B) ** 2
+    assert math.isclose(ratio(math.pi / 2), want, rel_tol=1e-12)
+    assert math.isclose(ratio(math.pi / 2 - 1e-7), want, rel_tol=1e-6)
