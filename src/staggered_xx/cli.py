@@ -3,8 +3,10 @@
 Output is RFC-4180-style CSV (CRLF rows, '.' decimal, 12 significant
 digits).  Sweep rows are emitted row-major with the x axis varying
 fastest, and the bytes are identical for any worker count: the grid is
-fixed up front and each point is a pure function of its parameters.  A
-row's finite-T cells share one engine run, and so do its T = 0 cells.
+fixed up front and each point is a pure function of its parameters.  The
+cells go to the engine in row-major blocks of ``quadrature._BLOCK``, one
+task each: a block's finite-T cells share one engine run, and so do its
+T = 0 cells.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -26,7 +28,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from . import correlations, entanglement, ground, thermo
+from . import correlations, entanglement, ground, quadrature, thermo
 from .model import ChainParams, Thermal
 from .oracle import _DENSE_CAP, FiniteChainSpec, dense_ed, finite_free_fermion
 from .quadrature import ToleranceNotReached
@@ -242,21 +244,21 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _sweep_row_block(task) -> list:
-    """All cells for one y value (one task so rows stay contiguous); its finite-T
-    cells share one batched integration, and its T = 0 cells another."""
-    spec, yv = task
+def _sweep_block(task) -> list:
+    """The CSV rows of a run of consecutive row-major cells ``(x, y)``: its finite-T cells
+    share one engine run, and so do its T = 0 cells."""
+    spec, grid = task
     cells = []
-    for xv in spec.x.values():
+    for xv, yv in grid:
         p, t = spec.params, spec.thermal
         for ax, v in ((spec.x, xv), (spec.y, yv)):
             if ax.name == "T":
                 t = Thermal.from_temperature(v)
             else:
                 p = replace(p, **{ax.name: v})
-        cells.append((xv, p, t))
+        cells.append((p, t))
     rows = []
-    for (xv, p, t), rec in zip(cells, thermo._band_integrals([(p, t) for _, p, t in cells])):
+    for (xv, yv), (p, t), rec in zip(grid, cells, thermo._band_integrals(cells)):
         record, flags = _evaluate(p, t, spec.quantities, rec)
         rows.append(
             [_fmt(xv), _fmt(yv)]
@@ -267,17 +269,24 @@ def _sweep_row_block(task) -> list:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[int, list]:
-    """Exit code (0 ok, 3 if rows flagged) and the CSV rows, header first."""
-    tasks = [(spec, yv) for yv in spec.y.values()]
+    """Exit code (0 ok, 3 if rows flagged) and the CSV rows, header first; fewer than
+    one worker is a :class:`ConfigError` before any cell is computed."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    xs = spec.x.values()
+    grid = [(xv, yv) for yv in spec.y.values() for xv in xs]
+    # one task per block of the engine, so that each is one run
+    size = quadrature._BLOCK
+    tasks = [(spec, grid[i:i + size]) for i in range(0, len(grid), size)]
     # fork starts every worker up front, so start no more than can be busy
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_sweep_row_block, tasks))
+            blocks = list(pool.map(_sweep_block, tasks))
     else:
-        blocks = [_sweep_row_block(task) for task in tasks]
+        blocks = [_sweep_block(task) for task in tasks]
     rows = [["x", "y", *spec.quantities, "err_flags"]]
     for block in blocks:
         rows += block

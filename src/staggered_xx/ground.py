@@ -18,14 +18,14 @@ at the critical fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy
 has the kinks that ``qcp_scan`` picks up in its second derivative.
 
 Each residual integral is (2/pi) int_F of a kernel, for K chains in their
-own units in one engine run (``_over_filled``): the five integrals of the
-T = 0 record every T = 0 quantity reads (``_records``), the energy alone
-(``_energies``: ``energy``, the ``qcp_scan`` grid) or a contraction at r > 2.
+own units in one engine call (``_over_filled``), which runs them in blocks
+of ``quadrature._BLOCK``: the five integrals of the T = 0 record every
+T = 0 quantity reads (``_records``), the energy alone (``_energies``:
+``energy``, the whole ``qcp_scan`` grid) or a contraction at r > 2.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -115,7 +115,7 @@ def _fill(p: ChainParams) -> tuple[float, float, float]:
 def _over_filled(ps, n: int, kernel, quad: QuadSpec | None):
     """(k, p / 2^k, F) per chain of ``ps`` (its own units), and (n, K) values (2/pi) int_F,
     error estimates and flags of ``n`` integrands ``kernel(q, c, s, th, J, j, b)`` (theta;
-    (cells, 1) columns): one ``quadrature._integrate_cells`` run over the non-empty F."""
+    (cells, 1) columns): one ``quadrature._integrate_cells`` call over the non-empty F."""
     units = [(k, p, _fill(p)) for k, p in map(_in_units, ps)]
     rows = [i for i, (_, _, (lo, hi, _)) in enumerate(units) if lo < hi]
     value, err, ok = np.zeros((n, len(ps))), np.zeros((n, len(ps))), np.ones((n, len(ps)), bool)
@@ -146,7 +146,7 @@ def _even_uniform(p: ChainParams, lo: float, hi: float, r: int) -> float:
 
 
 def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
-    """The T = 0 ``_BandIntegrals`` records of the chains ``ps``, from one run of the five
+    """The T = 0 ``_BandIntegrals`` records of the chains ``ps``, from one call of the five
     integrands of ``_record_kernel``; m and the uniform part of g2 are closed forms."""
     units, *run = _over_filled(ps, 5, _record_kernel, quad)
     records = []
@@ -160,22 +160,13 @@ def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
     return records
 
 
-# At most this many chains share one batched run, so that the (chains x nodes)
-# arrays of a level stay small whatever the length of a scan.
-_BLOCK = 64
-
-
 def _energies(ps, quad: QuadSpec | None) -> list[float]:
-    """Ground-state energies per site of the chains ``ps``, each in its own units; each
-    block of ``_BLOCK`` chains is one ``_over_filled`` run of -theta alone."""
-    ps, out = iter(ps), []
-    while block := list(itertools.islice(ps, _BLOCK)):
-        units, (value,), (err,), (ok,) = _over_filled(
-            block, 1, lambda q, c, s, th, *_: (-th,), quad)
-        if not ok.all():
-            raise ToleranceNotReached(QuadResult(value[~ok][0], err[~ok][0], False, 1))
-        out += [math.ldexp(v - abs(p.B) * f[2], k) for (k, p, f), v in zip(units, value.tolist())]
-    return out
+    """Ground-state energies per site of the chains ``ps``, each in its own units, from one
+    ``_over_filled`` run of -theta alone."""
+    units, (value,), (err,), (ok,) = _over_filled(ps, 1, lambda q, c, s, th, *_: (-th,), quad)
+    if not ok.all():
+        raise ToleranceNotReached(QuadResult(value[~ok][0], err[~ok][0], False, 1))
+    return [math.ldexp(v - abs(p.B) * f[2], k) for (k, p, f), v in zip(units, value.tolist())]
 
 
 def energy(p: ChainParams, quad=None) -> float:
@@ -306,7 +297,7 @@ def qcp_scan(
         raise ValueError("scan range must contain at least 3 grid points")
     q = DEFAULT_QUAD if quad is None else quad
     grid = start + step * np.arange(n)
-    e = np.array(_energies((replace(p, **{axis: v}) for v in grid), q))
+    e = np.array(_energies([replace(p, **{axis: v}) for v in grid], q))
     d2e = (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2
     inner = grid[1:-1]
     # Worst-case second-difference error from independent per-point energy

@@ -19,10 +19,10 @@ rather than raising mid-computation.
 
 Integrands must accept ndarray input (each level is one batched call).
 ``_integrate_cells`` is the one engine: it sums n integrands over K cells
-of P pieces each, as one (cells x nodes) array per level, and a cell
-leaves once all n have converged.  The finite-T cells of a point or a
-sweep row are the half zone split at the crossing (P = 2), the T = 0
-cells of a point, a row or a ``qcp-scan`` block their F (P = 1).
+of P pieces each, in blocks of at most ``_BLOCK`` cells (the one batch
+cap), as one (cells x nodes) array per level, and a cell leaves once all
+n have converged.  The finite-T cells of a point or a sweep block are the
+half zone split at the crossing (P = 2), the T = 0 cells their F (P = 1).
 ``integrate`` is its one-cell, one-piece case.
 """
 
@@ -123,34 +123,43 @@ def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math
     return QuadResult(value, err, ok, 1)
 
 
+# cells per engine run: a level's (cells x nodes) arrays stay small for any K
+_BLOCK = 64
+
+
 def _integrate_cells(f, n: int, edges, spec: QuadSpec | None = None):
     """(n, K) values, error estimates and convergence flags of ``n`` integrands over K
     cells, cell k the sum of its P pieces between consecutive ``edges[k]`` ((K, P + 1)).
     ``f(q, cells)`` gives an (n, len(cells), P x nodes) array at the nodes ``q`` of the
-    running ``cells``.  A cell stops once all ``n`` meet the stopping rule of ``integrate``,
-    or one is not finite (NaN, unconverged).  Level sums are pairwise, ``(fx * w).sum(-1)``.
+    running ``cells`` (indices into ``edges``).  A cell stops once all ``n`` meet the
+    stopping rule of ``integrate``, or one is not finite (NaN, unconverged).  The cells run
+    in consecutive blocks of at most ``_BLOCK``; a cell's sums are its own, so its result
+    does not depend on the block it shares.  Level sums are pairwise, ``(fx * w).sum(-1)``.
     """
     spec = DEFAULT_QUAD if spec is None else spec
     edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:, :-1, None], edges[:, 1:, None]  # (K, P pieces, 1)
-    w = hi - lo
     value, err = np.full((n, len(edges)), math.nan), np.full((n, len(edges)), math.inf)
-    ok, active = np.zeros(value.shape, dtype=bool), np.arange(len(edges))
-    total, fine = np.zeros(value.shape), value  # of the running cells
-    for h, distance, upper, jacobian in _LEVELS:
-        if not active.size:
-            break
-        nodes = np.where(upper, hi - distance * w, lo + distance * w).reshape(len(active), -1)
-        fx = np.asarray(f(nodes, active), dtype=float)
-        total = total + (fx * (jacobian * w).reshape(len(active), -1)).sum(axis=-1)
-        coarse, fine = fine, h * total
-        e = np.abs(fine - coarse)
-        done = e <= 0.25 * np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
-        finite = np.isfinite(fine).all(axis=0)
-        value[:, active], err[:, active] = np.where(finite, fine, math.nan), e
-        ok[:, active] = done & finite
-        keep = finite & ~done.all(axis=0)
-        if not keep.all():
-            active, lo, hi, w = active[keep], lo[keep], hi[keep], w[keep]
-            total, fine = total[:, keep], fine[:, keep]
+    ok = np.zeros(value.shape, dtype=bool)
+    for start in range(0, len(edges), _BLOCK):
+        block = edges[start:start + _BLOCK]
+        active = np.arange(start, start + len(block))
+        lo, hi = block[:, :-1, None], block[:, 1:, None]  # (cells, P pieces, 1)
+        w = hi - lo
+        total, fine = np.zeros((n, len(block))), value[:, active]  # of the running cells
+        for h, distance, upper, jacobian in _LEVELS:
+            if not active.size:
+                break
+            nodes = np.where(upper, hi - distance * w, lo + distance * w).reshape(len(active), -1)
+            fx = np.asarray(f(nodes, active), dtype=float)
+            total = total + (fx * (jacobian * w).reshape(len(active), -1)).sum(axis=-1)
+            coarse, fine = fine, h * total
+            e = np.abs(fine - coarse)
+            done = e <= 0.25 * np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
+            finite = np.isfinite(fine).all(axis=0)
+            value[:, active], err[:, active] = np.where(finite, fine, math.nan), e
+            ok[:, active] = done & finite
+            keep = finite & ~done.all(axis=0)
+            if not keep.all():
+                active, lo, hi, w = active[keep], lo[keep], hi[keep], w[keep]
+                total, fine = total[:, keep], fine[:, keep]
     return value, err, ok

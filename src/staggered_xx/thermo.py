@@ -65,7 +65,7 @@ class ThermoPoint:
 def _cell_integrals(cells, n: int, kernel, quad: QuadSpec | None = None):
     """(n, K) values (1/2pi) int_0^pi, error estimates and flags of the ``n`` integrands
     ``kernel(q, c, s, th, J, j, b, B, beta)`` (cos q, sin q, theta, (cells, 1) columns)
-    at K finite-T cells ``(p, t)``, from one ``quadrature._integrate_cells`` run, each
+    at K finite-T cells ``(p, t)``, from one ``quadrature._integrate_cells`` call, each
     cell split at its band crossing and in its own units (``model._in_units``)."""
     if any(t.is_ground for _, t in cells):
         raise ValueError("the band integrals of a cell need a finite temperature")
@@ -98,7 +98,7 @@ def _band_kernel(q, c, s, th, J, j, b, B, beta):
 
 
 def _finite_records(cells, quad: QuadSpec | None) -> list[_BandIntegrals]:
-    """The ``_BandIntegrals`` records of finite-T cells ``(p, t)``, from one run."""
+    """The ``_BandIntegrals`` records of finite-T cells ``(p, t)``, from one engine call."""
     value, err, ok = _cell_integrals(cells, 7, _band_kernel, quad)
     k = np.array([_in_units(p)[0] for p, _ in cells], dtype=int)
     value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)  # u out of the cell's units
@@ -110,7 +110,7 @@ def _finite_records(cells, quad: QuadSpec | None) -> list[_BandIntegrals]:
 
 def _band_integrals(cells, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
     """The ``_BandIntegrals`` records of cells ``(p, t)`` at any temperature: one engine
-    run over the finite-T cells, one over the T = 0 cells (``ground._records``)."""
+    call over the finite-T cells, one over the T = 0 cells (``ground._records``)."""
     hot, cold = [(p, t) for p, t in cells if not t.is_ground], [p for p, t in cells if t.is_ground]
     hot, cold = iter(hot and _finite_records(hot, quad)), iter(cold and ground._records(cold, quad))
     return [next(cold if t.is_ground else hot) for _, t in cells]

@@ -101,8 +101,9 @@ def test_point_at_zero_temperature_reads_the_filled_interval(argv, want, capsys)
 
 
 def test_zero_temperature_point_and_sweep_row_are_one_engine_run(monkeypatch, capsys):
-    # a T = 0 point with every quantity reads one ground record, and a sweep row
-    # builds the records of its T = 0 cells in one run, as of its finite-T ones
+    # a T = 0 point with every quantity reads one ground record, and a sweep block
+    # of up to 64 row-major cells builds the records of its T = 0 cells in one run,
+    # as of its finite-T ones
     from staggered_xx import ground, thermo
 
     runs = []
@@ -118,12 +119,18 @@ def test_zero_temperature_point_and_sweep_row_are_one_engine_run(monkeypatch, ca
     runs.clear()
     code, _, _ = run_cli(["sweep", "--j", "0.5", "--b", "0.3", "--x", "B 0 1.5 4",
                           "--y", "j 0 1 3", "--q", FINITE_T], capsys)
-    # one run per row, over the cells whose F is not empty (B = 1.5 saturates some)
-    assert (code, runs) == (0, [3, 3, 3])
+    # one run for all 12 cells, over those whose F is not empty (B = 1.5 saturates some)
+    assert (code, runs) == (0, [9])
     runs.clear()
     code, _, _ = run_cli(["sweep", "--j", "0.5", "--b", "0.3", "--x", "T 0 1 3",
                           "--y", "B 0.2 0.6 2", "--q", FINITE_T], capsys)
-    assert (code, runs) == (0, [2, 1, 2, 1])
+    # one finite-T run over the four T > 0 cells, one ground run over the two at T = 0
+    assert (code, runs) == (0, [4, 2])
+    runs.clear()
+    code, _, _ = run_cli(["sweep", "--j", "0.5", "--b", "0.3", "--T", "0.5", "--x", "B 0 1.5 9",
+                          "--y", "j 0 1 8", "--q", FINITE_T], capsys)
+    # 72 cells: a block of 64 and one of the last 8
+    assert (code, runs) == (0, [64, 8])
 
 
 def test_point_rejects_t0_only_quantity_at_finite_temperature(capsys):
@@ -170,7 +177,7 @@ def test_sweep_csv_shape_and_format(tmp_path):
     assert out2.read_bytes() == data
 
 
-def test_sweep_workers_do_not_change_bytes(tmp_path):
+def test_sweep_workers_do_not_change_bytes(tmp_path, monkeypatch):
     base = [
         "sweep", "--j", "0.3", "--b", "0.2", "--beta", "1.5",
         "--x", "B 0 1.5 4", "--y", "j 0 1 3", "--q", "u,m,m_s,c1_odd",
@@ -186,6 +193,22 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
     assert main(mixed + ["--out", str(serial)]) == 0
     assert main(mixed + ["--out", str(parallel), "--workers", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    # blocks of five cells straddle the rows of seven on a 7 x 3 grid, at finite T,
+    # at T = 0 and on a T axis from 0: the bytes of one block per grid
+    grids = [["--T", "0.5", "--x", "B 0 1.5 7", "--y", "j 0 1 3"],
+             ["--T", "0", "--x", "B 0 1.5 7", "--y", "j 0 1 3"],
+             ["--x", "T 0 1 7", "--y", "B 0.2 1.2 3"]]
+    want = []
+    for grid in grids:
+        assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--q", FINITE_T,
+                     "--out", str(serial)]) == 0
+        want.append(serial.read_bytes())
+    monkeypatch.setattr(quadrature, "_BLOCK", 5)
+    for grid, data in zip(grids, want):
+        for workers in ("1", "2"):
+            assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--q", FINITE_T,
+                         "--out", str(parallel), "--workers", workers]) == 0
+            assert parallel.read_bytes() == data
 
 
 def test_mixed_rows_flag_only_their_failing_cells(tmp_path, monkeypatch):
@@ -311,6 +334,8 @@ def test_sweep_pool_is_limited_to_rows_and_cores(monkeypatch, tmp_path):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # blocks of two cells: the 2 x 3 grid is three tasks
+    monkeypatch.setattr(quadrature, "_BLOCK", 2)
     base = ["sweep", "--T", "0.5", "--x", "B 0 1 2", "--y", "b 0 1 3", "--q", "u,m"]
     serial = tmp_path / "serial.csv"
     assert main(base + ["--out", str(serial)]) == 0
@@ -873,3 +898,17 @@ def test_sweep_grid_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch)
     # the bound itself is a valid grid
     cfg.write_text("[sweep]\nx = B 0 1 1000\ny = b 0 1 1000\nquantities = m\n")
     assert run_cli(["validate-config", "--config", str(cfg)], capsys)[0] == 0
+
+
+def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, monkeypatch):
+    # --workers 0 or below exits 2 before any cell is computed or --out is written
+    from staggered_xx import thermo
+
+    monkeypatch.setattr(thermo, "_band_integrals", lambda *a: pytest.fail("cell computed"))
+    out = tmp_path / "sweep.csv"
+    for workers in ("0", "-3"):
+        code, stdout, err = run_cli(["sweep", "--T", "0.5", "--x", "B 0 1 2", "--y", "b 0 1 2",
+                                     "--q", "m", "--workers", workers, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert f"workers must be at least 1, got {workers}" in err
+        assert not out.exists()

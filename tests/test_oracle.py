@@ -498,3 +498,22 @@ def test_finite_free_fermion_stays_finite_at_a_huge_field():
         assert all(math.isfinite(v) for v in values)
         assert t.is_ground or math.isfinite(res.ln_z)
         assert abs(res.u / 1e200 + 1.0) < 1e-12 and abs(res.m_s - 1.0) < 1e-12
+
+
+def test_finite_free_fermion_stays_finite_at_the_largest_beta():
+    # beta |eps| / 2 of the top mode passes the largest double at beta = 1.7e308,
+    # though ln Z / N ~ 0.76 beta does not: no intermediate overflows, ln Z / (N beta)
+    # is that of beta = 1e300, and every mode's tanh already reads its sign there
+    import warnings
+
+    p = ChainParams(J=1.0, j=0.4, b=0.2, B=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge, big = (finite_free_fermion(FiniteChainSpec(4, p, Thermal.finite(beta)))
+                     for beta in (1.7e308, 1e300))
+    assert huge.ln_z / 1.7e308 == pytest.approx(big.ln_z / 1e300, rel=1e-14, abs=0)
+    assert (huge.u, huge.m, huge.m_s, huge.g) == (big.u, big.m, big.m_s, big.g)
+    # the all-zero chain keeps ln 2 per site at any beta
+    zero = finite_free_fermion(FiniteChainSpec(4, ChainParams(0.0, 0.0, 0.0, 0.0),
+                                               Thermal.finite(1.7e308)))
+    assert zero.ln_z == math.log(2.0)

@@ -383,6 +383,72 @@ def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
     assert _band_integrals([]) == []
 
 
+def _kernel_run(kernel, n, cols, edges):
+    """One ``_integrate_cells`` run of a library kernel at the chains ``cols`` ((K, m):
+    J, j, b and the kernel's further columns), as ``thermo`` and ``ground`` run theirs."""
+    from staggered_xx.model import _theta
+    from staggered_xx.quadrature import _integrate_cells
+
+    cols = np.asarray(cols, dtype=float)[:, :, None]
+
+    def f(q, cells):
+        c, s = np.cos(q), np.sin(q)
+        J, j, b, *rest = (cols[cells, i] for i in range(cols.shape[1]))
+        return kernel(q, c, s, _theta(J, j, b, c, s), J, j, b, *rest)
+
+    return _integrate_cells(f, n, edges)
+
+
+def _seeded_cells(k, zone):
+    """K seeded cells as (columns, edges): finite-T cells split at the crossing (P = 2)
+    or the filled intervals F (P = 1).  Past the first cell, cell 0 integrates a NaN
+    and the last cell exhausts the levels: a crossing inside a piece at beta 1e5, or
+    the spike b/theta of width 1e-6 inside F."""
+    from staggered_xx.ground import _fill
+
+    rng = random.Random(f"batch-{zone}-{k}")
+    cols, edges = [], []
+    while len(cols) < k:
+        p = ChainParams(1.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0),
+                        rng.uniform(0.0, 2.0))
+        if zone == "finite":
+            x = (band_crossings(p) or (math.pi / 2,))[0]
+            cols.append((p.J, p.j, p.b, p.B, 10.0 ** rng.uniform(-2.0, 3.0)))
+            edges.append((0.0, x, math.pi / 2))
+        elif (f := _fill(p))[0] < f[1]:
+            cols.append((p.J, p.j, p.b))
+            edges.append(f[:2])
+    if k > 1:
+        cols[0] = (math.nan, *cols[0][1:])
+        if zone == "finite":
+            cols[-1], edges[-1] = (1.0, 0.4, 0.2, 0.7, 1e5), (0.0, 0.3, math.pi / 2)
+        else:
+            cols[-1], edges[-1] = (1.0, 1e-8, 1e-6), (0.2, 1.9)
+    return cols, np.array(edges)
+
+
+@pytest.mark.parametrize("zone", ["finite", "filled"])
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+def test_a_cell_reads_the_same_bits_whatever_cells_share_its_run(zone, k):
+    # the engine runs K cells in blocks of 64; each cell's values, error
+    # estimates and flags are those of the cell run alone, to the last bit
+    from staggered_xx.ground import _record_kernel
+    from staggered_xx.thermo import _band_kernel
+
+    kernel, n = (_band_kernel, 7) if zone == "finite" else (_record_kernel, 5)
+    cols, edges = _seeded_cells(k, zone)
+    batched = _kernel_run(kernel, n, cols, edges)
+    for cell in range(k):
+        alone = _kernel_run(kernel, n, cols[cell:cell + 1], edges[cell:cell + 1])
+        for got, want in zip(batched, alone):
+            assert got[:, cell].tobytes() == want[:, 0].tobytes(), cell
+    value, _, ok = batched
+    assert ok[:, 1:-1].all()
+    if k > 1:  # the NaN cell and the one that exhausts the levels are there
+        assert np.isnan(value[:, 0]).all() and not ok[:, 0].any()
+        assert np.isfinite(value[:, -1]).all() and not ok[:, -1].all()
+
+
 def _large_beta_points():
     """60 seeded chains with beta log-uniform in [300, 1e8], in four kinds:
     any field; |B| within 5 T of the band top (nearly saturated); within 5 T
