@@ -4,9 +4,9 @@ Output is RFC-4180-style CSV (CRLF rows, '.' decimal, 12 significant
 digits).  Sweep rows are emitted row-major with the x axis varying
 fastest, and the bytes are identical for any worker count: the grid is
 fixed up front and each point is a pure function of its parameters.  The
-cells go to the engine in row-major blocks of ``quadrature._BLOCK``, one
-task each: a block's finite-T cells share one engine run, and so do its
-T = 0 cells.
+cells go to the engine in the row-major blocks of ``quadrature.cell_blocks``,
+one task each: a block's finite-T cells share one engine run, and so do
+its T = 0 cells.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -276,8 +276,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[int, list]:
     xs = spec.x.values()
     grid = [(xv, yv) for yv in spec.y.values() for xv in xs]
     # one task per block of the engine, so that each is one run
-    size = quadrature._BLOCK
-    tasks = [(spec, grid[i:i + size]) for i in range(0, len(grid), size)]
+    tasks = [(spec, grid[cut]) for cut in quadrature.cell_blocks(len(grid))]
     # fork starts every worker up front, so start no more than can be busy
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:

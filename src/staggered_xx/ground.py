@@ -18,10 +18,12 @@ at the critical fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy
 has the kinks that ``qcp_scan`` picks up in its second derivative.
 
 Each residual integral is (2/pi) int_F of a kernel, for K chains in their
-own units in one engine call (``_over_filled``), which runs them in blocks
-of ``quadrature._BLOCK``: the five integrals of the T = 0 record every
-T = 0 quantity reads (``_records``), the energy alone (``_energies``:
-``energy``, the whole ``qcp_scan`` grid) or a contraction at r > 2.
+own units in one engine call (``_over_filled``), which runs them in the
+blocks of ``quadrature.cell_blocks``: the five integrals of the T = 0
+record every T = 0 quantity reads (``_records``), the energy alone
+(``_energies``: ``energy``, the whole ``qcp_scan`` grid) or a contraction
+at r > 2.  The chains are read once into numpy columns, so a scan of many
+points holds no Python object per chain.
 """
 
 from __future__ import annotations
@@ -112,23 +114,33 @@ def _fill(p: ChainParams) -> tuple[float, float, float]:
     return lo, hi, (1.0 - 2.0 * hi / math.pi) + 2.0 * lo / math.pi
 
 
+# A chain in its own units 2^k (``model._in_units``), with F = [lo, hi] and ``_fill``'s out.
+_UNITS = np.dtype([("k", int), *((f, float) for f in ("J", "j", "b", "B", "lo", "hi", "out"))])
+
+
+def _unit_row(p: ChainParams) -> tuple:
+    k, p = _in_units(p)
+    return (k, p.J, p.j, p.b, p.B, *_fill(p))
+
+
 def _over_filled(ps, n: int, kernel, quad: QuadSpec | None):
-    """(k, p / 2^k, F) per chain of ``ps`` (its own units), and (n, K) values (2/pi) int_F,
+    """One ``_UNITS`` row per chain of the iterable ``ps``, and (n, K) values (2/pi) int_F,
     error estimates and flags of ``n`` integrands ``kernel(q, c, s, th, J, j, b)`` (theta;
     (cells, 1) columns): one ``quadrature._integrate_cells`` call over the non-empty F."""
-    units = [(k, p, _fill(p)) for k, p in map(_in_units, ps)]
-    rows = [i for i, (_, _, (lo, hi, _)) in enumerate(units) if lo < hi]
-    value, err, ok = np.zeros((n, len(ps))), np.zeros((n, len(ps))), np.ones((n, len(ps)), bool)
-    if rows:  # 0 exactly over an empty F
-        J, j, b, lo, hi = np.array([(p.J, p.j, p.b, lo, hi) for _, p, (lo, hi, _) in units
-                                    if lo < hi]).T[:, :, None]
+    units = np.fromiter(map(_unit_row, ps), dtype=_UNITS)
+    rows = np.flatnonzero(units["lo"] < units["hi"])
+    value, err = np.zeros((n, len(units))), np.zeros((n, len(units)))
+    ok = np.ones((n, len(units)), bool)
+    if rows.size:  # 0 exactly over an empty F
+        J, j, b = (units[f][rows, None] for f in ("J", "j", "b"))
 
         def integrands(q, cells):
             c, s = np.cos(q), np.sin(q)
             Jc, jc, bc = J[cells], j[cells], b[cells]
             return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc)
 
-        v, e, ok[:, rows] = _integrate_cells(integrands, n, np.hstack([lo, hi]), quad)
+        edges = np.column_stack([units["lo"][rows], units["hi"][rows]])
+        v, e, ok[:, rows] = _integrate_cells(integrands, n, edges, quad)
         value[:, rows], err[:, rows] = 2.0 / math.pi * v, 2.0 / math.pi * e
     return units, value, err, ok
 
@@ -139,10 +151,10 @@ def _record_kernel(q, c, s, th, J, j, b):
     return -th, b / th, -J * c * c / th, -j * s * s / th, b * np.cos(2.0 * q) / th
 
 
-def _even_uniform(p: ChainParams, lo: float, hi: float, r: int) -> float:
+def _even_uniform(B: float, lo: float, hi: float, r: int) -> float:
     """The uniform contraction at even r, -(2 sign(B)/pi) int_F cos(qr) dq, closed."""
     sin = math.sin(r * lo) - math.sin(r * hi)
-    return math.copysign(2.0, p.B) * sin / (math.pi * r) if p.B else 0.0
+    return math.copysign(2.0, B) * sin / (math.pi * r) if B else 0.0
 
 
 def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
@@ -150,23 +162,24 @@ def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
     integrands of ``_record_kernel``; m and the uniform part of g2 are closed forms."""
     units, *run = _over_filled(ps, 5, _record_kernel, quad)
     records = []
-    for (k, p, (lo, hi, out)), cell in zip(units, zip(*(a.T.tolist() for a in run))):
+    cells = zip(*(a.T.tolist() for a in run))
+    for (k, _, _, _, B, lo, hi, out), cell in zip(units.tolist(), cells):
         e, m_s, gu1, gs1, gs2 = (QuadResult(*r, 1) for r in zip(*cell))
-        u = QuadResult(math.ldexp(e.value - abs(p.B) * out, k), math.ldexp(e.error, k),
+        u = QuadResult(math.ldexp(e.value - abs(B) * out, k), math.ldexp(e.error, k),
                        e.converged, 1)
         m, gu2 = (QuadResult(v, 0.0, True, 0)
-                  for v in (math.copysign(out, p.B) if p.B else 0.0, _even_uniform(p, lo, hi, 2)))
+                  for v in (math.copysign(out, B) if B else 0.0, _even_uniform(B, lo, hi, 2)))
         records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2)))
     return records
 
 
-def _energies(ps, quad: QuadSpec | None) -> list[float]:
-    """Ground-state energies per site of the chains ``ps``, each in its own units, from one
-    ``_over_filled`` run of -theta alone."""
+def _energies(ps, quad: QuadSpec | None) -> np.ndarray:
+    """Ground-state energies per site of the chains ``ps`` (any iterable), each in its own
+    units, from one ``_over_filled`` call of -theta alone."""
     units, (value,), (err,), (ok,) = _over_filled(ps, 1, lambda q, c, s, th, *_: (-th,), quad)
     if not ok.all():
         raise ToleranceNotReached(QuadResult(value[~ok][0], err[~ok][0], False, 1))
-    return [math.ldexp(v - abs(p.B) * f[2], k) for (k, p, f), v in zip(units, value.tolist())]
+    return np.ldexp(value - np.abs(units["B"]) * units["out"], units["k"])
 
 
 def energy(p: ChainParams, quad=None) -> float:
@@ -174,7 +187,7 @@ def energy(p: ChainParams, quad=None) -> float:
     own units: read from a T = 0 record ``quad``, else integrated alone, as ``qcp_scan`` does."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral("u")
-    return _energies([p], quad)[0]
+    return float(_energies([p], quad)[0])
 
 
 def magnetization_t0(p: ChainParams) -> float:
@@ -207,9 +220,9 @@ def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float,
             return (b * np.cos(q * r) / th,)
         return -J * np.cos(q * r) * c / th, -j * np.sin(q * r) * s / th
 
-    ((_, p, (lo, hi, _)),), *run = _over_filled([p], 2 - even, kernel, quad)
+    (units,), *run = _over_filled([p], 2 - even, kernel, quad)
     got = tuple(require_converged(QuadResult(*x, 1)) for x in zip(*(a[:, 0].tolist() for a in run)))
-    return (_even_uniform(p, lo, hi, r), *got) if even else got
+    return (_even_uniform(units["B"], units["lo"], units["hi"], r), *got) if even else got
 
 
 def meyer_wallach(p: ChainParams, quad=None) -> float:
@@ -297,7 +310,7 @@ def qcp_scan(
         raise ValueError("scan range must contain at least 3 grid points")
     q = DEFAULT_QUAD if quad is None else quad
     grid = start + step * np.arange(n)
-    e = np.array(_energies([replace(p, **{axis: v}) for v in grid], q))
+    e = _energies((replace(p, **{axis: v}) for v in grid), q)
     d2e = (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2
     inner = grid[1:-1]
     # Worst-case second-difference error from independent per-point energy

@@ -431,13 +431,15 @@ def finite_free_fermion(chain: FiniteChainSpec, rs: tuple = (1, 2, 3)) -> FreeFe
         level = _DEGENERACY_TOL * math.ldexp(max(p.J, abs(p.j), abs(p.b), abs(p.B)), -e)
         tau, ln_z = np.where(np.abs(eps) > level, np.sign(eps), 0.0), None
     else:
-        # x = beta |eps| / 2 at beta 2^-over, below 2^1000 in the chain's units: past that
-        # tanh(x) = 1 and ln(1 + e^-2x) = 0 for every mode not at 0, and the mean of x
-        # scales back by 2^over, so that no sum overflows before it is divided by n
-        over = max(0, math.frexp(t.beta)[1] + e - 1000)
-        x = np.abs(np.ldexp(0.5 * math.ldexp(t.beta, -over) * eps, e))
+        with np.errstate(over="ignore"):  # x = inf reads tanh(x) = 1 and ln(1 + e^-2x) = 0
+            x = np.abs(np.ldexp(0.5 * t.beta * eps, e))
+            tail = np.log1p(np.exp(-2.0 * x))
         tau = np.sign(eps) * np.tanh(x)
-        ln_z = float(np.ldexp(np.sum(x) / n, over) + np.sum(np.log1p(np.exp(-2.0 * x))) / n)
+        # ln Z sums beta |eps| / 2 at beta 2^-over, below 2^1000 in the chain's units, and
+        # scales the mean back by 2^over, so that no sum overflows before it is divided by n
+        over = max(0, math.frexp(t.beta)[1] + e - 1000)
+        y = np.abs(np.ldexp(0.5 * math.ldexp(t.beta, -over) * eps, e))
+        ln_z = float(np.ldexp(np.sum(y + np.ldexp(tail, -over)) / n, over))
     # gamma[d, a, b]: between site a of one cell and site b of the cell d along
     gamma = np.fft.ifft(np.einsum("kai,kbi,ki->kab", vec.conj(), vec, tau), axis=0)
     sz_odd, sz_even = -gamma[0].diagonal().real

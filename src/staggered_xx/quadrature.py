@@ -19,9 +19,10 @@ rather than raising mid-computation.
 
 Integrands must accept ndarray input (each level is one batched call).
 ``_integrate_cells`` is the one engine: it sums n integrands over K cells
-of P pieces each, in blocks of at most ``_BLOCK`` cells (the one batch
-cap), as one (cells x nodes) array per level, and a cell leaves once all
-n have converged.  The finite-T cells of a point or a sweep block are the
+of P pieces each, in the blocks of at most ``_BLOCK`` cells that
+``cell_blocks`` cuts (the one place that batches cells), as one
+(cells x nodes) array per level, and a cell leaves once all n have
+converged.  The finite-T cells of a point or a sweep block are the
 half zone split at the crossing (P = 2), the T = 0 cells their F (P = 1).
 ``integrate`` is its one-cell, one-piece case.
 """
@@ -127,22 +128,26 @@ def integrate(f, spec: QuadSpec | None = None, lo: float = 0.0, hi: float = math
 _BLOCK = 64
 
 
+def cell_blocks(k: int) -> list[slice]:
+    """The consecutive slices of at most ``_BLOCK`` of ``k`` cells, one engine run each."""
+    return [slice(i, min(i + _BLOCK, k)) for i in range(0, k, _BLOCK)]
+
+
 def _integrate_cells(f, n: int, edges, spec: QuadSpec | None = None):
     """(n, K) values, error estimates and convergence flags of ``n`` integrands over K
     cells, cell k the sum of its P pieces between consecutive ``edges[k]`` ((K, P + 1)).
     ``f(q, cells)`` gives an (n, len(cells), P x nodes) array at the nodes ``q`` of the
     running ``cells`` (indices into ``edges``).  A cell stops once all ``n`` meet the
     stopping rule of ``integrate``, or one is not finite (NaN, unconverged).  The cells run
-    in consecutive blocks of at most ``_BLOCK``; a cell's sums are its own, so its result
-    does not depend on the block it shares.  Level sums are pairwise, ``(fx * w).sum(-1)``.
+    in the blocks of ``cell_blocks``; a cell's sums are its own, so its result does not
+    depend on the block it shares.  Level sums are pairwise, ``(fx * w).sum(-1)``.
     """
     spec = DEFAULT_QUAD if spec is None else spec
     edges = np.asarray(edges, dtype=float)
     value, err = np.full((n, len(edges)), math.nan), np.full((n, len(edges)), math.inf)
     ok = np.zeros(value.shape, dtype=bool)
-    for start in range(0, len(edges), _BLOCK):
-        block = edges[start:start + _BLOCK]
-        active = np.arange(start, start + len(block))
+    for cut in cell_blocks(len(edges)):
+        block, active = edges[cut], np.arange(cut.start, cut.stop)
         lo, hi = block[:, :-1, None], block[:, 1:, None]  # (cells, P pieces, 1)
         w = hi - lo
         total, fine = np.zeros((n, len(block))), value[:, active]  # of the running cells

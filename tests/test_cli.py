@@ -314,7 +314,7 @@ def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
                      for y in ("0", "1") for x in ("-1", "0", "1")}
 
 
-def test_sweep_pool_is_limited_to_rows_and_cores(monkeypatch, tmp_path):
+def test_sweep_pool_is_limited_to_blocks_and_cores(monkeypatch, tmp_path):
     # a fake pool: no process starts, whatever --workers asks for
     import concurrent.futures
 

@@ -325,3 +325,19 @@ def test_saturated_at_the_upper_critical_field():
     assert staggered_magnetization_t0(p) == 0.0
     assert meyer_wallach(p) == 0.0
     assert energy(p) == -p.B
+
+
+def test_long_qcp_scan_holds_columns_not_objects_per_chain():
+    # the whole grid is one engine call, its chains read into numpy columns: about
+    # 130 B a point at the peak, where a ChainParams or a tuple per chain passes 300 B
+    import tracemalloc
+
+    n = 20001
+    tracemalloc.start()
+    try:
+        scan = qcp_scan(ChainParams(J=1.0, j=0.4, b=0.2, B=0.0), "B", 0.0, 2.0, 2.0 / (n - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scan.values) == n - 2
+    assert peak < 200 * n

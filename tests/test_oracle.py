@@ -513,6 +513,17 @@ def test_finite_free_fermion_stays_finite_at_the_largest_beta():
                      for beta in (1.7e308, 1e300))
     assert huge.ln_z / 1.7e308 == pytest.approx(big.ln_z / 1e300, rel=1e-14, abs=0)
     assert (huge.u, huge.m, huge.m_s, huge.g) == (big.u, big.m, big.m_s, big.g)
+    # a mode far below the chain's scale still reads tanh(beta |eps| / 2) at the full
+    # beta: at J = b = 0 the k = 0 modes sit at -2B, so m = tanh(beta B) / 2, as on the
+    # same ring at a scale that needs no rescaling of beta
+    tiny, twin = (finite_free_fermion(FiniteChainSpec(4, ChainParams(0.0, j, 0.0, 1e-5),
+                                                      Thermal.finite(10.0)))
+                  for j in (1e300, 1e200))
+    assert tiny.m == pytest.approx(math.tanh(1e-4) / 2, rel=1e-12)
+    assert tiny.m_s == twin.m_s == 0.0
+    for r in tiny.g:
+        assert tiny.g[r] == pytest.approx(twin.g[r], rel=1e-12, abs=1e-300)
+    assert tiny.g[2].uniform == pytest.approx(tiny.m, rel=1e-12)
     # the all-zero chain keeps ln 2 per site at any beta
     zero = finite_free_fermion(FiniteChainSpec(4, ChainParams(0.0, 0.0, 0.0, 0.0),
                                                Thermal.finite(1.7e308)))
