@@ -22,22 +22,25 @@ own units in one engine call (``_over_filled``), which runs them in the
 blocks of ``quadrature.cell_blocks``: the five integrals of the T = 0
 record every T = 0 quantity reads (``_records``), the energy alone
 (``_energies``: ``energy``, the whole ``qcp_scan`` grid) or a contraction
-at r > 2.  The chains are read once into numpy columns, so a scan of many
-points holds no Python object per chain.
+at r > 2.  The chains are numpy columns (J, j, b, B) throughout: ``model._in_units`` takes
+them into their units and ``model._filled_interval`` decides F, once for all of them, and
+``qcp_scan`` passes its grid as the column of its axis, so a scan of many points builds no
+ChainParams and holds no Python object per point.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
-    _SAFE_EXPONENT, ChainParams, PhaseRegion, _filled_interval, _in_units, _theta, classify_region,
-    critical_fields,
+    _SAFE_EXPONENT, ChainParams, PhaseRegion, _columns, _filled_interval, _in_units, _theta,
+    classify_region, critical_fields,
 )
 from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 from .quadrature import (
@@ -105,42 +108,47 @@ class _BandIntegrals(NamedTuple):
 
 
 def _fill(p: ChainParams) -> tuple[float, float, float]:
-    """F = [lo, hi] and the share of the half zone outside it, 1 - 2(hi - lo)/pi.
+    """F = [lo, hi] and the share of the half zone outside it, for the one chain ``p``."""
+    return tuple(v.item() for v in _fills(*_columns([p])))
+
+
+def _fills(J, j, b, B) -> tuple[np.ndarray, ...]:
+    """Columns lo, hi of F and the share of the half zone outside it, 1 - 2(hi - lo)/pi.
 
     Summed from the endpoints: for F = [xi, pi/2] the share is 2 xi/pi
     itself, not 1 minus a number close to 1.
     """
-    _, lo, hi = _filled_interval(p, abs(p.B))
+    _, lo, hi = _filled_interval(J, j, b, np.abs(B))
     return lo, hi, (1.0 - 2.0 * hi / math.pi) + 2.0 * lo / math.pi
 
 
-# A chain in its own units 2^k (``model._in_units``), with F = [lo, hi] and ``_fill``'s out.
-_UNITS = np.dtype([("k", int), *((f, float) for f in ("J", "j", "b", "B", "lo", "hi", "out"))])
+# Columns of K chains in their own units 2^k (``model._in_units``), with F = [lo, hi] and
+# the share ``out`` outside it (``_fills``).
+_Units = namedtuple("_Units", "k J j b B lo hi out")
 
 
-def _unit_row(p: ChainParams) -> tuple:
-    k, p = _in_units(p)
-    return (k, p.J, p.j, p.b, p.B, *_fill(p))
-
-
-def _over_filled(ps, n: int, kernel, quad: QuadSpec | None):
-    """One ``_UNITS`` row per chain of the iterable ``ps``, and (n, K) values (2/pi) int_F,
-    error estimates and flags of ``n`` integrands ``kernel(q, c, s, th, J, j, b)`` (theta;
-    (cells, 1) columns): one ``quadrature._integrate_cells`` call over the non-empty F."""
-    units = np.fromiter(map(_unit_row, ps), dtype=_UNITS)
-    rows = np.flatnonzero(units["lo"] < units["hi"])
-    value, err = np.zeros((n, len(units))), np.zeros((n, len(units)))
-    ok = np.ones((n, len(units)), bool)
+def _over_filled(chains, n: int, kernel, quad: QuadSpec | None):
+    """The ``_Units`` of the chains given as (J, j, b, B) columns, and (n, K) values
+    (2/pi) int_F, error estimates and flags of ``n`` integrands ``kernel(q, c, s, th, J, j,
+    b)`` (theta; (cells, 1) columns): one ``quadrature._integrate_cells`` call over the
+    non-empty F."""
+    k, J, j, b, B = _in_units(*chains)
+    units = _Units(k, J, j, b, B, *_fills(J, j, b, B))
+    rows = np.flatnonzero(units.lo < units.hi)
+    value, err = np.zeros((n, len(k))), np.zeros((n, len(k)))
+    ok = np.ones((n, len(k)), bool)
     if rows.size:  # 0 exactly over an empty F
-        J, j, b = (units[f][rows, None] for f in ("J", "j", "b"))
+        J, j, b = (v[rows, None] for v in (J, j, b))
 
         def integrands(q, cells):
             c, s = np.cos(q), np.sin(q)
             Jc, jc, bc = J[cells], j[cells], b[cells]
             return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc)
 
-        edges = np.column_stack([units["lo"][rows], units["hi"][rows]])
-        v, e, ok[:, rows] = _integrate_cells(integrands, n, edges, quad)
+        edges = np.column_stack([units.lo[rows], units.hi[rows]])
+        # where b^2 and (j sin q)^2 underflow, theta is 0 and the engine flags the cell
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v, e, ok[:, rows] = _integrate_cells(integrands, n, edges, quad)
         value[:, rows], err[:, rows] = 2.0 / math.pi * v, 2.0 / math.pi * e
     return units, value, err, ok
 
@@ -160,10 +168,10 @@ def _even_uniform(B: float, lo: float, hi: float, r: int) -> float:
 def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
     """The T = 0 ``_BandIntegrals`` records of the chains ``ps``, from one call of the five
     integrands of ``_record_kernel``; m and the uniform part of g2 are closed forms."""
-    units, *run = _over_filled(ps, 5, _record_kernel, quad)
+    units, *run = _over_filled(_columns(ps), 5, _record_kernel, quad)
     records = []
     cells = zip(*(a.T.tolist() for a in run))
-    for (k, _, _, _, B, lo, hi, out), cell in zip(units.tolist(), cells):
+    for (k, _, _, _, B, lo, hi, out), cell in zip(zip(*(v.tolist() for v in units)), cells):
         e, m_s, gu1, gs1, gs2 = (QuadResult(*r, 1) for r in zip(*cell))
         u = QuadResult(math.ldexp(e.value - abs(B) * out, k), math.ldexp(e.error, k),
                        e.converged, 1)
@@ -173,13 +181,13 @@ def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
     return records
 
 
-def _energies(ps, quad: QuadSpec | None) -> np.ndarray:
-    """Ground-state energies per site of the chains ``ps`` (any iterable), each in its own
-    units, from one ``_over_filled`` call of -theta alone."""
-    units, (value,), (err,), (ok,) = _over_filled(ps, 1, lambda q, c, s, th, *_: (-th,), quad)
+def _energies(chains, quad: QuadSpec | None) -> np.ndarray:
+    """Ground-state energies per site of the chains given as (J, j, b, B) columns, each in
+    its own units, from one ``_over_filled`` call of -theta alone."""
+    units, (value,), (err,), (ok,) = _over_filled(chains, 1, lambda q, c, s, th, *_: (-th,), quad)
     if not ok.all():
         raise ToleranceNotReached(QuadResult(value[~ok][0], err[~ok][0], False, 1))
-    return np.ldexp(value - np.abs(units["B"]) * units["out"], units["k"])
+    return np.ldexp(value - np.abs(units.B) * units.out, units.k)
 
 
 def energy(p: ChainParams, quad=None) -> float:
@@ -187,7 +195,7 @@ def energy(p: ChainParams, quad=None) -> float:
     own units: read from a T = 0 record ``quad``, else integrated alone, as ``qcp_scan`` does."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral("u")
-    return float(_energies([p], quad)[0])
+    return _energies(_columns([p]), quad).item()
 
 
 def magnetization_t0(p: ChainParams) -> float:
@@ -220,9 +228,11 @@ def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float,
             return (b * np.cos(q * r) / th,)
         return -J * np.cos(q * r) * c / th, -j * np.sin(q * r) * s / th
 
-    (units,), *run = _over_filled([p], 2 - even, kernel, quad)
+    units, *run = _over_filled(_columns([p]), 2 - even, kernel, quad)
     got = tuple(require_converged(QuadResult(*x, 1)) for x in zip(*(a[:, 0].tolist() for a in run)))
-    return (_even_uniform(units["B"], units["lo"], units["hi"], r), *got) if even else got
+    if not even:
+        return got
+    return (_even_uniform(units.B.item(), units.lo.item(), units.hi.item(), r), *got)
 
 
 def meyer_wallach(p: ChainParams, quad=None) -> float:
@@ -310,7 +320,9 @@ def qcp_scan(
         raise ValueError("scan range must contain at least 3 grid points")
     q = DEFAULT_QUAD if quad is None else quad
     grid = start + step * np.arange(n)
-    e = _energies((replace(p, **{axis: v}) for v in grid), q)
+    chains = [np.broadcast_to(v, n) for v in _columns([p])]  # one row, read n times
+    chains[("J", "j", "b", "B").index(axis)] = grid
+    e = _energies(chains, q)
     d2e = (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2
     inner = grid[1:-1]
     # Worst-case second-difference error from independent per-point energy
@@ -326,6 +338,9 @@ def qcp_scan(
         # >= left, > right: a flat plateau of equal maxima reports once.
         if mag[i] >= mag[i - 1] and mag[i] > mag[i + 1]:
             peaks.append(float(inner[i]))
-    # back out of the chain's units: d2e is an energy over step^2
+    # back out of the chain's units: d2e is an energy over step^2, which may leave the doubles
+    if (top := math.frexp(max(threshold, float(np.max(mag))))[1] - k) > 1024:
+        raise ValueError(f"second differences reach 2^{top - 1} out of the chain's units, "
+                         f"past the largest float; scan with a larger step")
     return QcpScan(axis, np.ldexp(inner, k), np.ldexp(d2e, -k), math.ldexp(threshold, -k),
                    tuple(math.ldexp(v, k) for v in peaks))

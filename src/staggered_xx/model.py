@@ -124,16 +124,23 @@ class PhaseRegion(Enum):
 _SAFE_EXPONENT = 500  # couplings within 2^+-500 square without overflow or underflow
 
 
-def _in_units(p: ChainParams) -> tuple[int, ChainParams]:
-    """(k, p / 2^k), divided exactly: k = 0 and ``p`` itself unless max(J, |j|, |b|)
-    lies outside 2^+-500, which then becomes [1/2, 1).  The state at (p, beta)
-    is the one at (p / 2^k, beta 2^k) with energies scaled by 2^k; an energy
-    integrated in these units meets its tolerance at the chain's own scale.
-    """
-    k = math.frexp(max(p.J, abs(p.j), abs(p.b)))[1]
-    if abs(k) <= _SAFE_EXPONENT:
-        return 0, p
-    return k, ChainParams(*(math.ldexp(v, -k) for v in (p.J, p.j, p.b, p.B)))
+def _columns(ps) -> np.ndarray:
+    """The (4, K) columns (J, j, b, B) of the chains ``ps``: the form the band geometry reads."""
+    return np.array([(p.J, p.j, p.b, p.B) for p in ps], dtype=float).reshape(-1, 4).T
+
+
+def _in_units(J, j, b, B) -> tuple[np.ndarray, ...]:
+    """The one rescale into a chain's units: columns (k, (J, j, b, B) / 2^k), divided exactly,
+    k = 0 where max(J, |j|, |b|) lies within 2^+-500, else the k that takes it into [1/2, 1).
+    The state at (p, beta) is the one at (p / 2^k, beta 2^k) with energies scaled by 2^k; an
+    energy integrated in these units meets its tolerance at the chain's own scale."""
+    k = np.frexp(np.maximum(J, np.maximum(np.abs(j), np.abs(b))))[1]
+    k[np.abs(k) <= _SAFE_EXPONENT] = 0
+    if not k.any():  # the columns themselves, as dividing by 2^0 would give
+        return k, J, j, b, B
+    if (np.frexp(B)[1] - k > 1024).any():
+        raise ValueError("|B| is past the largest float in the units of max(J, |j|, |b|)")
+    return (k, *(np.ldexp(v, -k) for v in (J, j, b, B)))
 
 
 def theta_of_q(p: ChainParams, q):
@@ -144,8 +151,8 @@ def theta_of_q(p: ChainParams, q):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0) or np.any(q > np.pi):
         raise ValueError("q must lie in [0, pi]")
-    k, p = _in_units(p)
-    th = _theta(p.J, p.j, p.b, np.cos(q), np.sin(q))
+    k, J, j, b, _ = (v.item() for v in _in_units(*_columns([p])))
+    th = _theta(J, j, b, np.cos(q), np.sin(q))
     return np.ldexp(th, k) if k else th
 
 
@@ -181,12 +188,19 @@ def xi(p: ChainParams) -> float:
     and the angle clamps to the matching endpoint (r > 1 -> 0, r < 0 ->
     pi/2).  Undefined at J = |j| (theta is flat in q).
     """
-    p = _in_units(p)[1]  # xi is scale-free
-    den = _squares((p.J,), (p.j,))
-    if den == 0:
-        raise ValueError("xi is undefined at J = |j|; theta(q) is constant there")
-    r = _squares((p.B,), (p.b, p.j)) / den
-    return math.acos(math.sqrt(min(max(r, 0.0), 1.0)))
+    return _xi(*_columns([p]))[0]
+
+
+def _xi(J, j, b, B) -> list[float]:
+    """``xi`` of each row of the columns, in the row's own units (xi is scale-free)."""
+    out = []
+    for J, j, b, B in zip(*(v.tolist() for v in _in_units(J, j, b, B)[1:])):
+        den = _squares((J,), (j,))
+        if den == 0:
+            raise ValueError("xi is undefined at J = |j|; theta(q) is constant there")
+        r = _squares((B,), (b, j)) / den
+        out.append(math.acos(math.sqrt(min(max(r, 0.0), 1.0))))
+    return out
 
 
 def _squares(plus, minus) -> float:
@@ -201,24 +215,44 @@ def _squares(plus, minus) -> float:
     return math.fsum(terms)
 
 
-def _filled_interval(p: ChainParams, level: float) -> tuple[PhaseRegion, float, float]:
-    """Regime of ``level`` (|B|, or B for the signed band) and the interval
-    [lo, hi] of [0, pi/2] where theta > level: [0, xi] if J > |j|, else [xi, pi/2].
+_REGIONS = tuple(PhaseRegion)  # the regime codes of ``_filled_interval``
 
-    The one place that compares a field with the band edges; each edge
-    belongs to the regime above it.  Saturated means zero width, at pi/2
-    if the band top touches ``level`` there.
-    """
-    edge_lo, edge_hi = theta_bounds(p)
-    if level < edge_lo:
-        return PhaseRegion.COMPENSATED, 0.0, math.pi / 2
-    if level > edge_hi or edge_lo == edge_hi:
-        return PhaseRegion.SATURATED, 0.0, 0.0
-    falls = p.J > abs(p.j)  # theta falls from its top at q = 0 toward pi/2
+
+def _filled_interval(J, j, b, level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns, one row per chain: the regime code (index into ``_REGIONS``) of ``level``
+    (|B|, or B for the signed band) and the interval [lo, hi] of [0, pi/2] where theta >
+    level: [0, xi] if J > |j|, else [xi, pi/2].  The one place that compares a field with
+    the band edges, each row's ``critical_fields`` (math.hypot); each edge belongs to the
+    regime above it.  Saturated means zero width, at pi/2 if the band top touches ``level``
+    there.  xi (``_xi``) is taken only for the rows strictly inside the band."""
+    bs = b.tolist()
+    edge_lo, edge_hi = np.sort([np.fromiter(map(math.hypot, v.tolist(), bs), float, len(bs))
+                                for v in (J, j)], axis=0)
+    below, above = level < edge_lo, (level > edge_hi) | (edge_lo == edge_hi)
+    falls = J > np.abs(j)  # theta falls from its top at q = 0 toward pi/2
     # At level == edge_hi the crossing is the band top itself, not a rounded xi.
-    x = xi(p) if level < edge_hi else (0.0 if falls else math.pi / 2)
-    lo, hi = (0.0, x) if falls else (x, math.pi / 2)
-    return (PhaseRegion.PARTIAL if lo < hi else PhaseRegion.SATURATED), lo, hi
+    x = np.where(falls, 0.0, math.pi / 2)
+    inside = ~below & (level < edge_hi)
+    if inside.any():
+        x[inside] = _xi(J[inside], j[inside], b[inside], level[inside])
+    lo, hi = np.where(falls | below | above, 0.0, x), np.where(falls, x, math.pi / 2)
+    hi[above], hi[below] = 0.0, math.pi / 2
+    region = 2 - (lo < hi)
+    region[below] = 0
+    return region, lo, hi
+
+
+def _regime(p: ChainParams, level: float) -> tuple[PhaseRegion, float, float]:
+    """``_filled_interval`` of the one chain ``p`` at ``level``."""
+    region, lo, hi = _filled_interval(*_columns([p])[:3], np.array([level]))
+    return _REGIONS[region[0]], lo.item(), hi.item()
+
+
+def _crossing(J, j, b, B) -> np.ndarray:
+    """Column of the smaller angle where theta = |B| (the first of ``band_crossings``),
+    0 where there is none."""
+    region, lo, hi = _filled_interval(J, j, b, np.abs(B))
+    return np.where(region == 0, 0.0, np.where(J > np.abs(j), hi, lo))
 
 
 def region_q(p: ChainParams) -> tuple[tuple[float, float], ...]:
@@ -229,7 +263,7 @@ def region_q(p: ChainParams) -> tuple[tuple[float, float], ...]:
     integral.  Returns () when the band is non-negative everywhere and
     ((0, pi),) when it is negative everywhere.
     """
-    region, lo, hi = _filled_interval(p, p.B)
+    region, lo, hi = _regime(p, p.B)
     if region is PhaseRegion.SATURATED:
         return ()
     if region is PhaseRegion.PARTIAL and p.J > abs(p.j):
@@ -247,9 +281,8 @@ def band_crossings(p: ChainParams) -> tuple[float, ...]:
     sharp-layer centres at large beta, so the finite-T band integrals
     are split there.
     """
-    region, lo, hi = _filled_interval(p, abs(p.B))
-    x = hi if p.J > abs(p.j) else lo  # the end of the filled interval where theta = |B|
-    if region is PhaseRegion.COMPENSATED or x == 0.0:
+    x = _crossing(*_columns([p])).item()
+    if x == 0.0:
         return ()
     return (x,) if x == math.pi - x else (x, math.pi - x)
 
@@ -260,4 +293,4 @@ def classify_region(p: ChainParams) -> PhaseRegion:
     Half-open convention: each boundary field belongs to the regime above
     it, so B exactly at the upper critical field classifies SATURATED.
     """
-    return _filled_interval(p, abs(p.B))[0]
+    return _regime(p, abs(p.B))[0]

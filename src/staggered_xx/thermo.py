@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ground
-from .model import ChainParams, Thermal, _in_units, _theta, band_crossings
+from .model import ChainParams, Thermal, _columns, _crossing, _in_units, _theta
 from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
 from .ground import _BandIntegrals
 from .quadrature import DEFAULT_QUAD, QuadResult, QuadSpec, _integrate_cells, require_converged
@@ -63,28 +63,34 @@ class ThermoPoint:
 
 
 def _cell_integrals(cells, n: int, kernel, quad: QuadSpec | None = None):
-    """(n, K) values (1/2pi) int_0^pi, error estimates and flags of the ``n`` integrands
-    ``kernel(q, c, s, th, J, j, b, B, beta)`` (cos q, sin q, theta, (cells, 1) columns)
-    at K finite-T cells ``(p, t)``, from one ``quadrature._integrate_cells`` call, each
-    cell split at its band crossing and in its own units (``model._in_units``)."""
+    """The unit exponents k (``model._in_units``) of K finite-T cells ``(p, t)`` and (n, K)
+    values (1/2pi) int_0^pi, error estimates and flags of the ``n`` integrands ``kernel(q, c,
+    s, th, J, j, b, B, beta)`` (cos q, sin q, theta, (cells, 1) columns) in those units, from
+    one ``quadrature._integrate_cells`` call, each cell split at its band crossing."""
     if any(t.is_ground for _, t in cells):
         raise ValueError("the band integrals of a cell need a finite temperature")
-    units = [(*_in_units(p), t.beta) for p, t in cells]
+    k, J, j, b, B = _in_units(*_columns(p for p, _ in cells))
+    beta = np.array([t.beta for _, t in cells])
     # past 2^1000 in its own units a cell's tanh layers are finer than any node gap
-    cols = [(p.J, p.j, p.b, p.B, math.ldexp(bt, k) if math.frexp(bt)[1] + k < 1000 else 2.0**1000)
-            for k, p, bt in units]
-    J, j, b, B, beta = np.array(cols).reshape(-1, 5, 1).transpose(1, 0, 2)
+    fine = np.frexp(beta)[1] + k < 1000
+    beta = np.where(fine, np.ldexp(beta, np.where(fine, k, 0)), 2.0**1000)
+    # the half zone [0, pi/2] split at the crossing, against half the tolerance of [0, pi]
+    x = _crossing(J, j, b, B)
+    edges = np.column_stack([np.zeros_like(x), np.where(x == 0.0, math.pi / 2, x),
+                             np.full_like(x, math.pi / 2)])
+    J, j, b, B, beta = (v[:, None] for v in (J, j, b, B, beta))
 
     def integrands(q, rows):
         c, s = np.cos(q), np.sin(q)
         Jc, jc, bc = J[rows], j[rows], b[rows]
         return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc, B[rows], beta[rows])
 
-    # the half zone [0, pi/2] split at the crossing, against half the tolerance of [0, pi]
-    edges = [(0.0, (band_crossings(p) or (math.pi / 2,))[0], math.pi / 2) for _, p, _ in units]
     quad = DEFAULT_QUAD if quad is None else quad
-    value, err, ok = _integrate_cells(integrands, n, edges, replace(quad, abs_tol=quad.abs_tol / 2))
-    return value / math.pi, err / math.pi, ok
+    half = replace(quad, abs_tol=quad.abs_tol / 2)
+    # beta lam passes the largest float where |B| dwarfs the band: tanh reads its limit
+    with np.errstate(over="ignore"):
+        value, err, ok = _integrate_cells(integrands, n, edges, half)
+    return k, value / math.pi, err / math.pi, ok
 
 
 def _band_kernel(q, c, s, th, J, j, b, B, beta):
@@ -99,8 +105,7 @@ def _band_kernel(q, c, s, th, J, j, b, B, beta):
 
 def _finite_records(cells, quad: QuadSpec | None) -> list[_BandIntegrals]:
     """The ``_BandIntegrals`` records of finite-T cells ``(p, t)``, from one engine call."""
-    value, err, ok = _cell_integrals(cells, 7, _band_kernel, quad)
-    k = np.array([_in_units(p)[0] for p, _ in cells], dtype=int)
+    k, value, err, ok = _cell_integrals(cells, 7, _band_kernel, quad)
     value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)  # u out of the cell's units
     cells = ([QuadResult(*r, 2) for r in zip(*cell)]
              for cell in zip(value.T.tolist(), err.T.tolist(), ok.T.tolist()))
@@ -131,7 +136,7 @@ def _band_integral(p: ChainParams, t: Thermal, quad, name: str, kernel=None):
         return quad.integral(name)
     if kernel is None:
         return _point_record(p, t, quad).integral(name)
-    cell = zip(*(a[:, 0].tolist() for a in _cell_integrals([(p, t)], *kernel, quad)))
+    cell = zip(*(a[:, 0].tolist() for a in _cell_integrals([(p, t)], *kernel, quad)[1:]))
     return tuple(require_converged(QuadResult(v, e, c, 2)) for v, e, c in cell)
 
 
@@ -172,7 +177,7 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
             "ln Z per site grows like -beta * energy at T = 0; use ground.energy"
         )
     # past beta 2^999 in its own units ln Z is linear in beta: below the kernel's cap
-    e = max(0, math.frexp(t.beta)[1] + _in_units(p)[0] - 999)
+    e = max(0, math.frexp(t.beta)[1] + _in_units(*_columns([p]))[0].item() - 999)
     t_e = Thermal(math.ldexp(t.beta, -e))
     return math.ldexp(_band_integral(p, t_e, quad, "ln_z", (1, _ln_z_kernel))[0], e)
 

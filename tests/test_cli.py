@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -508,6 +509,25 @@ def test_qcp_scan_step_out_of_range_exits_2_without_traceback():
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: step^2 must be a normal float")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "chain, window",
+    [
+        # J is the smallest subnormal: in its units the d2e pass 2^1024 once scaled back
+        (["--J=5e-324", "--j=0", "--b=0"], ["--start=0", "--stop=1e-323", "--step=5e-324"]),
+        # a subnormal chain: the d2e near its two peaks pass the largest float
+        (["--J=1e-310", "--j=5e-311", "--b=3e-311"],
+         ["--start=0", "--stop=2e-310", "--step=5e-313"]),
+    ],
+)
+def test_qcp_scan_whose_second_differences_leave_the_doubles_exits_2(chain, window, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["qcp-scan", *chain, "--axis", "B", *window], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: second differences reach 2^")
 
 
 def test_unconverged_ground_energy_exits_qcp_scan_3(monkeypatch, capsys):

@@ -26,7 +26,7 @@ from staggered_xx import (
     theta_of_q,
     xi,
 )
-from staggered_xx.model import _in_units
+from staggered_xx.model import _columns, _in_units
 
 
 def test_uniform_chain_anchors():
@@ -208,7 +208,8 @@ def _energy_one_point(p):
     """ground.energy computed point by point, as the scalar one-piece engine sums it:
     theta_of_q at the nodes of each level, ``(fx * (jacobian * width)).sum()``, default
     tolerances."""
-    k, p = _in_units(p)
+    k, J, j, b, B = (v.item() for v in _in_units(*_columns([p])))
+    p = ChainParams(J, j, b, B)
     lo, hi, outside = staggered_xx.ground._fill(p)
     filled = 0.0
     if lo < hi:
@@ -341,3 +342,19 @@ def test_long_qcp_scan_holds_columns_not_objects_per_chain():
         tracemalloc.stop()
     assert len(scan.values) == n - 2
     assert peak < 200 * n
+
+
+def test_qcp_scan_builds_no_chain_per_grid_point(monkeypatch):
+    # the grid is the column of its axis: a 10^4-point scan validates one ChainParams,
+    # its chain in scan units, whichever axis it runs along
+    built = []
+    check = ChainParams.__post_init__
+    monkeypatch.setattr(ChainParams, "__post_init__", lambda p: built.append(p) or check(p))
+    p = ChainParams(J=1.0, j=0.4, b=0.2, B=0.7)
+    counts = []
+    for axis, start in (("B", 0.0), ("b", -1.0), ("j", -1.0)):
+        built.clear()
+        scan = qcp_scan(p, axis, start, start + 2.0, 2.0 / 9999)
+        assert len(scan.values) == 9998
+        counts.append(len(built))
+    assert counts == [1, 1, 1]

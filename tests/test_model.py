@@ -1,6 +1,7 @@
 """Dispersion, parameter containers, and ground-state phase regions."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -250,3 +251,101 @@ def test_classify_region_matches_occupation():
             assert occ == ((0.0, math.pi),)
         else:
             assert occ and occ != ((0.0, math.pi),)
+
+
+# The scalar band geometry the column form replaced, kept as its reference: edges by
+# math.hypot, one chain at a time, xi from exact squares in the chain's own units.
+def _reference_in_units(J, j, b, B):
+    k = math.frexp(max(J, abs(j), abs(b)))[1]
+    if abs(k) <= 500:
+        return 0, (J, j, b, B)
+    return k, tuple(math.ldexp(v, -k) for v in (J, j, b, B))
+
+
+def _reference_squares(plus, minus):
+    terms = []
+    for sign, x in [(1.0, x) for x in plus] + [(-1.0, x) for x in minus]:
+        c = 134217729.0 * x
+        hi, sq = c - (c - x), x * x
+        lo = x - hi
+        terms += (sign * sq, sign * (((hi * hi - sq) + 2.0 * hi * lo) + lo * lo))
+    return math.fsum(terms)
+
+
+def _reference_xi(J, j, b, B):
+    J, j, b, B = _reference_in_units(J, j, b, B)[1]
+    den = _reference_squares((J,), (j,))
+    if den == 0:
+        raise ValueError("xi is undefined at J = |j|")
+    r = _reference_squares((B,), (b, j)) / den
+    return math.acos(math.sqrt(min(max(r, 0.0), 1.0)))
+
+
+def _reference_filled_interval(J, j, b, level):
+    edge_lo, edge_hi = sorted((math.hypot(J, b), math.hypot(j, b)))
+    if level < edge_lo:
+        return PhaseRegion.COMPENSATED, 0.0, math.pi / 2
+    if level > edge_hi or edge_lo == edge_hi:
+        return PhaseRegion.SATURATED, 0.0, 0.0
+    falls = J > abs(j)
+    x = _reference_xi(J, j, b, level) if level < edge_hi else (0.0 if falls else math.pi / 2)
+    lo, hi = (0.0, x) if falls else (x, math.pi / 2)
+    return (PhaseRegion.PARTIAL if lo < hi else PhaseRegion.SATURATED), lo, hi
+
+
+def _band_geometry_rows():
+    """Seeded (J, j, b, level) rows: chains at unit scale, 2^+-560, 1e+-300 and with each
+    coupling at its own scale in 1e+-300, zeros, the flat band J = |j| and the all-zero
+    chain; levels at both critical fields, an ulp either side, inside, beyond and negated
+    (region_q's signed band), and at math.hypot edges that np.hypot rounds differently."""
+    rng = random.Random("band-geometry")
+    rows = []
+    for scale in (1.0, 2.0**560, 2.0**-560, 1e300, 1e-300, None):
+        for _ in range(150):
+            J, j, b = (scale * rng.uniform(-2.0, 2.0) if scale else
+                       rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+                       for _ in range(3))
+            J = abs(J)
+            if rng.random() < 0.15:
+                j = rng.choice((-1.0, 1.0)) * J
+            J, j, b = (0.0 if rng.random() < 0.1 else v for v in (J, j, b))
+            edges = (math.hypot(J, b), math.hypot(j, b))
+            levels = [v for c in edges
+                      for v in (math.nextafter(c, 0.0), c, math.nextafter(c, 3.0 * c))]
+            levels.append(rng.uniform(0.0, 1.2) * max(edges))
+            rows += [(J, j, b, v) for v in levels + [-v for v in levels]]
+    rows += [(0.0, 0.0, 0.0, v) for v in (0.0, -0.0, 1.0, -1.0, 5e-324)]
+    rng = np.random.default_rng(5)
+    J, b = rng.uniform(0.0, 2.0, 20000), rng.uniform(-2.0, 2.0, 20000)
+    odd = np.flatnonzero(np.hypot(J, b) != [math.hypot(x, y) for x, y in zip(J, b)])
+    assert odd.size > 5
+    rows += [(x, 0.25 * x, y, math.hypot(x, y)) for x, y in zip(J[odd].tolist(), b[odd].tolist())]
+    return rows
+
+
+def test_column_band_geometry_equals_the_scalar_reference_row_by_row():
+    from staggered_xx.model import _REGIONS, _filled_interval, _in_units
+
+    rows = _band_geometry_rows()
+    J, j, b, level = (np.array(c) for c in zip(*rows))
+    region, lo, hi = _filled_interval(J, j, b, level)
+    k, *units = _in_units(J, j, b, level)
+    for i, row in enumerate(rows):
+        want = _reference_filled_interval(*row)
+        got = (_REGIONS[region[i]], lo[i].item(), hi[i].item())
+        assert got[0] is want[0] and list(map(repr, got[1:])) == list(map(repr, want[1:])), row
+        want_k, want_units = _reference_in_units(*row)
+        assert k[i] == want_k and [repr(c[i].item()) for c in units] == list(map(repr, want_units))
+    # the one-row public calls read the same decision
+    for J, j, b, B in rows[::5]:
+        p = ChainParams(J, j, b, B)
+        assert classify_region(p) is _reference_filled_interval(J, j, b, abs(B))[0], p
+        want = _outcome(lambda p: _reference_xi(p.J, p.j, p.b, p.B), p)
+        assert repr(_outcome(xi, p)) == repr(want), p
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except ValueError:
+        return ValueError

@@ -1,6 +1,7 @@
 """Symmetries, scale covariance, ranges and free-energy derivatives of the bulk quantities.
 
-The seeded hypothesis tests draw chains with J = 1 and beta in [1e-2, 50].
+The seeded hypothesis tests draw chains with J = 1 and beta in [1e-2, 50], and one
+property draws the whole domain, scales from 1e-300 to 1e300 and beta up to 1e8.
 H maps to itself under a global spin flip with (b, B) -> (-b, -B), and
 under the exchange of the two sublattices with (j, b) -> (-j, -b); H(s p)
 = s H(p), so every quantity at (s p, beta / s) equals that at (p, beta),
@@ -11,8 +12,9 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staggered_xx import (
@@ -168,3 +170,73 @@ def test_scale_covariance(p, beta, e):
                 assert_close(got, want, 1e-10)
         assert_energy(energy(big), energy(p), s)
         assert abs(meyer_wallach(big) - meyer_wallach(p)) <= 1e-10
+
+
+@st.composite
+def fuzz_points(draw):
+    """The whole domain ChainParams and Thermal accept: couplings log-uniform in 1e+-300
+    with signs, each 0 one time in ten, J = |j| (the flat band) in 15% of draws, and beta
+    log-uniform in 1e-12 .. 1e8 in the chain's units, a quarter of draws at T = 0; with a
+    scan axis and its step in decades of the chain's largest field or coupling."""
+
+    def coupling():
+        if draw(st.integers(0, 9)) == 0:
+            return 0.0
+        return draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    J, j, b, B = abs(coupling()), coupling(), coupling(), coupling()
+    if draw(st.integers(0, 19)) < 3:
+        j = math.copysign(J, j)
+    scale = max(J, abs(j), abs(b)) or 1.0
+    zero = draw(st.integers(0, 3)) == 0
+    t = Thermal.zero() if zero else Thermal.finite(10.0 ** draw(st.floats(-12.0, 8.0)) / scale)
+    axis, decade = draw(st.sampled_from(("B", "b", "j"))), draw(st.floats(-3.0, 0.0))
+    return ChainParams(J, j, b, B), t, axis, decade
+
+
+# the range of each printed quantity; u and energy_t0 in units of |B| + the band top
+RANGES = {
+    **dict.fromkeys(("u", "energy_t0", "m", "m_s", "m_t0"), (-1.0, 1.0)),
+    **dict.fromkeys(("e_mw", "c1_odd", "c1_even", "c2_odd", "c2_even"), (0.0, 1.0)),
+    "witness_lhs": (0.0, 2.0),  # a bond's exchange is at most twice its separable bound
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(fuzz_points())
+# |B| past the largest float in the chain's units: a typed error
+@example((ChainParams(4.8e-239, -2.8e-298, 6.3e-266, -1.1e111), Thermal(2.2e235), "B", -1.0))
+# beta lam past the largest float: tanh reads its limit, with no warning
+@example((ChainParams(5.0e-88, -7.9e-290, 4.6e-80, 6.0e269), Thermal(1.3e86), "b", -2.0))
+# theta underflows to 0 at an end of F: m_s is flagged, with no warning
+@example((ChainParams(0.0, -3.9e-145, -2.2e-262, 0.0), Thermal.zero(), "j", 0.0))
+def test_every_point_and_short_scan_of_the_domain_is_in_range_flagged_or_refused(point):
+    from staggered_xx.cli import QUANTITIES, T0_ONLY_QUANTITIES, run_point
+    from staggered_xx.ground import qcp_scan
+    from staggered_xx.quadrature import ToleranceNotReached
+
+    p, t, axis, decade = point
+    top = abs(p.B) + max(critical_fields(p))
+    names = [q for q in QUANTITIES if t.is_ground or q not in T0_ONLY_QUANTITIES]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            record, flags = run_point(p, t, names)
+        except ValueError:
+            record, flags = {}, []
+        for name, v in record.items():
+            if math.isnan(v):
+                assert any(f.startswith(name + ":") for f in flags), (name, flags)
+                continue
+            lo, hi = RANGES[name]
+            if name in ("u", "energy_t0") and top:
+                v = v / top  # |u| <= |B| + max theta at any T
+            assert lo - 1e-9 <= v <= hi + 1e-9, (name, v)
+        step = (max(abs(v) for v in vars(p).values()) or 1.0) * 10.0**decade
+        start, stop = getattr(p, axis) - 2.0 * step, getattr(p, axis) + 2.0 * step
+        try:
+            scan = qcp_scan(p, axis, start, stop, step)
+        except (ValueError, ToleranceNotReached):
+            return
+    assert len(scan.values) == 3 and np.isfinite(scan.d2e).all()
+    assert all(start <= v <= stop for v in scan.peaks)
