@@ -1,7 +1,9 @@
 """Cross-check the analytics against the two independent finite-size routes.
 
-Route 1: dense diagonalization of periodic spin rings (N = 8, 10, 12),
-whose bulk averages must close in on the thermodynamic-limit analytics.
+Route 1: exact periodic spin rings, whose bulk averages must close in on
+the thermodynamic-limit analytics: dense diagonalization at N = 8, 10, 12,
+then the same rings as two parity-projected fermion rings (``spin_ring``)
+at N = 16, 32, 64, far past the reach of dense diagonalization.
 Route 2: the free fermions of much larger periodic rings, diagonalized
 numerically from their real-space hoppings in 2x2 Bloch blocks; they
 share no integrand with the analytics, and their gap is the ring's
@@ -18,6 +20,7 @@ from staggered_xx import (
     c1,
     dense_ed,
     finite_free_fermion,
+    spin_ring,
     g1,
     g_even,
     g_odd,
@@ -36,7 +39,7 @@ def main() -> None:
     t = Thermal.finite(3.0)
     print(f"couplings: J={p.J} j={p.j} b={p.b} B={p.B}")
 
-    print(f"\ndense diagonalization, periodic rings at beta={t.beta} (gap to bulk analytics):")
+    print(f"\nexact periodic spin rings at beta={t.beta} (gap to bulk analytics):")
     pair = c1(p, t)
     targets = {
         ("c1", "odd"): pair.odd,
@@ -47,9 +50,10 @@ def main() -> None:
         ("zz1", "even"): zz_correlator(p, t, "even", 1),
     }
     header = "".join(f" {name + '/' + par[:1]:>8}" for name, par in targets)
-    print(f"{'N':>4}" + header)
-    for n in (8, 10, 12):
-        ed = dense_ed(FiniteChainSpec(n, p, t))
+    print(f"{'N':>4}" + header + "  route")
+    for n in (8, 10, 12, 16, 32, 64):
+        ring = dense_ed if n <= 12 else spin_ring
+        ed = ring(FiniteChainSpec(n, p, t))
         values = {
             ("c1", par): ed.concurrence[(par, 1)] for par in ("odd", "even")
         } | {
@@ -58,7 +62,7 @@ def main() -> None:
             ("zz1", par): ed.zz[(par, 1)] for par in ("odd", "even")
         }
         gaps = "".join(f" {abs(values[k] - targets[k]):8.1e}" for k in targets)
-        print(f"{n:>4}{gaps}")
+        print(f"{n:>4}{gaps}  {ring.__name__}")
 
     # the rings only distinguish N once the thermal layers are narrower
     # than the momentum spacing, so probe this route deep in the cold regime

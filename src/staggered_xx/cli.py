@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from . import correlations, entanglement, ground, quadrature, thermo
 from .model import ChainParams, Thermal
-from .oracle import _DENSE_CAP, FiniteChainSpec, dense_ed, finite_free_fermion
+from .oracle import _DENSE_CAP, _RING_CAP, FiniteChainSpec, dense_ed, finite_free_fermion, spin_ring
 from .quadrature import ToleranceNotReached
 
 __all__ = [
@@ -56,7 +56,7 @@ class _Quantity:
     by the quantities of that point.  ``quad`` is the point's record of
     ``thermo._band_integrals``, at T = 0 as at finite T, which the library
     functions read instead of integrating.  ``ed``/``fermion`` read it
-    from a ``dense_ed``/``finite_free_fermion`` result: no ``ed`` keeps it out
+    from an ``EDResult``/``finite_free_fermion`` result: no ``ed`` keeps it out
     of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
     Library functions are looked up through their modules at call time.
     """
@@ -320,28 +320,29 @@ def run_oracle_compare(
 ) -> tuple[int, list]:
     """Analytic vs finite-ring values per N; exit code 0 iff gaps shrink below tol.
 
-    The free-fermion column is the periodic fermion ring, diagonalized from
-    its own hoppings; it drops the spin ring's boundary term, so it is
-    reported but not judged.  Convergence is asserted on the dense-ED gaps,
-    which carry that boundary-term discrepancy; an energy's gaps are
-    judged in units of the chain's scale max(J, |j|, |b|, |B|).  A failed analytic
-    value is NaN, so its gaps fail.  Sizes that do not increase strictly or
-    exceed the dense cap, or a tol that is not positive and finite, raise
-    :class:`ConfigError` before any diagonalization.
+    The dense_ed column is the exact spin ring: ``spin_ring`` at T > 0 and
+    ``dense_ed`` at T = 0.  The free-fermion column is the periodic fermion
+    ring, diagonalized from its own hoppings; it drops the spin ring's
+    boundary term, so it is reported but not judged.  Convergence is asserted
+    on the spin-ring gaps, which carry that boundary-term discrepancy; an
+    energy's gaps are judged in units of the chain's scale max(J, |j|, |b|, |B|).
+    A failed analytic value is NaN, so its gaps fail.  Sizes that do not
+    increase strictly or exceed the ring's cap, or a tol that is not positive
+    and finite, raise :class:`ConfigError` before any diagonalization.
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal, _ORACLE_CHOICES)
     # the verdict reads the gaps in order of growing rings
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"ring sizes must increase strictly, got {', '.join(map(str, sizes))}")
-    if max(sizes) > _DENSE_CAP:
-        raise ConfigError(
-            f"dense diagonalization is capped at {_DENSE_CAP} sites, got {max(sizes)}"
-        )
+    cap, what, exact = ((_DENSE_CAP, "dense diagonalization", dense_ed) if thermal.is_ground
+                        else (_RING_CAP, "the parity-projected ring", spin_ring))
+    if max(sizes) > cap:
+        raise ConfigError(f"{what} is capped at {cap} sites, got {max(sizes)}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be a positive finite number, got {tol}")
     specs = [FiniteChainSpec(n, params, thermal) for n in sizes]
-    eds = [dense_ed(spec) for spec in specs]
+    eds = [exact(spec) for spec in specs]
     ffs = [finite_free_fermion(spec) for spec in specs]
     record, flags = _evaluate(params, thermal, quantities)
     if flags:

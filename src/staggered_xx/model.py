@@ -198,6 +198,11 @@ def _xi(J, j, b, B) -> list[float]:
         den = _squares((J,), (j,))
         if den == 0:
             raise ValueError("xi is undefined at J = |j|; theta(q) is constant there")
+        # past 2^500 and twice both edges the exact squares give r > 1 if theta falls, else
+        # r < 0: clamp there before squaring, as B^2 may overflow (elsewhere it cannot)
+        if abs(B) > 2.0**_SAFE_EXPONENT and abs(B) > 2.0 * max(math.hypot(J, b), math.hypot(j, b)):
+            out.append(0.0 if den > 0 else math.pi / 2)
+            continue
         r = _squares((B,), (b, j)) / den
         out.append(math.acos(math.sqrt(min(max(r, 0.0), 1.0))))
     return out

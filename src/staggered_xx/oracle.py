@@ -1,38 +1,37 @@
 """Independent finite-chain ground truth for the bulk formulas.
 
-Two oracles at desk scale:
+Three oracles at desk scale:
 
-* ``dense_ed``: exact diagonalization of the periodic spin ring in the
-  spin basis.  Total magnetization and T2, the translation by two sites
-  (the unit cell), commute with H, so H is diagonalized in blocks of
-  fixed magnetization and T2 momentum k.  H is real, so the blocks k and
-  L - k (L = N/2) are complex conjugates and only k = 0 .. L/2 are kept,
-  the others counted twice.  The blocks depend on no coupling and are
-  built once per ring size and process.  Flipping every spin and
-  reflecting the ring about a bond maps sector n_up to N - n_up (Sandvik,
-  AIP Conf. Proc. 1297, 135 (2010)), so only the sectors up to half
-  filling are diagonalized: at N = 12, 25 of the 46 blocks, the largest
-  of 160 states against 924 in the middle magnetization sector.  The
-  spin chain keeps the boundary term that the bulk fermion solution
-  drops, so agreement with the analytic module is O(1/N) convergence
-  data, never exact equality.
+* ``dense_ed``: exact diagonalization of the periodic spin ring, up to 12
+  sites, in blocks of fixed magnetization and T2 momentum k (T2, the
+  translation by two sites, is the unit cell).  H is real, so blocks k and
+  L - k (L = N/2) are conjugates and only k = 0 .. L/2 are kept.  The
+  blocks depend on no coupling and are built once per ring size and
+  process.  Flipping every spin and reflecting the ring about a bond maps
+  sector n_up to N - n_up (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), so
+  at N = 12 only 25 of the 46 blocks are diagonalized.  It alone counts
+  ground states, so it serves T = 0.
 
-* ``finite_free_fermion``: the Jordan-Wigner fermions on the periodic
-  ring (Lieb, Schultz & Mattis, Ann. Phys. 16 (1961) 407).  Their
-  real-space one-body matrix is translation invariant by a two-site cell,
-  so it is diagonalized numerically in 2x2 Bloch blocks, one per cell
-  momentum, and every quantity is read from the mode energies and the
-  one-body correlation matrix.  No band integrand and no closed-form
-  spectrum enters; the gap to the bulk integrals is the finite-size error
-  of the fermion ring.
+* ``spin_ring``: the same ring at finite temperature, exactly, up to 128
+  sites in O(N^3): by Jordan-Wigner, two fermion rings, antiperiodic and
+  periodic, each projected onto one fermion parity (Lieb, Schultz &
+  Mattis, Ann. Phys. 16 (1961) 407), summed from positive terms only.
+  ``dense_ed`` is its brute-force check.  Both spin rings keep the
+  boundary term that the bulk solution drops, so their agreement with the
+  analytic module is O(1/N) convergence data, never exact equality.
 
-Reduced two-site density matrices are assembled blockwise: every
-eigenvector lives in one magnetization sector, which forbids coherence
-between pair states of different pair magnetization (the environment
-overlap vanishes), so the X-shaped assembly below is the exact partial
-trace, not an approximation.  The bulk averages over the sites of one
-parity commute with T2, so they are read from each block's density
-matrix without rebuilding eigenvectors in the spin basis.
+* ``finite_free_fermion``: the unprojected fermions of the periodic ring,
+  diagonalized in 2x2 Bloch blocks of their real-space hoppings, every
+  quantity read from the mode energies and the one-body correlation
+  matrix.  No band integrand and no closed-form spectrum enters; the gap
+  to the bulk integrals is the finite-size error of the fermion ring.
+
+Every eigenstate has a fixed magnetization, which forbids coherence
+between pair states of different pair magnetization, so the X-shaped
+two-site density matrices below are the exact partial traces.  The bulk
+averages over the sites of one parity commute with T2: ``dense_ed`` reads
+them from each block's density matrix without rebuilding eigenvectors in
+the spin basis, ``spin_ring`` off the first sites.
 """
 
 from __future__ import annotations
@@ -54,10 +53,12 @@ __all__ = [
     "EDResult",
     "FreeFermionResult",
     "dense_ed",
+    "spin_ring",
     "finite_free_fermion",
 ]
 
 _DENSE_CAP = 12
+_RING_CAP = 128
 # Levels within this share of |E0| of the lowest count as ground states.  For
 # N >= 4, |E0| >= max(J, |j|, |b|, |B|): the cut follows the chain's own scale.
 _DEGENERACY_TOL = 1e-10
@@ -352,11 +353,19 @@ def dense_ed(chain: FiniteChainSpec) -> EDResult:
         col, row, key, val = b.coherence
         coherence += b.mult * np.bincount(key, (rho[col, row] * val).real, len(_PAIR_KEYS))
 
-    sz_odd, sz_even = (float(v) for v in diagonal[:2])
+    return _ed_result(chain, energy / n, diagonal[:2], diagonal[2:].reshape(-1, 4), coherence,
+                      degeneracy)
+
+
+def _ed_result(chain, u, sz, populations, coherence, degeneracy) -> EDResult:
+    """The ``EDResult`` of energy per site ``u``, the site-parity means ``sz`` (odd, even)
+    of sz and, per pair key, the populations (p11, p10, p01, p00) and the coherence."""
+    p, t = chain.params, chain.thermal
+    sz_odd, sz_even = (float(v) for v in sz)
     m = 0.5 * (sz_odd + sz_even)
     m_s = 0.5 * (sz_even - sz_odd)
     rho2, g, zz, conc = {}, {}, {}, {}
-    for key, (p11, p10, p01, p00), coh in zip(_PAIR_KEYS, diagonal[2:].reshape(-1, 4), coherence):
+    for key, (p11, p10, p01, p00), coh in zip(_PAIR_KEYS, populations, coherence):
         rho = np.array(
             [
                 [p11, 0.0, 0.0, 0.0],
@@ -370,13 +379,12 @@ def dense_ed(chain: FiniteChainSpec) -> EDResult:
         zz[key] = float(p11 - p10 - p01 + p00)
         conc[key] = wootters(rho)
 
-    u = energy / n
     den = abs(p.J - p.j) + abs(p.J + p.j)
     witness_lhs = 4.0 * abs(u + p.B * m + p.b * m_s) / den if den > 0 else math.nan
     e_mw = 1.0 - 0.5 * (sz_odd**2 + sz_even**2) if t.is_ground else None
 
     return EDResult(
-        n_sites=n,
+        n_sites=chain.n_sites,
         energy_per_site=u,
         magnetization=m,
         staggered_magnetization=m_s,
@@ -391,9 +399,105 @@ def dense_ed(chain: FiniteChainSpec) -> EDResult:
     )
 
 
-def _bloch_blocks(p: ChainParams, n: int) -> tuple[int, np.ndarray]:
-    """(e, h): the 2x2 Bloch blocks h(k) of one two-site cell at the n/2 cell momenta
-    k = 4 pi m / n, for the couplings divided by 2^e, so that no entry overflows.
+def spin_ring(chain: FiniteChainSpec) -> EDResult:
+    """Exact thermal expectations on the periodic spin ring, from its two fermion rings.
+
+    Sector s = 0 (even fermion number: the antiperiodic ring) and s = 1 (odd: periodic)
+    are diagonalized in the Bloch blocks of :func:`_bloch_blocks` at k = pi q / L, q odd
+    or even, so k and -k are degenerate to the bit.  A state of a sector is its ground
+    filling with a set F of modes flipped, at weight prod_F y, y = e^(-beta |eps|), the
+    parity of |F| fixed.  ``sums`` holds those weights summed over even and odd F among
+    the modes other than a and b (row and column n: none left out), the odd sums over the
+    largest y, built by (S0, S1) <- (S0 + y S1, S1 + y S0) from positive terms, so a rare
+    parity keeps its relative precision; a mode left out (y = 0) is the identity.  Joint
+    occupations of mode pairs are ratios of these sums, and p11 and p00 are (1/2) sum_ab
+    |K_ab|^2 times one, K_ab = v_ia v_kb - v_ib v_ka the amplitude of c_k c_i.
+    """
+    n, p, t = chain.n_sites, chain.params, chain.thermal
+    if n > _RING_CAP:
+        raise DimensionTooLarge(f"the parity-projected ring is capped at {_RING_CAP} sites")
+    if t.is_ground:
+        raise ValueError("the parity-projected ring is exact at finite temperature only")
+    half = n // 2  # q odd (s = 0) or even (s = 1), with q and -q modulo 2 L in each row
+    q = 2 * np.arange(half) + 1 - half + (half + np.arange(2)[:, None]) % 2
+    phase = np.exp(1j * np.pi * q / half)
+    e, h = _bloch_blocks(p, n, phase)
+    # h = D real D^+, D = diag(1, gauge): real is the same matrix at k and -k, and eigh(real)
+    # keeps |amplitude|^2 on a site exact
+    real, mod = h.real.copy(), np.abs(h[..., 0, 1])
+    real[..., 0, 1] = real[..., 1, 0] = mod
+    gauge = np.where(mod > 0, h[..., 1, 0] / np.where(mod > 0, mod, 1.0), 1.0)
+    eps, u = np.linalg.eigh(real)  # mode b of momentum m: eps[s, m, b], amplitudes u[s, m, :, b]
+    eps = eps.reshape(2, n)
+    # amplitudes on sites 1 .. 4 (cells 0 and 1): v[s, site, 2 m + b]
+    site = np.stack([np.ones_like(phase), gauge, phase, phase * gauge], -1) / math.sqrt(half)
+    v = (u[:, :, [0, 1, 0, 1]] * site[..., None]).transpose(0, 2, 1, 3).reshape(2, 4, n)
+    density = (u**2).transpose(0, 2, 1, 3).reshape(2, 2, n)  # L |v|^2 on sites 1 and 2, exact
+
+    filled = np.append(eps < 0, np.zeros((2, 1), bool), axis=1).astype(int)  # mode n: none
+    tau, mag = (filled.sum(1) + [0, 1]) % 2, np.abs(eps)  # tau: the parity of |F|
+    least = mag.min(1)
+    low = np.minimum(eps, 0.0).sum(1) + tau * least + math.ldexp(p.B, -e) * n  # lowest levels
+    with np.errstate(over="ignore"):  # past 2^1000 a weight is 0 all the same
+        d = np.minimum(np.ldexp(t.beta * (mag - least[:, None]), e), 2.0**1000)
+        floor = np.minimum(np.ldexp(t.beta * least, e), 2.0**1000)[:, None]  # -ln(largest y)
+        big = np.ldexp(t.beta * (low[1] - low[0]), e)
+    sums = np.zeros((2, 2, n + 1, n + 1))  # [parity, sector, a, b]
+    sums[0] = 1.0
+    factor = np.exp([-d - 2.0 * floor, -d])  # y times, and over, the largest y
+    for c in range(n):
+        step = sums + factor[:, :, c, None, None] * sums[::-1]
+        step[..., c, :], step[..., c] = sums[..., c, :], sums[..., c]
+        sums = step
+    total = sums[tau, [0, 1], n, n]
+    diff = big + np.log(total[0] / total[1])  # ln Z_0 - ln Z_1
+    with np.errstate(over="ignore"):
+        w = 1.0 / (1.0 + np.exp([-diff, diff]))
+    d, off = np.append(d, np.zeros((2, 1)), axis=1), np.where(np.eye(n + 1), -np.inf, 0.0)
+
+    def joint(x, z):
+        """P(n_a = x, n_b = z) over mode pairs a != b per sector, and P(n_a = x)."""
+        fa, fb = (filled ^ x)[:, :, None], (filled ^ z)[:, None, :]  # flipped or not
+        parity = tau[:, None, None] ^ fa ^ fb  # of the flips among the other modes
+        rare = fa + fb + parity - tau[:, None, None]  # 0 or 2: powers of the largest y
+        lnw = off - fa * d[:, :, None] - fb * d[:, None, :] - rare * floor[:, :, None]
+        out = np.exp(lnw) * np.where(parity, sums[1], sums[0]) / total[:, None, None]
+        return out[:, :n, :n], out[:, :n, n]
+
+    (both, _), (none, emp), (first, occ) = (joint(x, z) for x, z in ((1, 1), (0, 0), (1, 0)))
+
+    def amp(i, f):
+        return v[:, i, :, None] * v[:, f, None, :] - v[:, f, :, None] * v[:, i, None, :]
+
+    def mean(values):  # summed over the modes, averaged over the sectors
+        return float(w @ np.real(values).reshape(2, -1).sum(1))
+
+    populations, coherence = [], []
+    for par, r in _PAIR_KEYS:
+        i = int(par == "even")
+        f, k2 = i + r, abs(amp(i, i + r)) ** 2
+        pair = (v[:, i, :, None] * v[:, f, None, :]).conj() * amp(i, f)
+        populations.append([mean(k2 * both) / 2, mean(pair * first),
+                            mean(pair.transpose(0, 2, 1) * first), mean(k2 * none) / 2])
+        hop = mean(v[:, i].conj() * v[:, f] * occ)  # <c+_i c_f>
+        if r == 2:  # c+_i (1 - 2 n_j) c_f = c+_i c_f - 2 c+_i c+_j c_j c_f
+            hop -= mean(amp(i + 1, i).conj() * amp(i + 1, f) * both)
+        coherence.append(hop)
+    sz = [mean(density[:, a] * (occ - emp)) / half for a in (0, 1)]
+    energy = math.ldexp(mean(eps * occ) / n + math.ldexp(p.B, -e), e)
+    # dense_ed's ground states: the lowest levels within its cut, each with the ways to flip
+    # the modes that close to zero (in the right parity) or else one of the cheapest
+    cut = _DEGENERACY_TOL * abs(low.min())
+    zero, cheapest = (mag <= cut).sum(1), (mag <= least[:, None] + cut).sum(1)
+    count = np.where(zero > 0, 2.0 ** (zero - 1), np.where(tau, cheapest, 1))
+    return _ed_result(chain, energy, sz, populations, coherence,
+                      int(count[low <= low.min() + cut].sum()))
+
+
+def _bloch_blocks(p: ChainParams, n: int, phase=None) -> tuple[int, np.ndarray]:
+    """(e, h): the 2x2 Bloch blocks h(k) of one two-site cell at the phases e^(ik) of
+    ``phase``, by default the n/2 cell momenta k = 4 pi m / n of the periodic ring, for
+    the couplings divided by 2^e, so that no entry overflows.
 
     H = c^+ A c + N B on the Jordan-Wigner fermions, with A_ll = -2 B_l and
     A_{l,l+1} = A_{l+1,l} = -J_l on the periodic ring.  A cell holds sites 1
@@ -404,7 +508,9 @@ def _bloch_blocks(p: ChainParams, n: int) -> tuple[int, np.ndarray]:
     J, j, b, B = (math.ldexp(v, -e) for v in (p.J, p.j, p.b, p.B))
     t0 = np.array([[-2.0 * (B - b), -(J - j)], [-(J - j), -2.0 * (B + b)]])
     t1 = np.array([[0.0, 0.0], [-(J + j), 0.0]])
-    hop = np.exp(2j * np.pi * np.arange(n // 2) / (n // 2))[:, None, None]
+    if phase is None:
+        phase = np.exp(2j * np.pi * np.arange(n // 2) / (n // 2))
+    hop = phase[..., None, None]
     return e, t0 + t1 * hop + t1.T * hop.conj()
 
 

@@ -542,6 +542,23 @@ def test_unconverged_ground_energy_exits_qcp_scan_3(monkeypatch, capsys):
     assert err == "qcp-scan: ground-energy quadrature did not reach tolerance\n"
 
 
+def test_oracle_compare_rings_past_the_dense_cap_at_finite_temperature(monkeypatch, capsys):
+    # at T > 0 the dense_ed column is the parity-projected ring; dense ED never runs
+    monkeypatch.setattr(cli, "dense_ed", lambda spec: pytest.fail("dense_ed ran at T > 0"))
+    code, out, err = run_cli(
+        ["oracle-compare", "--j", "0.3", "--b", "0.2", "--B", "0.4", "--beta", "2",
+         "--sizes", "8,16,32,64"], capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)[1]
+    assert [r[1] for r in rows] == ["8", "16", "32", "64"] * 5
+    for name in ("m", "g1_odd", "g1_even", "c1_even"):
+        gaps = [float(r[4]) for r in rows if r[0] == name]
+        # the finite-size gaps fall geometrically, down to rounding at N = 64
+        assert gaps[0] > 1e-4 and gaps[-1] < 1e-14, (name, gaps)
+        assert all(b < a / 50 for a, b in zip(gaps, gaps[1:])), (name, gaps)
+
+
 def test_oracle_compare_cli(tmp_path):
     out = tmp_path / "oracle.csv"
     code = main(
@@ -602,9 +619,11 @@ def test_oracle_compare_cli(tmp_path):
 )
 def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path, monkeypatch, capsys):
     def no_ed(*args, **kwargs):
-        raise AssertionError("dense_ed called before --q was checked")
+        raise AssertionError("a finite ring was computed before --q was checked")
 
+    # at finite T the ring is spin_ring, at T = 0 dense_ed: neither may run
     monkeypatch.setattr(cli, "dense_ed", no_ed)
+    monkeypatch.setattr(cli, "spin_ring", no_ed)
     out = tmp_path / "oracle.csv"
     out.write_bytes(b"previous result\r\n")
     for dest in ([], ["--out", str(out)]):
@@ -625,17 +644,20 @@ def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path,
         (["--tol", "-1"], "tol must be a positive finite number"),
         (["--tol", "nan"], "tol must be a positive finite number"),
         (["--tol", "0"], "tol must be a positive finite number"),
-        (["--sizes", "8,12,14"], "dense diagonalization is capped at 12 sites, got 14"),
+        (["--T", "0", "--sizes", "8,12,14"], "dense diagonalization is capped at 12 sites, got 14"),
+        (["--sizes", "8,64,130"], "the parity-projected ring is capped at 128 sites, got 130"),
     ],
 )
 def test_oracle_compare_rejects_bad_sizes_and_tol_before_work(argv, message, monkeypatch, capsys):
     # the verdict reads the gaps in ring order, so shrinking sizes would fail correct values
     def no_ed(*args, **kwargs):
-        raise AssertionError("dense_ed called before --sizes/--tol were checked")
+        raise AssertionError("a finite ring was computed before --sizes/--tol were checked")
 
     monkeypatch.setattr(cli, "dense_ed", no_ed)
+    monkeypatch.setattr(cli, "spin_ring", no_ed)
+    temperature = [] if "--T" in argv else ["--beta", "2"]
     code, stdout, err = run_cli(
-        ["oracle-compare", "--j", "0.3", "--b", "0.2", "--B", "0.4", "--beta", "2",
+        ["oracle-compare", "--j", "0.3", "--b", "0.2", "--B", "0.4", *temperature,
          "--q", "m,c1_odd", *argv], capsys,
     )
     assert code == 2

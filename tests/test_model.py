@@ -124,6 +124,18 @@ def test_crossing_angle_examples_and_clamps():
         xi(ChainParams(J=1.0, j=1.0, B=0.5))
 
 
+def test_crossing_angle_clamps_where_the_field_squared_overflows():
+    # in the chain's units B = 1e200 squares past the largest float: the crossing is
+    # absent, at 0 where theta falls from q = 0 and at pi/2 where it rises.  The copies at
+    # 2^-560 are rescaled into the same units; at 2^560 a field 1e200 times J is no
+    # double, so the copy at 2^560 is of the chain at 1e-200
+    for s in (1.0, 2.0**-560, 2.0**560 * 1e-200):
+        for J, j, b, want in ((1.0, 0.0, 0.0, 0.0), (1.0, 0.5, -0.3, 0.0),
+                              (0.0, 1.0, 0.0, math.pi / 2), (0.5, -1.0, 0.3, math.pi / 2)):
+            for B in (1e200, -1e200):
+                assert xi(ChainParams(J=s * J, j=s * j, b=s * b, B=s * B)) == want, (s, J, j, b, B)
+
+
 def test_theta_is_constant_on_the_flat_band():
     # beta up to 1e8 multiplies any rounding of theta into the occupations
     q = np.linspace(0.0, math.pi, 1001)

@@ -26,11 +26,12 @@ from staggered_xx import (
     internal_energy,
     ln_z_per_site,
     magnetization,
+    spin_ring,
     staggered_magnetization,
     theta_of_q,
     wootters,
 )
-from staggered_xx.oracle import _bloch_blocks
+from staggered_xx.oracle import _RING_CAP, _bloch_blocks
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -528,3 +529,74 @@ def test_finite_free_fermion_stays_finite_at_the_largest_beta():
     zero = finite_free_fermion(FiniteChainSpec(4, ChainParams(0.0, 0.0, 0.0, 0.0),
                                                Thermal.finite(1.7e308)))
     assert zero.ln_z == math.log(2.0)
+
+
+# (chain, ring sizes): the zero-mode ring only where N/4 puts a mode at zero energy
+SPIN_RING_CHAINS = [
+    (ChainParams(J=1.0, j=0.4, b=0.2, B=0.5), (4, 6, 8, 10, 12)),
+    (ChainParams(J=1.0), (4, 8, 12)),  # uniform XX ring: a zero mode at k = pi/2
+    (ChainParams(J=0.7, j=-0.7, b=0.3, B=-0.9), (4, 6, 8, 10, 12)),  # dimers, j = -J
+    (ChainParams(J=1.0, j=0.4, b=1e200, B=0.5), (4, 6, 8, 10, 12)),
+    (ChainParams(J=1.0, j=1.4, b=-0.2, B=1.1), (4, 6, 8, 10, 12)),  # J < |j|, +-k pairs
+    (ChainParams(J=0.8, j=-0.3, b=0.6, B=2.5), (4, 6, 8, 10, 12)),  # polarized by B
+    (ChainParams(J=0.0, j=0.0, b=0.5, B=0.5), (4, 6, 8, 10, 12)),  # N/2 free spins
+]
+
+
+def _ring_fields(res, p):
+    """``_ed_fields`` with energies in units of the chain's scale s, and the witness, whose
+    numerator is an energy over den = |J - j| + |J + j|, in units of s / den."""
+    s = max(p.J, abs(p.j), abs(p.b), abs(p.B))
+    out = _ed_fields(res, s)
+    out["witness_lhs"] *= (abs(p.J - p.j) + abs(p.J + p.j)) / s
+    return out
+
+
+@pytest.mark.parametrize("p, sizes", SPIN_RING_CHAINS, ids=str)
+def test_spin_ring_matches_dense_ed_field_by_field(p, sizes):
+    s = max(p.J, abs(p.j), abs(p.b), abs(p.B))
+    for n in sizes:
+        for beta in (1e-3, 0.5, 3.0, 30.0, 1e3, 1e6):  # in units of the chain's scale
+            spec = FiniteChainSpec(n, p, Thermal.finite(beta / s))
+            want, got = _ring_fields(dense_ed(spec), p), _ring_fields(spin_ring(spec), p)
+            assert got.keys() == want.keys()
+            assert got.pop("ground_degeneracy") == want.pop("ground_degeneracy"), (n, beta)
+            assert got.pop("e_mw") is want.pop("e_mw") is None
+            for key, value in want.items():  # a nan witness (J = j = 0) is nan in both
+                np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-13,
+                                           err_msg=f"{n} {beta} {key}")
+
+
+def test_spin_ring_follows_the_chain_scale():
+    for unit in (ChainParams(J=1.0, j=0.4, b=0.2, B=0.5), ChainParams(J=0.3, j=-1.1, b=0.0, B=0.8)):
+        for n, beta in ((4, 0.7), (8, 2.0), (10, 40.0), (64, 3.0)):
+            want = _ed_fields(spin_ring(FiniteChainSpec(n, unit, Thermal.finite(beta))))
+            for s in (2.0**500, 2.0**-500):
+                scaled = ChainParams(*(s * v for v in (unit.J, unit.j, unit.b, unit.B)))
+                res = spin_ring(FiniteChainSpec(n, scaled, Thermal.finite(beta / s)))
+                assert _ed_fields(res, s) == want, (unit, n, beta, s)
+
+
+def test_spin_ring_needs_no_band_integral(monkeypatch):
+    from staggered_xx import quadrature, thermo
+
+    def banned(*args, **kwargs):
+        raise AssertionError("the ring must not integrate over the band")
+
+    monkeypatch.setattr(thermo, "_band_integrals", banned)
+    monkeypatch.setattr(quadrature, "_integrate_cells", banned)
+    p = ChainParams(J=1.0, j=0.3, b=0.2, B=0.4)
+    res = spin_ring(FiniteChainSpec(16, p, Thermal.finite(2.0)))
+    assert 0.0 < res.magnetization < 1.0
+
+
+def test_spin_ring_size_cap_and_temperature():
+    p = ChainParams(J=1.0, j=0.4, b=0.2, B=0.5)
+    assert spin_ring(FiniteChainSpec(_RING_CAP, p, Thermal.finite(1.0))).n_sites == _RING_CAP
+    with pytest.raises(DimensionTooLarge):
+        spin_ring(FiniteChainSpec(_RING_CAP + 2, p, Thermal.finite(1.0)))
+    with pytest.raises(ValueError, match="finite temperature"):
+        spin_ring(FiniteChainSpec(8, p, Thermal.zero()))
+    # the all-zero chain: every mode at zero energy, every state a ground state
+    zero = spin_ring(FiniteChainSpec(_RING_CAP, ChainParams(J=0.0), Thermal.finite(1.0)))
+    assert zero.ground_degeneracy == 2**_RING_CAP and zero.energy_per_site == 0.0

@@ -19,7 +19,7 @@ EXPORTED = {
     "ConcurrencePair", "WitnessValue", "InvalidState", "NegativeRadicand",
     "DegenerateCoupling", "wootters", "c1", "c2", "witness",
     "DimensionTooLarge", "FiniteChainSpec", "EDResult", "FreeFermionResult", "dense_ed",
-    "finite_free_fermion",
+    "spin_ring", "finite_free_fermion",
     "__version__",
 }
 
