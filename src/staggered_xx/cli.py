@@ -5,8 +5,10 @@ digits).  Sweep rows are emitted row-major with the x axis varying
 fastest, and the bytes are identical for any worker count: the grid is
 fixed up front and each point is a pure function of its parameters.  The
 cells go to the engine in the row-major blocks of ``quadrature.cell_blocks``,
-one task each: a block's finite-T cells share one engine run, and so do
-its T = 0 cells.
+one task each.  A block holds its cells as (J, j, b, B, beta) columns: its
+finite-T cells share one engine run and its T = 0 cells another, and each
+quantity is a column expression over the (7, K) record columns the two give,
+through the recipes the library functions call on one point.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -26,7 +28,9 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import correlations, entanglement, ground, quadrature, thermo
 from .model import ChainParams, Thermal
@@ -55,7 +59,10 @@ class _Quantity:
     ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
     by the quantities of that point.  ``quad`` is the point's record of
     ``thermo._band_integrals``, at T = 0 as at finite T, which the library
-    functions read instead of integrating.  ``ed``/``fermion`` read it
+    functions read instead of integrating.  A sweep block (``_sweep_block``)
+    takes the record rows ``reads``, in the order the library function reads
+    them, and ``column(c, memo)``: the value and where it is an error, decided
+    before the reads if ``checks_first``.  ``ed``/``fermion`` read it
     from an ``EDResult``/``finite_free_fermion`` result: no ``ed`` keeps it out
     of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
     Library functions are looked up through their modules at call time.
@@ -67,34 +74,58 @@ class _Quantity:
     ed: Callable | None = None
     fermion: Callable | None = None
     energy: bool = False  # oracle-compare judges its gaps in units of max(J, |j|, |b|, |B|)
+    reads: tuple = ()
+    column: Callable | None = None  # None: the row reads[0] itself
+    checks_first: bool = False
 
 
-def _sublattice(pair: str, parity: str) -> Callable:
-    """Value of ``entanglement.<pair>`` at ``parity``; one call serves both parities."""
+def _sublattice(pair: str, parity: str) -> dict:
+    """The value and column of ``entanglement.<pair>`` at ``parity``, the column by the recipe
+    ``entanglement._<pair>``, an error where either radicand is; one call serves both."""
+    i = _PARITIES.index(parity)
 
     def value(p, t, quad, memo):
         if pair not in memo:
             memo[pair] = getattr(entanglement, pair)(p, t, quad)
         return memo[pair].at(parity)
 
-    return value
+    def column(c, memo):
+        if pair not in memo:
+            memo[pair] = getattr(entanglement, "_" + pair)(*(c[r] for r in _READS[pair]))
+        return memo[pair][i], memo[pair][2]
+
+    return {"value": value, "reads": _READS[pair], "column": column}
+
+
+def _witness_column(c, memo):
+    """The witness's column, and its DegenerateCoupling cells (J = j = 0)."""
+    scale = np.maximum(c["J"], np.abs(c["j"]))
+    k, degenerate = np.frexp(scale)[1], scale == 0
+    J = np.where(degenerate, 1.0, np.ldexp(c["J"], -k))  # not 0 / 0 where it is an error
+    return entanglement._witness_lhs(J, np.ldexp(c["j"], -k), c["gu1"], c["gs1"]), degenerate
 
 
 _PARITIES = ("odd", "even")
+# a block's record rows (``_sweep_block``), and those each concurrence reads
+_ROWS = ("u", "m", "m_s", "gu1", "gs1", "gu2", "gs2")
+_READS = {"c1": _ROWS[1:5], "c2": _ROWS[1:]}
 _TABLE = {
     "u": _Quantity(
         lambda p, t, quad, memo: thermo.internal_energy(p, t, quad),
-        ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u, energy=True,
+        ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u, energy=True, reads=("u",),
     ),
     "m": _Quantity(
         lambda p, t, quad, memo: thermo.magnetization(p, t, quad),
-        ed=lambda ed: ed.magnetization, fermion=lambda ff: ff.m,
+        ed=lambda ed: ed.magnetization, fermion=lambda ff: ff.m, reads=("m",),
     ),
     "m_s": _Quantity(
         lambda p, t, quad, memo: thermo.staggered_magnetization(p, t, quad),
-        ed=lambda ed: ed.staggered_magnetization, fermion=lambda ff: ff.m_s,
+        ed=lambda ed: ed.staggered_magnetization, fermion=lambda ff: ff.m_s, reads=("m_s",),
     ),
-    "e_mw": _Quantity(lambda p, t, quad, memo: ground.meyer_wallach(p, quad), t0_only=True),
+    "e_mw": _Quantity(
+        lambda p, t, quad, memo: ground.meyer_wallach(p, quad), t0_only=True, reads=("m_s",),
+        column=lambda c, memo: (ground._meyer_wallach(c["f"], c["m_s"]), False),
+    ),
     **{
         f"g1_{s}": _Quantity(
             lambda p, t, quad, memo, s=s: correlations.g_site(p, t, s, 1, quad), point=False,
@@ -110,16 +141,19 @@ _TABLE = {
         for s in _PARITIES
     },
     **{
-        f"c1_{s}": _Quantity(_sublattice("c1", s), ed=lambda ed, s=s: ed.concurrence[(s, 1)])
+        f"c1_{s}": _Quantity(**_sublattice("c1", s), ed=lambda ed, s=s: ed.concurrence[(s, 1)])
         for s in _PARITIES
     },
-    **{f"c2_{s}": _Quantity(_sublattice("c2", s)) for s in _PARITIES},
+    **{f"c2_{s}": _Quantity(**_sublattice("c2", s)) for s in _PARITIES},
     "witness_lhs": _Quantity(
         lambda p, t, quad, memo: entanglement.witness(p, t, quad).lhs,
-        ed=lambda ed: ed.witness_lhs,
+        ed=lambda ed: ed.witness_lhs, reads=("gu1", "gs1"), column=_witness_column,
+        checks_first=True,
     ),
-    "energy_t0": _Quantity(lambda p, t, quad, memo: ground.energy(p, quad), t0_only=True),
-    "m_t0": _Quantity(lambda p, t, quad, memo: ground.magnetization_t0(p), t0_only=True),
+    "energy_t0": _Quantity(lambda p, t, quad, memo: ground.energy(p, quad), t0_only=True,
+                           reads=("u",)),
+    "m_t0": _Quantity(lambda p, t, quad, memo: ground.magnetization_t0(p, quad), t0_only=True,
+                      reads=("m",)),
 }
 
 QUANTITIES = tuple(name for name, q in _TABLE.items() if q.point)
@@ -190,6 +224,12 @@ class SweepSpec:
                 raise ConfigError(f"axis {ax.name}: steps must be >= 2, got {ax.steps}")
             if ax.name == "T" and (ax.start < 0 or ax.stop < 0):
                 raise ConfigError("temperature axis values must be >= 0")
+            # the values run monotonically from start to the last, so the last decides
+            last = ax.start + (ax.stop - ax.start) / (ax.steps - 1) * (ax.steps - 1)
+            if not math.isfinite(last):
+                raise ConfigError(f"axis {ax.name}: values pass the largest float, got {last!r}")
+            if ax.name == "T" and last < 0:  # rounded below a stop of 0
+                raise ConfigError(f"temperature must be >= 0, got {last!r}")
         # refused before AxisSpec.values builds a grid, the bound of a qcp-scan grid
         if self.x.steps * self.y.steps > ground._MAX_SCAN_POINTS:
             raise ConfigError(f"sweep grid holds {self.x.steps * self.y.steps} cells, "
@@ -204,11 +244,10 @@ class SweepSpec:
         _validate_quantities(self.quantities, self.thermal)
 
 
-def _evaluate(params: ChainParams, thermal: Thermal, quantities, quad=None) -> tuple[dict, list]:
-    """Values of already validated quantities, read from the point's record ``quad``
-    (built here if None); a failed one is NaN and flagged."""
-    if quad is None:
-        (quad,) = thermo._band_integrals([(params, thermal)])
+def _evaluate(params: ChainParams, thermal: Thermal, quantities) -> tuple[dict, list]:
+    """Values of already validated quantities, read from the point's one record; a failed
+    one is NaN and flagged."""
+    quad = thermo._point_record(params, thermal, None)
     record, flags, memo = {}, [], {}
     for name in quantities:
         try:
@@ -244,27 +283,36 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+_FLAGS = ("", "tolerance", "error")  # by a cell's code
+
+
 def _sweep_block(task) -> list:
-    """The CSV rows of a run of consecutive row-major cells ``(x, y)``: its finite-T cells
-    share one engine run, and so do its T = 0 cells."""
-    spec, grid = task
-    cells = []
-    for xv, yv in grid:
-        p, t = spec.params, spec.thermal
-        for ax, v in ((spec.x, xv), (spec.y, yv)):
-            if ax.name == "T":
-                t = Thermal.from_temperature(v)
-            else:
-                p = replace(p, **{ax.name: v})
-        cells.append((p, t))
+    """The CSV rows of a run of consecutive row-major cells, the columns ``xs`` and ``ys`` of
+    their axis values: each quantity a column expression over the records of their (J, j,
+    b, B, beta) columns, flagged as on one point (``_Quantity``)."""
+    spec, xs, ys = task
+    axes, n = {spec.x.name: xs, spec.y.name: ys}, len(xs)
+    chains = np.array([np.broadcast_to(axes.get(v, getattr(spec.params, v)), n) for v in "JjbB"])
+    with np.errstate(divide="ignore", over="ignore"):  # at T = 0, or past 1/T's range: inf
+        beta = 1.0 / np.abs(axes["T"]) if "T" in axes else np.full(n, spec.thermal.beta)
+    f, value, _, ok = thermo._record_columns(chains, beta)
+    code = np.where(ok, np.where(np.isinf(value), 2, 0), 1)  # 1 tolerance, 2 error
+    zero = chains[2] == 0  # m_s is 0 at b = 0 and reads nothing
+    value[2, zero], code[2, zero] = 0.0, 0
+    c = {**dict(zip(_ROWS, value)), "f": f, "J": chains[0], "j": chains[1]}
+    codes, memo, cols, marks = dict(zip(_ROWS, code)), {}, [], []
+    for name in spec.quantities:
+        q = _TABLE[name]
+        v, err = q.column(c, memo) if q.column else (c[q.reads[0]], False)
+        mark = np.where(err, 2, 0)
+        for r in reversed(q.reads):  # the first read that fails decides, as on one point
+            mark = np.where(codes[r], codes[r], mark)
+        marks.append((np.where(err, 2, mark) if q.checks_first else mark).tolist())
+        cols.append(np.where(marks[-1], math.nan, v).tolist())
     rows = []
-    for (xv, yv), (p, t), rec in zip(grid, cells, thermo._band_integrals(cells)):
-        record, flags = _evaluate(p, t, spec.quantities, rec)
-        rows.append(
-            [_fmt(xv), _fmt(yv)]
-            + [_fmt(record[qn]) for qn in spec.quantities]
-            + [";".join(flags)]
-        )
+    for xv, yv, vals, ms in zip(xs.tolist(), ys.tolist(), zip(*cols), zip(*marks)):
+        flags = [f"{q}:{_FLAGS[m]}" for q, m in zip(spec.quantities, ms) if m]
+        rows.append([_fmt(xv), _fmt(yv)] + [_fmt(v) for v in vals] + [";".join(flags)])
     return rows
 
 
@@ -273,10 +321,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[int, list]:
     one worker is a :class:`ConfigError` before any cell is computed."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    xs = spec.x.values()
-    grid = [(xv, yv) for yv in spec.y.values() for xv in xs]
+    xs, ys = spec.x.values(), spec.y.values()
+    xs, ys = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # row-major, x fastest
     # one task per block of the engine, so that each is one run
-    tasks = [(spec, grid[cut]) for cut in quadrature.cell_blocks(len(grid))]
+    tasks = [(spec, xs[cut], ys[cut]) for cut in quadrature.cell_blocks(len(xs))]
     # fork starts every worker up front, so start no more than can be busy
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -502,7 +550,9 @@ def _attach_negative_numbers(argv) -> list:
     return out
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """The parsed options.  The parser, a web of reference cycles, dies on return, so the
+    young-generation collections that the command's own allocations trigger free it."""
     parser = argparse.ArgumentParser(
         prog="staggered-xx",
         description="Analytic staggered XX chain: thermodynamics, correlations, entanglement.",
@@ -540,7 +590,11 @@ def main(argv=None) -> int:
     vc = subs.add_parser("validate-config", help="check a sweep config file")
     vc.add_argument("--config", required=True)
 
-    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
+    return parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
     opts = _Options(vars(args), lambda name: "--" + name)
 
     # Each command validates and computes; --out is opened only once it has rows.

@@ -120,29 +120,57 @@ def wootters(rho) -> float:
     return min(max(c, 0.0), 1.0)
 
 
-def _concurrence(coherence: float, sz_l: float, sz_r: float, g: float) -> float:
-    """max{0, coherence - 2 sqrt(p11 p00)} of an X-shaped pair state (Wootters, PRL 80, 2245).
+def _ramp(x):
+    """max(x, 0) of a finite float or column alike, exactly: x + |x| is 2x or 0."""
+    return (x + abs(x)) * 0.5
+
+
+def _concurrence(coherence, sz_l, sz_r, g):
+    """max{0, coherence - 2 sqrt(p11 p00)} of an X-shaped pair state (Wootters, PRL 80, 2245),
+    and whether its radicand is negative beyond noise; of floats or columns alike.
 
     16 p11 p00 is taken in factored form, which keeps its digits for a nearly
     polarized pair where (1 + zz)^2 - (sz_l + sz_r)^2 cancels.
     """
     rad = ((1.0 + sz_l) * (1.0 + sz_r) - g * g) * ((1.0 - sz_l) * (1.0 - sz_r) - g * g)
     # quadrature noise may push the radicand slightly negative
-    if rad < -1e-9:
-        raise NegativeRadicand(f"concurrence radicand {rad:.3e} is negative beyond noise tolerance")
-    return max(0.0, coherence - 0.5 * math.sqrt(max(rad, 0.0)))
+    root = np.sqrt(_ramp(rad)) if isinstance(rad, np.ndarray) else math.sqrt(_ramp(rad))
+    return _ramp(coherence - 0.5 * root), rad < -1e-9
+
+
+def _parities(at):
+    """(odd, even, either radicand negative) of the concurrence ``at(s)``, s the parity sign."""
+    (odd, bad_odd), (even, bad_even) = at(-1.0), at(1.0)
+    return odd, even, bad_odd | bad_even
+
+
+def _c1(m, ms, gu, gs):
+    """The recipe of ``c1`` from m, m_s and g1's parts."""
+    return _parities(lambda s: _concurrence(abs(gu + s * gs), m + s * ms, m - s * ms, gu + s * gs))
+
+
+def _c2(m, ms, gu, gs, gu2, gs2):
+    """The recipe of ``c2`` from m, m_s and the parts of g1 and g2."""
+
+    def at(s):
+        g2_l, sz_l = gu2 + s * gs2, m + s * ms
+        coherence = abs((gu + s * gs) * (gu - s * gs) - g2_l * (m - s * ms))
+        return _concurrence(coherence, sz_l, sz_l, g2_l)
+
+    return _parities(at)
+
+
+def _pair(odd, even, bad) -> ConcurrencePair:
+    if bad:
+        raise NegativeRadicand("concurrence radicand is negative beyond noise tolerance")
+    return ConcurrencePair(odd=odd, even=even)
 
 
 def c1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
     """Nearest-neighbour concurrence on each sublattice."""
     quad = _point_record(p, t, quad)
     m, ms, g = magnetization(p, t, quad), staggered_magnetization(p, t, quad), g1(p, t, quad)
-    out = {}
-    for parity in ("odd", "even"):
-        s = parity_sign(parity)
-        gp = g.uniform + s * g.staggered
-        out[parity] = _concurrence(abs(gp), m + s * ms, m - s * ms, gp)
-    return ConcurrencePair(odd=out["odd"], even=out["even"])
+    return _pair(*_c1(m, ms, g.uniform, g.staggered))
 
 
 def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
@@ -156,17 +184,12 @@ def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
     quad = _point_record(p, t, quad)
     m, ms = magnetization(p, t, quad), staggered_magnetization(p, t, quad)
     g, g2 = g1(p, t, quad), g_even(p, t, 2, quad)
-    out = {}
-    for parity in ("odd", "even"):
-        s = parity_sign(parity)
-        g_l = g.uniform + s * g.staggered
-        g_mid = g.uniform - s * g.staggered
-        g2_l = g2.uniform + s * g2.staggered
-        sz_l = m + s * ms
-        sz_mid = m - s * ms
-        coherence = abs(g_l * g_mid - g2_l * sz_mid)
-        out[parity] = _concurrence(coherence, sz_l, sz_l, g2_l)
-    return ConcurrencePair(odd=out["odd"], even=out["even"])
+    return _pair(*_c2(m, ms, g.uniform, g.staggered, g2.uniform, g2.staggered))
+
+
+def _witness_lhs(J, j, gu, gs):
+    """The witness from g1's parts, J and j in units of max(J, |j|); floats or columns."""
+    return 4.0 * abs(J * gu + j * gs) / (abs(J - j) + abs(J + j))
 
 
 def witness(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> WitnessValue:
@@ -176,7 +199,6 @@ def witness(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> Witness
     if scale == 0:
         raise DegenerateCoupling("witness bound requires J or j nonzero")
     k = math.frexp(scale)[1]
-    J, j = math.ldexp(p.J, -k), math.ldexp(p.j, -k)
     g = g1(p, t, quad)
-    lhs = 4.0 * abs(J * g.uniform + j * g.staggered) / (abs(J - j) + abs(J + j))
+    lhs = _witness_lhs(math.ldexp(p.J, -k), math.ldexp(p.j, -k), g.uniform, g.staggered)
     return WitnessValue(lhs=lhs, detected=lhs > 1.0)

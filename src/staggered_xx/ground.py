@@ -89,22 +89,37 @@ class QcpScan:
 class _BandIntegrals(NamedTuple):
     """The band integrals of one point as per-site ``QuadResult``s: u, m, m_s and the
     (uniform, staggered) pairs g1 and g2 of separations 1 and 2; at finite T all seven on
-    shared nodes, at T = 0 five over F and two closed (``_records``).  Given as ``quad``, a
-    quantity function reads them; one not held is a ValueError, an unconverged one a
-    ToleranceNotReached."""
+    shared nodes, at T = 0 five over F and two closed (``_records``) with f, the share outside
+    F.  Given as ``quad``, a quantity function reads them; one not held is a ValueError, an
+    unconverged one a ToleranceNotReached, a u past the largest float an OverflowError."""
 
     u: QuadResult
     m: QuadResult
     m_s: QuadResult
     g1: tuple
     g2: tuple
+    f: float | None = None
 
     def integral(self, name: str):
         if name not in self._fields:
             raise ValueError(f"the band integrals of one point hold no {name}")
         got = getattr(self, name)
-        pair = isinstance(got, tuple)
-        return tuple(map(require_converged, got)) if pair else require_converged(got)
+        if isinstance(got, tuple):
+            return tuple(map(require_converged, got))
+        if math.isinf(value := require_converged(got)):
+            raise OverflowError(f"{name} is past the largest float")
+        return value
+
+
+def _as_records(f, value, err, ok) -> list[_BandIntegrals]:
+    """The ``_BandIntegrals`` of record columns: f (NaN at finite T) and the (7, K) values,
+    error estimates and flags in field order, pairs flattened."""
+    records = []
+    for f, *cell in zip(f.tolist(), value.T.tolist(), err.T.tolist(), ok.T.tolist()):
+        hot = math.isnan(f)  # two pieces split at the crossing, else F
+        u, m, m_s, gu1, gs1, gu2, gs2 = (QuadResult(*r, 2 if hot else 1) for r in zip(*cell))
+        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2), None if hot else f))
+    return records
 
 
 def _fill(p: ChainParams) -> tuple[float, float, float]:
@@ -165,20 +180,34 @@ def _even_uniform(B: float, lo: float, hi: float, r: int) -> float:
     return math.copysign(2.0, B) * sin / (math.pi * r) if B else 0.0
 
 
-def _records(ps, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
-    """The T = 0 ``_BandIntegrals`` records of the chains ``ps``, from one call of the five
-    integrands of ``_record_kernel``; m and the uniform part of g2 are closed forms."""
-    units, *run = _over_filled(_columns(ps), 5, _record_kernel, quad)
-    records = []
-    cells = zip(*(a.T.tolist() for a in run))
-    for (k, _, _, _, B, lo, hi, out), cell in zip(zip(*(v.tolist() for v in units)), cells):
-        e, m_s, gu1, gs1, gs2 = (QuadResult(*r, 1) for r in zip(*cell))
-        u = QuadResult(math.ldexp(e.value - abs(B) * out, k), math.ldexp(e.error, k),
-                       e.converged, 1)
-        m, gu2 = (QuadResult(v, 0.0, True, 0)
-                  for v in (math.copysign(out, B) if B else 0.0, _even_uniform(B, lo, hi, 2)))
-        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2)))
-    return records
+def _m_t0(out, B):
+    """The ground-state m, sign(B) times the share ``out`` outside F; columns."""
+    return np.where(B != 0, np.copysign(out, B), 0.0)
+
+
+_OVER_F = [0, 2, 3, 4, 6]  # the record rows of ``_record_kernel``'s five integrals
+
+
+def _record_columns(chains, quad: QuadSpec | None):
+    """The share outside F and the (7, K) T = 0 record columns (``_as_records``) of the chains
+    given as (J, j, b, B) columns: one run of the five integrands of ``_record_kernel``; m and
+    the uniform part of g2 are closed forms, and a u past the largest float is infinite."""
+    units, *run = _over_filled(chains, 5, _record_kernel, quad)
+    shape = (7, len(units.k))
+    value, err, ok = np.empty(shape), np.zeros(shape), np.ones(shape, bool)
+    value[_OVER_F], err[_OVER_F], ok[_OVER_F] = run
+    value[1] = _m_t0(units.out, units.B)
+    value[5] = [_even_uniform(B, lo, hi, 2)
+                for B, lo, hi in zip(units.B.tolist(), units.lo.tolist(), units.hi.tolist())]
+    with np.errstate(over="ignore"):
+        value[0] = np.ldexp(value[0] - np.abs(units.B) * units.out, units.k)
+        err[0] = np.ldexp(err[0], units.k)
+    return units.out, value, err, ok
+
+
+def _records(chains, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
+    """The T = 0 ``_BandIntegrals`` records of the chains given as (J, j, b, B) columns."""
+    return _as_records(*_record_columns(chains, quad))
 
 
 def _energies(chains, quad: QuadSpec | None) -> np.ndarray:
@@ -198,9 +227,12 @@ def energy(p: ChainParams, quad=None) -> float:
     return _energies(_columns([p]), quad).item()
 
 
-def magnetization_t0(p: ChainParams) -> float:
-    """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi): a T = 0 record's m."""
-    return math.copysign(_fill(p)[2], p.B) if p.B else 0.0  # m is odd in B
+def magnetization_t0(p: ChainParams, quad=None) -> float:
+    """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi): read from the T = 0
+    record ``quad``, else decided from F alone."""
+    if isinstance(quad, _BandIntegrals):
+        return quad.integral("m")
+    return _m_t0(_fill(p)[2], p.B).item()  # m is odd in B
 
 
 def staggered_magnetization_t0(p: ChainParams, quad=None) -> float:
@@ -211,7 +243,8 @@ def staggered_magnetization_t0(p: ChainParams, quad=None) -> float:
     """
     if p.b == 0:
         return 0.0
-    return (quad if isinstance(quad, _BandIntegrals) else _records([p], quad)[0]).integral("m_s")
+    rec = quad if isinstance(quad, _BandIntegrals) else _records(_columns([p]), quad)[0]
+    return rec.integral("m_s")
 
 
 def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float, float]:
@@ -235,20 +268,24 @@ def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float,
     return (_even_uniform(units.B.item(), units.lo.item(), units.hi.item(), r), *got)
 
 
+def _meyer_wallach(f, ms):
+    """1 - f^2 - m_s^2, of floats or columns."""
+    return 1.0 - f * f - ms * ms
+
+
 def meyer_wallach(p: ChainParams, quad=None) -> float:
-    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2, m_s from
-    the T = 0 record ``quad`` (integrated if a QuadSpec or None).
+    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2, f and m_s
+    from the T = 0 record ``quad`` (m_s integrated if a QuadSpec or None).
 
     f = 1 - 2|F|/pi is |m|, except that it stays 1 on the all-zero chain
     (saturated at B = 0), whose measure is 0.
     """
-    f = _fill(p)[2]
-    ms = staggered_magnetization_t0(p, quad)
-    return 1.0 - f * f - ms * ms
+    f = quad.f if isinstance(quad, _BandIntegrals) else _fill(p)[2]
+    return _meyer_wallach(f, staggered_magnetization_t0(p, quad))
 
 
 def ground_report(p: ChainParams, quad: QuadSpec | None = None) -> GroundReport:
-    rec = _records([p], quad)[0]
+    rec = _records(_columns([p]), quad)[0]
     return GroundReport(
         region=classify_region(p),
         energy=energy(p, rec),

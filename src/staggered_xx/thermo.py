@@ -12,7 +12,8 @@ where u is the energy per site and m, m_s the uniform and staggered
 magnetizations (m = (1/beta) d(lnZ/N)/dB, m_s = (1/beta) d(lnZ/N)/db,
 u = -d(lnZ/N)/dbeta; these identities are enforced in the test suite).
 Every band integral, here and in :mod:`.correlations`, is read from a
-``_BandIntegrals`` record or integrated with a ``QuadSpec`` by
+``_BandIntegrals`` record (a sweep block reads the record columns of
+``_record_columns``) or integrated with a ``QuadSpec`` by
 ``_band_integral``: at finite temperature on the tanh-sinh nodes of
 ``_cell_integrals``, at zero temperature over the filled interval of
 :mod:`.ground`.  The fused kernels (``_band_kernel``, ``_ln_z_kernel``,
@@ -62,15 +63,15 @@ class ThermoPoint:
     m_s: float
 
 
-def _cell_integrals(cells, n: int, kernel, quad: QuadSpec | None = None):
-    """The unit exponents k (``model._in_units``) of K finite-T cells ``(p, t)`` and (n, K)
-    values (1/2pi) int_0^pi, error estimates and flags of the ``n`` integrands ``kernel(q, c,
-    s, th, J, j, b, B, beta)`` (cos q, sin q, theta, (cells, 1) columns) in those units, from
-    one ``quadrature._integrate_cells`` call, each cell split at its band crossing."""
-    if any(t.is_ground for _, t in cells):
+def _cell_integrals(chains, beta, n: int, kernel, quad: QuadSpec | None = None):
+    """The unit exponents k (``model._in_units``) of K finite-T cells, (J, j, b, B) and beta
+    columns, and (n, K) values (1/2pi) int_0^pi, error estimates and flags of the ``n``
+    integrands ``kernel(q, c, s, th, J, j, b, B, beta)`` (cos q, sin q, theta, (cells, 1)
+    columns) in those units, from one ``quadrature._integrate_cells`` call, each cell split
+    at its band crossing."""
+    if np.isinf(beta).any():
         raise ValueError("the band integrals of a cell need a finite temperature")
-    k, J, j, b, B = _in_units(*_columns(p for p, _ in cells))
-    beta = np.array([t.beta for _, t in cells])
+    k, J, j, b, B = _in_units(*chains)
     # past 2^1000 in its own units a cell's tanh layers are finer than any node gap
     fine = np.frexp(beta)[1] + k < 1000
     beta = np.where(fine, np.ldexp(beta, np.where(fine, k, 0)), 2.0**1000)
@@ -103,22 +104,31 @@ def _band_kernel(q, c, s, th, J, j, b, B, beta):
             -s * j * s * ratio, c2 * (tp + tm), c2 * b * ratio)
 
 
-def _finite_records(cells, quad: QuadSpec | None) -> list[_BandIntegrals]:
-    """The ``_BandIntegrals`` records of finite-T cells ``(p, t)``, from one engine call."""
-    k, value, err, ok = _cell_integrals(cells, 7, _band_kernel, quad)
-    value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)  # u out of the cell's units
-    cells = ([QuadResult(*r, 2) for r in zip(*cell)]
-             for cell in zip(value.T.tolist(), err.T.tolist(), ok.T.tolist()))
-    return [_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2))
-            for u, m, m_s, gu1, gs1, gu2, gs2 in cells]
+def _record_columns(chains, beta, quad: QuadSpec | None = None):
+    """f (NaN at finite T) and the (7, K) record columns (``ground._as_records``) of cells
+    given as (J, j, b, B) and beta columns: one engine run of ``_band_kernel`` over the
+    finite-T cells, one of ``ground._record_columns`` over those at T = 0 (beta inf)."""
+    hot = np.isfinite(beta)
+    if hot.all():
+        k, value, err, ok = _cell_integrals(chains, beta, 7, _band_kernel, quad)
+        with np.errstate(over="ignore"):  # u out of the cell's units; past the largest float, inf
+            value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)
+        return np.full(len(beta), math.nan), value, err, ok
+    if not hot.any():
+        return ground._record_columns(chains, quad)
+    shape = (7, len(beta))  # the finite-T cells first, then those at T = 0
+    columns = (np.empty(len(beta)), np.empty(shape), np.empty(shape), np.empty(shape, bool))
+    for cells, part in ((hot, _record_columns(chains[:, hot], beta[hot], quad)),
+                        (~hot, ground._record_columns(chains[:, ~hot], quad))):
+        for column, piece in zip(columns, part):
+            column[..., cells] = piece
+    return columns
 
 
 def _band_integrals(cells, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
-    """The ``_BandIntegrals`` records of cells ``(p, t)`` at any temperature: one engine
-    call over the finite-T cells, one over the T = 0 cells (``ground._records``)."""
-    hot, cold = [(p, t) for p, t in cells if not t.is_ground], [p for p, t in cells if t.is_ground]
-    hot, cold = iter(hot and _finite_records(hot, quad)), iter(cold and ground._records(cold, quad))
-    return [next(cold if t.is_ground else hot) for _, t in cells]
+    """The ``_BandIntegrals`` records of cells ``(p, t)`` at any temperature."""
+    beta = np.array([t.beta for _, t in cells])
+    return ground._as_records(*_record_columns(_columns(p for p, _ in cells), beta, quad))
 
 
 def _point_record(p: ChainParams, t: Thermal, quad) -> _BandIntegrals:
@@ -136,7 +146,8 @@ def _band_integral(p: ChainParams, t: Thermal, quad, name: str, kernel=None):
         return quad.integral(name)
     if kernel is None:
         return _point_record(p, t, quad).integral(name)
-    cell = zip(*(a[:, 0].tolist() for a in _cell_integrals([(p, t)], *kernel, quad)[1:]))
+    run = _cell_integrals(_columns([p]), np.array([t.beta]), *kernel, quad)
+    cell = zip(*(a[:, 0].tolist() for a in run[1:]))
     return tuple(require_converged(QuadResult(v, e, c, 2)) for v, e, c in cell)
 
 

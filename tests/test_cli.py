@@ -237,31 +237,197 @@ def test_mixed_rows_flag_only_their_failing_cells(tmp_path, monkeypatch):
             assert all(v != "nan" for k, v in values.items() if k not in row[-1])
 
 
-def _sweep_cells(argv, capsys):
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
+def _sweep_cells(argv, capsys, code=0):
+    got, out, _ = run_cli(argv, capsys)
+    assert got == code
     return {(row[0], row[1]): row[2:] for row in parse_csv(out)[1]}
 
 
-def _point_cells(argv, capsys):
-    code, out, _ = run_cli(["point", *argv, "--q", FINITE_T], capsys)
-    assert code == 0
-    return parse_csv(out)[1][0]
+def _point_cells(argv, capsys, q=FINITE_T):
+    code, out, _ = run_cli(["point", *argv, "--q", q], capsys)
+    (row,) = parse_csv(out)[1]
+    assert code == (3 if row[-1] else 0)
+    return row
 
 
-def test_sweep_cells_match_point_by_engine(capsys):
-    # T = 0 cells go through the ground closed forms, as point does; finite-T
-    # cells read the batched band integrals of their row, and a point its own
-    # one-cell record: byte for byte the same, beta = 1e5 included
-    for sweep, point_args in (
-        (["--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2"],
-         lambda x, y: ["--j", "0.3", "--b", "0.2", "--B", y, "--T", x]),
-        (["--beta", "1e5", "--b", "0.2", "--x", "B 0.5 0.9 2", "--y", "j 0.2 0.4 2"],
-         lambda x, y: ["--b", "0.2", "--B", x, "--j", y, "--beta", "1e5"]),
-    ):
-        cells = _sweep_cells(["sweep", *sweep, "--q", FINITE_T], capsys)
-        for (x, y), row in cells.items():
-            assert row == _point_cells(point_args(x, y), capsys), (x, y)
+ALL_Q = ",".join(cli.QUANTITIES)
+
+
+_EDGE = ";".join(f"{n}:tolerance" for n in ("m", "c1_odd", "c1_even", "c2_odd", "c2_even",
+                                             "witness_lhs"))
+
+
+@pytest.mark.parametrize(
+    "fixed, x, y, q, flagged",
+    [
+        # T = 0 cells go through the ground closed forms, as point does
+        (["--j", "0.3", "--b", "0.2"], "T 0 0.003 3", "B 0.5 1.1 2", FINITE_T, {}),
+        # finite-T cells read the batched record columns of their block, and a
+        # point its own one-cell record, beta = 1e5 included
+        (["--beta", "1e5", "--b", "0.2"], "B 0.5 0.9 2", "j 0.2 0.4 2", FINITE_T, {}),
+        # all eleven at T = 0, b = +-1e200 included (m_t0 and e_mw read the record's F)
+        (["--j", "0.3", "--T", "0"], "B 0 1.5 3", "b -1e200 1e200 3", ALL_Q, {}),
+        (["--j", "0.4", "--b", "0.2", "--T", "0"], "B -1.5 1.5 5", "j -1 1 5", ALL_Q, {}),
+        # a T axis from 0: finite-T and T = 0 cells in one block
+        (["--j", "-0.7", "--b", "0.3"], "T 0 2 5", "B -1 1.5 3", FINITE_T, {}),
+        # J = j = 0: witness_lhs:error, raised before g1 is read
+        (["--J", "0", "--T", "0.5"], "j -1 1 3", "B 0 1 2", FINITE_T,
+         {("0", y): "witness_lhs:error" for y in ("0", "1")}),
+        (["--J", "0", "--T", "0"], "j -1 1 3", "B 0 1 2", ALL_Q,
+         {("0", y): "witness_lhs:error" for y in ("0", "1")}),
+        # the band edge at beta 1e308: (0, 1) flags the quantities that read m or g1,
+        # but not u or m_s
+        (["--beta", "1e308"], "j -1 1 3", "B 0 2 3", FINITE_T, {("0", "1"): _EDGE}),
+    ],
+)
+def test_sweep_cells_match_point_by_engine(fixed, x, y, q, flagged, capsys):
+    argv = ["sweep", *fixed, "--x", x, "--y", y, "--q", q]
+    cells = _sweep_cells(argv, capsys, 3 if flagged else 0)
+    assert {cell: row[-1] for cell, row in cells.items() if row[-1]} == flagged
+    names = (x.split()[0], y.split()[0])
+    for (xv, yv), row in cells.items():
+        point = [*fixed, *(f"--{n}={v}" for n, v in zip(names, (xv, yv)))]
+        assert row == _point_cells(point, capsys, q), (xv, yv)
+
+
+# the quantities that read each row of a record, in the order of the rows
+_READERS = [
+    {"u", "energy_t0"},
+    {"m", "m_t0", "c1_odd", "c1_even", "c2_odd", "c2_even"},
+    {"m_s", "e_mw", "c1_odd", "c1_even", "c2_odd", "c2_even"},
+    *[{"c1_odd", "c1_even", "c2_odd", "c2_even", "witness_lhs"}] * 2,
+    *[{"c2_odd", "c2_even"}] * 2,
+]
+
+
+@pytest.mark.parametrize("row", range(7))
+@pytest.mark.parametrize("temperature", ["0.5", "0"])
+def test_one_unconverged_integral_flags_only_its_readers_in_its_cell(
+    row, temperature, monkeypatch, capsys
+):
+    # the engine leaves one integral of the cell at B = 0.75 unconverged, at finite T
+    # or in the T = 0 record: a sweep flags the quantities that read it in that cell
+    # and nothing else, byte for byte as a point flags them under the same patch
+    from staggered_xx import ground, thermo
+
+    module, name = (thermo, "_cell_integrals") if temperature != "0" else (ground, "_record_columns")
+
+    def patched(chains, *args, engine=getattr(module, name)):
+        *head, ok = engine(chains, *args)
+        ok[row, chains[3] == 0.75] = False
+        return (*head, ok)
+
+    monkeypatch.setattr(module, name, patched)
+    q = ALL_Q if temperature == "0" else FINITE_T
+    fixed = ["--j", "0.4", "--b", "0.2", "--T", temperature]
+    cells = _sweep_cells(["sweep", *fixed, "--x", "B 0 1.5 3", "--y", "j 0.2 0.6 3", "--q", q],
+                         capsys, 3)
+    want = ";".join(f"{n}:tolerance" for n in q.split(",") if n in _READERS[row])
+    for (x, y), got in cells.items():
+        assert got[-1] == (want if x == "0.75" else ""), (x, y)
+        assert got == _point_cells([*fixed, "--B", x, "--j", y], capsys, q), (x, y)
+
+
+def test_witness_error_comes_before_its_reads(monkeypatch, capsys):
+    # J = j = 0 with g1 unconverged: the witness is an error, as DegenerateCoupling is
+    # raised before g1 is read, and the concurrences are unconverged
+    from staggered_xx import thermo
+
+    def patched(chains, *args, engine=thermo._cell_integrals):
+        k, value, err, ok = engine(chains, *args)
+        ok[3, chains[1] == 0] = False
+        return k, value, err, ok
+
+    monkeypatch.setattr(thermo, "_cell_integrals", patched)
+    fixed = ["--J", "0", "--b", "0.2", "--T", "0.5"]
+    cells = _sweep_cells(["sweep", *fixed, "--x", "j -1 1 3", "--y", "B 0 1 2", "--q", FINITE_T],
+                         capsys, 3)
+    want = "c1_odd:tolerance;c1_even:tolerance;c2_odd:tolerance;c2_even:tolerance;witness_lhs:error"
+    for (x, y), got in cells.items():
+        assert got[-1] == (want if x == "0" else ""), (x, y)
+        assert got == _point_cells([*fixed, "--j", x, "--B", y], capsys), (x, y)
+
+
+def test_negative_radicand_flags_both_parities_of_its_cell_only(monkeypatch, capsys):
+    # m pushed to 0.95 in one cell leaves its nearest-neighbour radicands below -1e-9:
+    # both c1 columns of that cell are errors, in a sweep as on one point
+    from staggered_xx import thermo
+
+    def patched(chains, *args, engine=thermo._cell_integrals):
+        k, value, err, ok = engine(chains, *args)
+        value[1, chains[3] == 0.75] = 0.95
+        return k, value, err, ok
+
+    monkeypatch.setattr(thermo, "_cell_integrals", patched)
+    fixed = ["--j", "0.4", "--b", "0.2", "--T", "0.5"]
+    cells = _sweep_cells(["sweep", *fixed, "--x", "B 0 1.5 3", "--y", "j 0.2 0.6 3",
+                          "--q", FINITE_T], capsys, 3)
+    for (x, y), got in cells.items():
+        assert ("c1_odd:error;c1_even:error" in got[-1]) == (x == "0.75"), (x, y)
+        assert got == _point_cells([*fixed, "--B", x, "--j", y], capsys), (x, y)
+
+
+def test_sweep_builds_no_per_cell_objects(monkeypatch, tmp_path):
+    # a sweep block reads its quantities off record columns: no _evaluate, no
+    # _BandIntegrals or QuadResult per cell, at finite T, at T = 0 and on a T axis
+    from staggered_xx import ground, thermo
+
+    grids = [["--T", "0.5", "--x", "B 0 1.5 4", "--y", "j -1 1 3", "--q", FINITE_T],
+             ["--T", "0", "--x", "B 0 1.5 4", "--y", "j -1 1 3", "--q", ALL_Q],
+             ["--x", "T 0 1 4", "--y", "B -1 1 3", "--q", FINITE_T]]
+    out = tmp_path / "sweep.csv"
+    want = []
+    for grid in grids:
+        assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--out", str(out)]) == 0
+        want.append(out.read_bytes())
+
+    def refused(*args, **kwargs):
+        raise AssertionError("per-cell object built")
+
+    for owner, name in ((cli, "_evaluate"), (ground, "_BandIntegrals"), (ground, "QuadResult"),
+                        (thermo, "QuadResult"), (quadrature, "QuadResult")):
+        monkeypatch.setattr(owner, name, refused)
+    for grid, data in zip(grids, want):
+        assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+
+
+def _no_cells(monkeypatch):
+    """Make any engine run fail the test: no cell may be computed."""
+    from staggered_xx import ground, thermo
+
+    for module in (ground, thermo):
+        monkeypatch.setattr(module, "_integrate_cells", lambda *a: pytest.fail("cell computed"))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "fixed, axis, message",
+    [
+        # the step overflows: the grid's values are NaN and inf
+        (["--T", "0.5"], "B -1e308 1e308 3", "axis B: values pass the largest float, got inf"),
+        # the last value of a T axis toward 0 rounds below 0
+        ([], "T 1.9186349853227627 0 42", "temperature must be >= 0, got -2.220446049250313e-16"),
+    ],
+)
+def test_grid_values_are_checked_before_any_cell(fixed, axis, message, workers, tmp_path,
+                                                  monkeypatch, capsys):
+    _no_cells(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    out.write_text("kept")
+    code, stdout, err = run_cli(["sweep", *fixed, "--x", axis, "--y", "b 0 1 2", "--q", "u",
+                                 "--workers", workers, "--out", str(out)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert out.read_text() == "kept"
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(f"[sweep]\nx = {axis}\ny = b 0 1 2\nquantities = u\n")
+    assert run_cli(["validate-config", "--config", str(cfg)], capsys)[:2] == (2, "")
+
+
+def test_grid_up_to_the_largest_float_is_valid(capsys):
+    code, out, _ = run_cli(["sweep", "--x", "j 1e308 1.7976931348623157e308 3", "--y", "b 0 1 2",
+                            "--q", "m"], capsys)
+    assert code == 0 and parse_csv(out)[1][-1][:2] == ["1.79769313486e+308", "1"]
 
 
 def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
@@ -435,6 +601,39 @@ def test_point_at_extreme_scales(argv, want, capsys):
     assert row[-1] == ""
     for cell, value in zip(row, want):
         assert math.isclose(float(cell), value, rel_tol=1e-11, abs_tol=0.0), (cell, value)
+
+
+@pytest.mark.parametrize("temperature", ["0", "1"])
+def test_energy_past_the_largest_float_is_an_error(temperature, capsys):
+    # u = -(2/pi) int theta reaches about -2.4e308: u (and energy_t0) flagged as
+    # errors, the other quantities printed, no warning and no traceback
+    q = "u,m,energy_t0,m_t0" if temperature == "0" else "u,m"
+    chain = ["--J", "1.7e308", "--j", "1.7e308", "--b", "1.7e308"]
+    flags = "u:error;energy_t0:error" if temperature == "0" else "u:error"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["point", *chain, "--T", temperature, "--q", q], capsys)
+        assert (code, err) == (3, "")
+        assert parse_csv(out)[1][0][-1] == flags
+        cells = _sweep_cells(["sweep", *chain[:4], "--T", temperature, "--x", "b 1e308 1.7e308 2",
+                              "--y", "B 0 1 2", "--q", q], capsys, 3)
+    assert {row[-1] for row in cells.values()} == {flags}
+
+
+def test_zero_temperature_point_decides_its_filled_interval_once(monkeypatch, capsys):
+    # m_t0 and e_mw read F off the point's one T = 0 record
+    from staggered_xx import ground
+
+    calls = []
+
+    def counted(*args, decide=ground._filled_interval):
+        calls.append(len(args[0]))
+        return decide(*args)
+
+    monkeypatch.setattr(ground, "_filled_interval", counted)
+    assert _point_cells(["--j", "0.5", "--b", "0.3", "--B", "0.8", "--T", "0"], capsys,
+                        ALL_Q)[-1] == ""
+    assert calls == [1]
 
 
 def test_sweep_where_beta_overflows_the_chains_units(capsys):
@@ -944,9 +1143,7 @@ def test_sweep_grid_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch)
 
 def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, monkeypatch):
     # --workers 0 or below exits 2 before any cell is computed or --out is written
-    from staggered_xx import thermo
-
-    monkeypatch.setattr(thermo, "_band_integrals", lambda *a: pytest.fail("cell computed"))
+    _no_cells(monkeypatch)
     out = tmp_path / "sweep.csv"
     for workers in ("0", "-3"):
         code, stdout, err = run_cli(["sweep", "--T", "0.5", "--x", "B 0 1 2", "--y", "b 0 1 2",

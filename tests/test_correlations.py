@@ -84,7 +84,8 @@ def test_distance_zero_integrands_reduce_to_magnetizations():
     rng = np.random.default_rng(41)
     for _ in range(5):
         p, t = random_point(rng)
-        _, value, _, ok = _cell_integrals([(p, t)], *_contraction_kernel(0))
+        chain = np.array([[p.J], [p.j], [p.b], [p.B]])
+        _, value, _, ok = _cell_integrals(chain, np.array([t.beta]), *_contraction_kernel(0))
         assert ok.all()
         val_u, val_s = value[:, 0]
         assert math.isclose(val_u, magnetization(p, t), abs_tol=1e-10)

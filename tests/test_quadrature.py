@@ -375,11 +375,12 @@ def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
     assert broken.integral("u") == hot.integral("u")
     # the finite-T engine refuses a T = 0 cell; _band_integrals gives it the ground record
     from staggered_xx.ground import _records
+    from staggered_xx.model import _columns
     from staggered_xx.thermo import _band_kernel, _cell_integrals
 
     with pytest.raises(ValueError, match="finite temperature"):
-        _cell_integrals([(p, Thermal.zero())], 7, _band_kernel)
-    assert _band_integrals([row[0], (p, Thermal.zero())]) == [hot, *_records([p])]
+        _cell_integrals(_columns([p]), np.array([math.inf]), 7, _band_kernel)
+    assert _band_integrals([row[0], (p, Thermal.zero())]) == [hot, *_records(_columns([p]))]
     assert _band_integrals([]) == []
 
 
