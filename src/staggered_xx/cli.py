@@ -2,13 +2,12 @@
 
 Output is RFC-4180-style CSV (CRLF rows, '.' decimal, 12 significant
 digits).  Sweep rows are emitted row-major with the x axis varying
-fastest, and the bytes are identical for any worker count: the grid is
-fixed up front and each point is a pure function of its parameters.  The
-cells go to the engine in the row-major blocks of ``quadrature.cell_blocks``,
-one task each.  A block holds its cells as (J, j, b, B, beta) columns: its
-finite-T cells share one engine run and its T = 0 cells another, and each
-quantity is a column expression over the (7, K) record columns the two give,
-through the recipes the library functions call on one point.
+fastest.  One serial loop, in one process, hands a sweep's cells to the
+engine in the row-major blocks of ``quadrature.cell_blocks``.  A block
+holds its cells as (J, j, b, B, beta) columns: its finite-T cells share
+one engine run and its T = 0 cells another, and each quantity is a column
+expression over the (7, K) record columns the two give, through the
+recipes the library functions call on one point.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -199,8 +198,11 @@ class AxisSpec:
     steps: int
 
     def values(self) -> list[float]:
+        """``steps`` values start + h i, and ``stop`` itself last, as ``numpy.linspace`` gives
+        them; a step below the smallest normal float rounds, so none is let past ``stop``."""
         h = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + h * i for i in range(self.steps)]
+        bound = min if h > 0 else max
+        return [bound(self.start + h * i, self.stop) for i in range(self.steps - 1)] + [self.stop]
 
 
 @dataclass(frozen=True)
@@ -224,12 +226,9 @@ class SweepSpec:
                 raise ConfigError(f"axis {ax.name}: steps must be >= 2, got {ax.steps}")
             if ax.name == "T" and (ax.start < 0 or ax.stop < 0):
                 raise ConfigError("temperature axis values must be >= 0")
-            # the values run monotonically from start to the last, so the last decides
-            last = ax.start + (ax.stop - ax.start) / (ax.steps - 1) * (ax.steps - 1)
-            if not math.isfinite(last):
-                raise ConfigError(f"axis {ax.name}: values pass the largest float, got {last!r}")
-            if ax.name == "T" and last < 0:  # rounded below a stop of 0
-                raise ConfigError(f"temperature must be >= 0, got {last!r}")
+            # the values lie between start and stop, so only the step can overflow
+            if not math.isfinite(h := (ax.stop - ax.start) / (ax.steps - 1)):
+                raise ConfigError(f"axis {ax.name}: values pass the largest float, got {h!r}")
         # refused before AxisSpec.values builds a grid, the bound of a qcp-scan grid
         if self.x.steps * self.y.steps > ground._MAX_SCAN_POINTS:
             raise ConfigError(f"sweep grid holds {self.x.steps * self.y.steps} cells, "
@@ -286,11 +285,10 @@ def _fmt(v: float) -> str:
 _FLAGS = ("", "tolerance", "error")  # by a cell's code
 
 
-def _sweep_block(task) -> list:
+def _sweep_block(spec: SweepSpec, xs, ys) -> list:
     """The CSV rows of a run of consecutive row-major cells, the columns ``xs`` and ``ys`` of
     their axis values: each quantity a column expression over the records of their (J, j,
     b, B, beta) columns, flagged as on one point (``_Quantity``)."""
-    spec, xs, ys = task
     axes, n = {spec.x.name: xs, spec.y.name: ys}, len(xs)
     chains = np.array([np.broadcast_to(axes.get(v, getattr(spec.params, v)), n) for v in "JjbB"])
     with np.errstate(divide="ignore", over="ignore"):  # at T = 0, or past 1/T's range: inf
@@ -316,27 +314,13 @@ def _sweep_block(task) -> list:
     return rows
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[int, list]:
-    """Exit code (0 ok, 3 if rows flagged) and the CSV rows, header first; fewer than
-    one worker is a :class:`ConfigError` before any cell is computed."""
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+def run_sweep(spec: SweepSpec) -> tuple[int, list]:
+    """Exit code (0 ok, 3 if rows flagged) and the CSV rows, header first."""
     xs, ys = spec.x.values(), spec.y.values()
     xs, ys = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # row-major, x fastest
-    # one task per block of the engine, so that each is one run
-    tasks = [(spec, xs[cut], ys[cut]) for cut in quadrature.cell_blocks(len(xs))]
-    # fork starts every worker up front, so start no more than can be busy
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_sweep_block, tasks))
-    else:
-        blocks = [_sweep_block(task) for task in tasks]
     rows = [["x", "y", *spec.quantities, "err_flags"]]
-    for block in blocks:
-        rows += block
+    for cut in quadrature.cell_blocks(len(xs)):  # one engine run per block
+        rows += _sweep_block(spec, xs[cut], ys[cut])
     return (3 if any(row[-1] for row in rows[1:]) else 0), rows
 
 
@@ -570,7 +554,8 @@ def _parse(argv) -> argparse.Namespace:
     sw.add_argument("--y", default=None, help="y axis: 'name start stop steps'")
     sw.add_argument("--q", default=None, help="comma-separated quantities")
     sw.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    sw.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    sw.add_argument("--workers", type=int, default=1, choices=(1,),
+                    help="worker processes: sweeps run in one, so only 1")
 
     qc = subs.add_parser("qcp-scan", help="second derivative of the ground energy")
     _add_options(qc, thermal=False)
@@ -628,7 +613,7 @@ def main(argv=None) -> int:
                 spec = load_config(args.config)
             else:
                 spec = opts.sweep()
-            code, rows = run_sweep(spec, workers=args.workers)
+            code, rows = run_sweep(spec)
         elif args.command == "qcp-scan":
             code, rows = run_qcp_scan(opts.params(), args.axis, args.start, args.stop, args.step)
         else:

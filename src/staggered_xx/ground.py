@@ -221,10 +221,15 @@ def _energies(chains, quad: QuadSpec | None) -> np.ndarray:
 
 def energy(p: ChainParams, quad=None) -> float:
     """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi), in the chain's
-    own units: read from a T = 0 record ``quad``, else integrated alone, as ``qcp_scan`` does."""
+    own units: read from a T = 0 record ``quad``, else integrated alone, as ``qcp_scan`` does;
+    past the largest float, the record's OverflowError either way."""
     if isinstance(quad, _BandIntegrals):
         return quad.integral("u")
-    return _energies(_columns([p]), quad).item()
+    with np.errstate(over="ignore"):
+        u = _energies(_columns([p]), quad).item()
+    if math.isinf(u):
+        raise OverflowError("u is past the largest float")
+    return u
 
 
 def magnetization_t0(p: ChainParams, quad=None) -> float:

@@ -178,38 +178,23 @@ def test_sweep_csv_shape_and_format(tmp_path):
     assert out2.read_bytes() == data
 
 
-def test_sweep_workers_do_not_change_bytes(tmp_path, monkeypatch):
-    base = [
-        "sweep", "--j", "0.3", "--b", "0.2", "--beta", "1.5",
-        "--x", "B 0 1.5 4", "--y", "j 0 1 3", "--q", "u,m,m_s,c1_odd",
-    ]
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--out", str(parallel), "--workers", "3"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    # rows that mix T = 0 cells with batched finite-T cells
-    mixed = ["sweep", "--j", "0.3", "--b", "0.2", "--x", "T 0 0.003 3", "--y", "B 0.5 1.1 2",
-             "--q", FINITE_T]
-    assert main(mixed + ["--out", str(serial)]) == 0
-    assert main(mixed + ["--out", str(parallel), "--workers", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_blocks_that_straddle_rows_print_the_one_block_bytes(tmp_path, monkeypatch):
     # blocks of five cells straddle the rows of seven on a 7 x 3 grid, at finite T,
     # at T = 0 and on a T axis from 0: the bytes of one block per grid
     grids = [["--T", "0.5", "--x", "B 0 1.5 7", "--y", "j 0 1 3"],
              ["--T", "0", "--x", "B 0 1.5 7", "--y", "j 0 1 3"],
              ["--x", "T 0 1 7", "--y", "B 0.2 1.2 3"]]
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
     want = []
     for grid in grids:
         assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--q", FINITE_T,
-                     "--out", str(serial)]) == 0
-        want.append(serial.read_bytes())
+                     "--out", str(whole)]) == 0
+        want.append(whole.read_bytes())
     monkeypatch.setattr(quadrature, "_BLOCK", 5)
     for grid, data in zip(grids, want):
-        for workers in ("1", "2"):
-            assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--q", FINITE_T,
-                         "--out", str(parallel), "--workers", workers]) == 0
-            assert parallel.read_bytes() == data
+        assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--q", FINITE_T,
+                     "--out", str(blocks)]) == 0
+        assert blocks.read_bytes() == data
 
 
 def test_mixed_rows_flag_only_their_failing_cells(tmp_path, monkeypatch):
@@ -222,11 +207,9 @@ def test_mixed_rows_flag_only_their_failing_cells(tmp_path, monkeypatch):
     s = 2.0**560
     argv = ["sweep", "--J", "0", "--b", repr(s), "--B", repr(1.5 * s),
             "--x", f"j 0 {2 * s!r} 3", "--y", f"T 0 {s / 250!r} 2", "--q", FINITE_T]
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(argv + ["--out", str(serial)]) == 3
-    assert main(argv + ["--out", str(parallel), "--workers", "2"]) == 3
-    assert serial.read_bytes() == parallel.read_bytes()
-    with open(serial, newline="") as f:
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    with open(out, newline="") as f:
         rows = list(csv.reader(f))[1:]
     unconverged = ";".join(f"{name}:tolerance" for name in FINITE_T.split(","))
     want = [["witness_lhs:error", "", ""], ["witness_lhs:error", "", unconverged]]
@@ -400,28 +383,42 @@ def _no_cells(monkeypatch):
         monkeypatch.setattr(module, "_integrate_cells", lambda *a: pytest.fail("cell computed"))
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize(
-    "fixed, axis, message",
-    [
-        # the step overflows: the grid's values are NaN and inf
-        (["--T", "0.5"], "B -1e308 1e308 3", "axis B: values pass the largest float, got inf"),
-        # the last value of a T axis toward 0 rounds below 0
-        ([], "T 1.9186349853227627 0 42", "temperature must be >= 0, got -2.220446049250313e-16"),
-    ],
-)
-def test_grid_values_are_checked_before_any_cell(fixed, axis, message, workers, tmp_path,
-                                                  monkeypatch, capsys):
+@pytest.mark.parametrize("axis, step", [("B -1e308 1e308 3", "inf"), ("j 1e308 -1e308 3", "-inf")])
+def test_grid_values_are_checked_before_any_cell(axis, step, tmp_path, monkeypatch, capsys):
+    # the step overflows: the grid's values are NaN and inf
     _no_cells(monkeypatch)
     out = tmp_path / "sweep.csv"
     out.write_text("kept")
-    code, stdout, err = run_cli(["sweep", *fixed, "--x", axis, "--y", "b 0 1 2", "--q", "u",
-                                 "--workers", workers, "--out", str(out)], capsys)
-    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    code, stdout, err = run_cli(["sweep", "--T", "0.5", "--x", axis, "--y", "b 0 1 2", "--q", "u",
+                                 "--out", str(out)], capsys)
+    message = f"error: axis {axis[0]}: values pass the largest float, got {step}\n"
+    assert (code, stdout, err) == (2, "", message)
     assert out.read_text() == "kept"
     cfg = tmp_path / "grid.ini"
     cfg.write_text(f"[sweep]\nx = {axis}\ny = b 0 1 2\nquantities = u\n")
     assert run_cli(["validate-config", "--config", str(cfg)], capsys)[:2] == (2, "")
+
+
+def test_axis_ends_at_its_stop(capsys):
+    # start + h (steps - 1) rounds below a stop of 0 here; the axis ends at 0 itself
+    code, out, _ = run_cli(["sweep", "--x", "T 1.9186349853227627 0 42", "--y", "B 0 1 2",
+                            "--q", "m"], capsys)
+    cells = parse_csv(out)[1]
+    assert code == 0 and len(cells) == 84
+    assert [row[0] for row in cells[41::42]] == ["0", "0"]
+    assert cli.AxisSpec("T", 1.9186349853227627, 0.0, 42).values()[-1] == 0.0
+
+
+@pytest.mark.parametrize("axis", ["T 7.4e-323 0 10", "B 0 7.4e-323 10"])
+def test_axis_values_do_not_pass_the_stop(axis, capsys):
+    # a step below the smallest normal float rounds up (15 ulp / 9 to 2 ulp), so
+    # start + h i would pass the stop before the last value: a T below 0
+    code, out, _ = run_cli(["sweep", "--x", axis, "--y", "b 0 1 2", "--q", "m"], capsys)
+    start, stop = (float(v) for v in axis.split()[1:3])
+    xs = [float(row[0]) for row in parse_csv(out)[1][:10]]
+    assert code == 0 and xs[0] == start and xs[-1] == stop
+    assert xs == sorted(xs, reverse=start > stop)
+    assert min(start, stop) <= min(xs) and max(xs) <= max(start, stop)
 
 
 def test_grid_up_to_the_largest_float_is_valid(capsys):
@@ -479,41 +476,6 @@ def test_finite_temperature_never_reaches_integrate(monkeypatch, capsys):
     flags = {(row[0], row[1]): row[-1] for row in parse_csv(out)[1]}
     assert flags == {(x, y): "witness_lhs:error" if x == "0" else ""
                      for y in ("0", "1") for x in ("-1", "0", "1")}
-
-
-def test_sweep_pool_is_limited_to_blocks_and_cores(monkeypatch, tmp_path):
-    # a fake pool: no process starts, whatever --workers asks for
-    import concurrent.futures
-
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    # blocks of two cells: the 2 x 3 grid is three tasks
-    monkeypatch.setattr(quadrature, "_BLOCK", 2)
-    base = ["sweep", "--T", "0.5", "--x", "B 0 1 2", "--y", "b 0 1 3", "--q", "u,m"]
-    serial = tmp_path / "serial.csv"
-    assert main(base + ["--out", str(serial)]) == 0
-    cases = (("1000", 8, [3]), ("1000", 2, [2]), ("2", 8, [2]), ("1000", 1, []))
-    for workers, cores, pool in cases:
-        monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
-        started.clear()
-        out = tmp_path / f"{workers}-{cores}.csv"
-        assert main(base + ["--workers", workers, "--out", str(out)]) == 0
-        assert started == pool
-        assert out.read_bytes() == serial.read_bytes()
 
 
 def test_negative_number_with_exponent_after_its_flag(capsys):
@@ -1141,13 +1103,18 @@ def test_sweep_grid_is_bounded_before_it_is_built(tmp_path, capsys, monkeypatch)
     assert run_cli(["validate-config", "--config", str(cfg)], capsys)[0] == 0
 
 
-def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, monkeypatch):
-    # --workers 0 or below exits 2 before any cell is computed or --out is written
+def test_sweep_workers_accepts_only_1(tmp_path, capsys, monkeypatch):
+    # sweeps run in one process: --workers 1 parses, any other count is a usage error
+    # before any cell is computed or --out is written
+    argv = ["sweep", "--T", "0.5", "--x", "B 0 1 2", "--y", "b 0 1 2", "--q", "m"]
+    assert run_cli(argv + ["--workers", "1"], capsys)[0] == 0
     _no_cells(monkeypatch)
     out = tmp_path / "sweep.csv"
-    for workers in ("0", "-3"):
-        code, stdout, err = run_cli(["sweep", "--T", "0.5", "--x", "B 0 1 2", "--y", "b 0 1 2",
-                                     "--q", "m", "--workers", workers, "--out", str(out)], capsys)
-        assert (code, stdout) == (2, "")
-        assert f"workers must be at least 1, got {workers}" in err
-        assert not out.exists()
+    out.write_text("kept")
+    for workers in ("0", "-3", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (exc.value.code, stdout) == (2, "")
+        assert "argument --workers: invalid choice" in err and workers in err
+        assert out.read_text() == "kept"

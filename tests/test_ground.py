@@ -127,6 +127,16 @@ def test_energy_continuous_at_critical_fields():
         assert abs(below - above) < 1e-6
 
 
+def test_energy_past_the_largest_float_is_an_overflow_error():
+    # in the chain's units u is finite; taken out of them it passes the largest float,
+    # as the T = 0 record reports it, and no overflow warning is raised on the way
+    p = ChainParams(1.7e308, 1.7e308, 1.7e308, 0.0)
+    with pytest.raises(OverflowError, match="u is past the largest float"):
+        energy(p)
+    with pytest.raises(OverflowError, match="u is past the largest float"):
+        energy(p, staggered_xx.ground._records(_columns([p]))[0])
+
+
 def test_magnetization_odd_and_staggered_odd():
     p = ChainParams(J=1.0, j=0.6, b=0.5, B=0.9)
     assert magnetization_t0(replace(p, B=-p.B)) == -magnetization_t0(p)
