@@ -7,7 +7,9 @@ engine in the row-major blocks of ``quadrature.cell_blocks``.  A block
 holds its cells as (J, j, b, B, beta) columns: its finite-T cells share
 one engine run and its T = 0 cells another, and each quantity is a column
 expression over the (7, K) record columns the two give, through the
-recipes the library functions call on one point.
+recipes the library functions call on one point.  A ``point``, and the
+analytic column of ``oracle-compare``, is a block of one cell, so every
+command evaluates its quantities and flags in ``_quantity_columns`` alone.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import correlations, entanglement, ground, quadrature, thermo
-from .model import ChainParams, Thermal
+from . import entanglement, ground, quadrature, thermo
+from .model import ChainParams, Thermal, _columns
 from .oracle import _DENSE_CAP, _RING_CAP, FiniteChainSpec, dense_ed, finite_free_fermion, spin_ring
 from .quadrature import ToleranceNotReached
 
@@ -53,47 +55,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Quantity:
-    """How the CLI computes one named quantity.
-
-    ``value(p, t, quad, memo)`` evaluates it at one point; ``memo`` is shared
-    by the quantities of that point.  ``quad`` is the point's record of
-    ``thermo._band_integrals``, at T = 0 as at finite T, which the library
-    functions read instead of integrating.  A sweep block (``_sweep_block``)
-    takes the record rows ``reads``, in the order the library function reads
-    them, and ``column(c, memo)``: the value and where it is an error, decided
-    before the reads if ``checks_first``.  ``ed``/``fermion`` read it
-    from an ``EDResult``/``finite_free_fermion`` result: no ``ed`` keeps it out
-    of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
-    Library functions are looked up through their modules at call time.
+    """How the CLI computes one named quantity: a column over the record columns of a block
+    of cells (``_quantity_columns``), a point being a block of one cell.  It takes the record
+    rows ``reads``, in the order the library function reads them, and ``column(c, memo)``:
+    the value and where it is an error, decided before the reads if ``checks_first``;
+    ``memo`` is shared by the quantities of the block.
+    ``ed``/``fermion`` read it from an ``EDResult``/``finite_free_fermion`` result: no ``ed``
+    keeps it out of oracle-compare, no ``fermion`` leaves its free_fermion column blank.
     """
 
-    value: Callable
+    reads: tuple
+    column: Callable | None = None  # None: the row reads[0] itself
+    checks_first: bool = False
     t0_only: bool = False  # a function of ChainParams only: needs T = 0
     point: bool = True  # accepted by point and sweep
     ed: Callable | None = None
     fermion: Callable | None = None
     energy: bool = False  # oracle-compare judges its gaps in units of max(J, |j|, |b|, |B|)
-    reads: tuple = ()
-    column: Callable | None = None  # None: the row reads[0] itself
-    checks_first: bool = False
 
 
 def _sublattice(pair: str, parity: str) -> dict:
-    """The value and column of ``entanglement.<pair>`` at ``parity``, the column by the recipe
+    """The column of ``entanglement.<pair>`` at ``parity``, by the recipe
     ``entanglement._<pair>``, an error where either radicand is; one call serves both."""
     i = _PARITIES.index(parity)
-
-    def value(p, t, quad, memo):
-        if pair not in memo:
-            memo[pair] = getattr(entanglement, pair)(p, t, quad)
-        return memo[pair].at(parity)
 
     def column(c, memo):
         if pair not in memo:
             memo[pair] = getattr(entanglement, "_" + pair)(*(c[r] for r in _READS[pair]))
         return memo[pair][i], memo[pair][2]
 
-    return {"value": value, "reads": _READS[pair], "column": column}
+    return {"reads": _READS[pair], "column": column}
 
 
 def _witness_column(c, memo):
@@ -104,55 +95,49 @@ def _witness_column(c, memo):
     return entanglement._witness_lhs(J, np.ldexp(c["j"], -k), c["gu1"], c["gs1"]), degenerate
 
 
+def _nearest(s: float, zz: bool):
+    """The column of ``correlations.g_site`` at r = 1, or with ``zz`` of ``zz_correlator``, at
+    the parity of sign s: their operations, in their order."""
+
+    def column(c, memo):
+        m, ms, g = c["m"], c["m_s"], c["gu1"] + s * c["gs1"]
+        return ((m + s * ms) * (m - s * ms) - g * g if zz else g), False
+
+    return column
+
+
 _PARITIES = ("odd", "even")
-# a block's record rows (``_sweep_block``), and those each concurrence reads
+_SIGNS = (-1.0, 1.0)  # of the parities
+# a block's record rows (``_quantity_columns``), and those each concurrence reads
 _ROWS = ("u", "m", "m_s", "gu1", "gs1", "gu2", "gs2")
 _READS = {"c1": _ROWS[1:5], "c2": _ROWS[1:]}
 _TABLE = {
-    "u": _Quantity(
-        lambda p, t, quad, memo: thermo.internal_energy(p, t, quad),
-        ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u, energy=True, reads=("u",),
-    ),
-    "m": _Quantity(
-        lambda p, t, quad, memo: thermo.magnetization(p, t, quad),
-        ed=lambda ed: ed.magnetization, fermion=lambda ff: ff.m, reads=("m",),
-    ),
-    "m_s": _Quantity(
-        lambda p, t, quad, memo: thermo.staggered_magnetization(p, t, quad),
-        ed=lambda ed: ed.staggered_magnetization, fermion=lambda ff: ff.m_s, reads=("m_s",),
-    ),
-    "e_mw": _Quantity(
-        lambda p, t, quad, memo: ground.meyer_wallach(p, quad), t0_only=True, reads=("m_s",),
-        column=lambda c, memo: (ground._meyer_wallach(c["f"], c["m_s"]), False),
-    ),
+    "u": _Quantity(("u",), ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u,
+                   energy=True),
+    "m": _Quantity(("m",), ed=lambda ed: ed.magnetization, fermion=lambda ff: ff.m),
+    "m_s": _Quantity(("m_s",), ed=lambda ed: ed.staggered_magnetization,
+                     fermion=lambda ff: ff.m_s),
+    "e_mw": _Quantity(("m_s",), lambda c, memo: (ground._meyer_wallach(c["f"], c["m_s"]), False),
+                      t0_only=True),
     **{
-        f"g1_{s}": _Quantity(
-            lambda p, t, quad, memo, s=s: correlations.g_site(p, t, s, 1, quad), point=False,
-            ed=lambda ed, s=s: ed.g[(s, 1)], fermion=lambda ff, s=s: ff.g[1].at(s),
-        )
-        for s in _PARITIES
+        f"g1_{p}": _Quantity(("gu1", "gs1"), _nearest(s, False), point=False,
+                             ed=lambda ed, p=p: ed.g[(p, 1)], fermion=lambda ff, p=p: ff.g[1].at(p))
+        for p, s in zip(_PARITIES, _SIGNS)
     },
     **{
-        f"zz1_{s}": _Quantity(
-            lambda p, t, quad, memo, s=s: correlations.zz_correlator(p, t, s, 1, quad),
-            point=False, ed=lambda ed, s=s: ed.zz[(s, 1)],
-        )
-        for s in _PARITIES
+        f"zz1_{p}": _Quantity(("m", "m_s", "gu1", "gs1"), _nearest(s, True), point=False,
+                              ed=lambda ed, p=p: ed.zz[(p, 1)])
+        for p, s in zip(_PARITIES, _SIGNS)
     },
     **{
-        f"c1_{s}": _Quantity(**_sublattice("c1", s), ed=lambda ed, s=s: ed.concurrence[(s, 1)])
-        for s in _PARITIES
+        f"c1_{p}": _Quantity(**_sublattice("c1", p), ed=lambda ed, p=p: ed.concurrence[(p, 1)])
+        for p in _PARITIES
     },
-    **{f"c2_{s}": _Quantity(**_sublattice("c2", s)) for s in _PARITIES},
-    "witness_lhs": _Quantity(
-        lambda p, t, quad, memo: entanglement.witness(p, t, quad).lhs,
-        ed=lambda ed: ed.witness_lhs, reads=("gu1", "gs1"), column=_witness_column,
-        checks_first=True,
-    ),
-    "energy_t0": _Quantity(lambda p, t, quad, memo: ground.energy(p, quad), t0_only=True,
-                           reads=("u",)),
-    "m_t0": _Quantity(lambda p, t, quad, memo: ground.magnetization_t0(p, quad), t0_only=True,
-                      reads=("m",)),
+    **{f"c2_{p}": _Quantity(**_sublattice("c2", p)) for p in _PARITIES},
+    "witness_lhs": _Quantity(("gu1", "gs1"), _witness_column, checks_first=True,
+                             ed=lambda ed: ed.witness_lhs),
+    "energy_t0": _Quantity(("u",), t0_only=True),
+    "m_t0": _Quantity(("m",), t0_only=True),
 }
 
 QUANTITIES = tuple(name for name, q in _TABLE.items() if q.point)
@@ -243,25 +228,8 @@ class SweepSpec:
         _validate_quantities(self.quantities, self.thermal)
 
 
-def _evaluate(params: ChainParams, thermal: Thermal, quantities) -> tuple[dict, list]:
-    """Values of already validated quantities, read from the point's one record; a failed
-    one is NaN and flagged."""
-    quad = thermo._point_record(params, thermal, None)
-    record, flags, memo = {}, [], {}
-    for name in quantities:
-        try:
-            record[name] = _TABLE[name].value(params, thermal, quad, memo)
-        except ToleranceNotReached:
-            record[name] = math.nan
-            flags.append(f"{name}:tolerance")
-        except (ArithmeticError, ValueError):
-            record[name] = math.nan
-            flags.append(f"{name}:error")
-    return record, flags
-
-
 def run_point(params: ChainParams, thermal: Thermal, quantities) -> tuple[dict, list]:
-    """Evaluate quantities at one point; returns (record, flags).
+    """Evaluate quantities at one point, a block of one cell; returns (record, flags).
 
     Unknown or duplicate quantity names and ground-state-only quantities
     at finite temperature raise :class:`ConfigError` before any
@@ -271,7 +239,7 @@ def run_point(params: ChainParams, thermal: Thermal, quantities) -> tuple[dict, 
     """
     quantities = tuple(quantities)
     _validate_quantities(quantities, thermal)
-    return _evaluate(params, thermal, quantities)
+    return _one_cell(params, thermal, quantities)
 
 
 def _fmt(v: float) -> str:
@@ -285,21 +253,18 @@ def _fmt(v: float) -> str:
 _FLAGS = ("", "tolerance", "error")  # by a cell's code
 
 
-def _sweep_block(spec: SweepSpec, xs, ys) -> list:
-    """The CSV rows of a run of consecutive row-major cells, the columns ``xs`` and ``ys`` of
-    their axis values: each quantity a column expression over the records of their (J, j,
-    b, B, beta) columns, flagged as on one point (``_Quantity``)."""
-    axes, n = {spec.x.name: xs, spec.y.name: ys}, len(xs)
-    chains = np.array([np.broadcast_to(axes.get(v, getattr(spec.params, v)), n) for v in "JjbB"])
-    with np.errstate(divide="ignore", over="ignore"):  # at T = 0, or past 1/T's range: inf
-        beta = 1.0 / np.abs(axes["T"]) if "T" in axes else np.full(n, spec.thermal.beta)
+def _quantity_columns(chains, beta, quantities) -> tuple[list, list]:
+    """Each quantity's value column and flag-code column (0 none, 1 tolerance, 2 error), as
+    lists, at the cells of the (J, j, b, B) columns ``chains`` and the column ``beta``: a
+    column expression over their record columns (``_Quantity``), from one engine run per
+    temperature, with a cell's flags those the library's exceptions give at its point."""
     f, value, _, ok = thermo._record_columns(chains, beta)
     code = np.where(ok, np.where(np.isinf(value), 2, 0), 1)  # 1 tolerance, 2 error
     zero = chains[2] == 0  # m_s is 0 at b = 0 and reads nothing
     value[2, zero], code[2, zero] = 0.0, 0
     c = {**dict(zip(_ROWS, value)), "f": f, "J": chains[0], "j": chains[1]}
     codes, memo, cols, marks = dict(zip(_ROWS, code)), {}, [], []
-    for name in spec.quantities:
+    for name in quantities:
         q = _TABLE[name]
         v, err = q.column(c, memo) if q.column else (c[q.reads[0]], False)
         mark = np.where(err, 2, 0)
@@ -307,11 +272,30 @@ def _sweep_block(spec: SweepSpec, xs, ys) -> list:
             mark = np.where(codes[r], codes[r], mark)
         marks.append((np.where(err, 2, mark) if q.checks_first else mark).tolist())
         cols.append(np.where(marks[-1], math.nan, v).tolist())
-    rows = []
-    for xv, yv, vals, ms in zip(xs.tolist(), ys.tolist(), zip(*cols), zip(*marks)):
-        flags = [f"{q}:{_FLAGS[m]}" for q, m in zip(spec.quantities, ms) if m]
-        rows.append([_fmt(xv), _fmt(yv)] + [_fmt(v) for v in vals] + [";".join(flags)])
-    return rows
+    return cols, marks
+
+
+def _flags(quantities, codes) -> list:
+    return [f"{q}:{_FLAGS[m]}" for q, m in zip(quantities, codes) if m]
+
+
+def _one_cell(params: ChainParams, thermal: Thermal, quantities) -> tuple[dict, list]:
+    """The values and flags of validated quantities at one point: a block of one cell."""
+    cols, marks = _quantity_columns(_columns([params]), np.array([thermal.beta]), quantities)
+    return (dict(zip(quantities, (col[0] for col in cols))),
+            _flags(quantities, (mark[0] for mark in marks)))
+
+
+def _sweep_block(spec: SweepSpec, xs, ys) -> list:
+    """The CSV rows of a run of consecutive row-major cells, the columns ``xs`` and ``ys`` of
+    their axis values."""
+    axes, n = {spec.x.name: xs, spec.y.name: ys}, len(xs)
+    chains = np.array([np.broadcast_to(axes.get(v, getattr(spec.params, v)), n) for v in "JjbB"])
+    with np.errstate(divide="ignore", over="ignore"):  # at T = 0, or past 1/T's range: inf
+        beta = 1.0 / np.abs(axes["T"]) if "T" in axes else np.full(n, spec.thermal.beta)
+    cols, marks = _quantity_columns(chains, beta, spec.quantities)
+    return [[_fmt(xv), _fmt(yv)] + [_fmt(v) for v in vals] + [";".join(_flags(spec.quantities, ms))]
+            for xv, yv, vals, ms in zip(xs.tolist(), ys.tolist(), zip(*cols), zip(*marks))]
 
 
 def run_sweep(spec: SweepSpec) -> tuple[int, list]:
@@ -376,7 +360,7 @@ def run_oracle_compare(
     specs = [FiniteChainSpec(n, params, thermal) for n in sizes]
     eds = [exact(spec) for spec in specs]
     ffs = [finite_free_fermion(spec) for spec in specs]
-    record, flags = _evaluate(params, thermal, quantities)
+    record, flags = _one_cell(params, thermal, quantities)
     if flags:
         print(f"oracle-compare: analytic values failed: {';'.join(flags)}", file=sys.stderr)
     rows = [["quantity", "n_sites", "analytic", "dense_ed", "abs_gap", "free_fermion"]]
@@ -418,6 +402,13 @@ def _parse_axis(text: str, where: str) -> AxisSpec:
 
 def _split_csv_list(text: str) -> tuple:
     return tuple(text.replace(",", " ").split())
+
+
+def _ring_sizes(text: str) -> tuple:
+    try:
+        return tuple(int(s) for s in _split_csv_list(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"ring sizes must be integers, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -567,7 +558,7 @@ def _parse(argv) -> argparse.Namespace:
 
     oc = subs.add_parser("oracle-compare", help="analytic vs exact-diagonalization report")
     _add_options(oc)
-    oc.add_argument("--sizes", default="8,10,12", help="ring sizes, e.g. 8,10,12")
+    oc.add_argument("--sizes", type=_ring_sizes, default="8,10,12", help="ring sizes, e.g. 8,10,12")
     oc.add_argument("--q", default="m,g1_odd,g1_even,c1_odd,c1_even", help="quantities")
     oc.add_argument("--tol", type=float, default=0.02, help="final-gap tolerance")
     oc.add_argument("--out", default="-")
@@ -575,7 +566,11 @@ def _parse(argv) -> argparse.Namespace:
     vc = subs.add_parser("validate-config", help="check a sweep config file")
     vc.add_argument("--config", required=True)
 
-    return parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # '--opt=--': argparse drops the '--' and leaves no value
+            subs.choices[args.command].error(f"argument --{name}: expected one argument")
+    return args
 
 
 def main(argv=None) -> int:
@@ -617,11 +612,10 @@ def main(argv=None) -> int:
         elif args.command == "qcp-scan":
             code, rows = run_qcp_scan(opts.params(), args.axis, args.start, args.stop, args.step)
         else:
-            sizes = tuple(int(s) for s in _split_csv_list(args.sizes))
-            if not sizes:
+            if not args.sizes:
                 raise ConfigError("--sizes must list at least one ring size")
             code, rows = run_oracle_compare(
-                opts.params(), opts.thermal() or Thermal.zero(), sizes,
+                opts.params(), opts.thermal() or Thermal.zero(), args.sizes,
                 _split_csv_list(args.q), tol=args.tol,
             )
     except (ConfigError, ValueError) as exc:

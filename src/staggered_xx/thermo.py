@@ -12,14 +12,15 @@ where u is the energy per site and m, m_s the uniform and staggered
 magnetizations (m = (1/beta) d(lnZ/N)/dB, m_s = (1/beta) d(lnZ/N)/db,
 u = -d(lnZ/N)/dbeta; these identities are enforced in the test suite).
 Every band integral, here and in :mod:`.correlations`, is read from a
-``_BandIntegrals`` record (a sweep block reads the record columns of
-``_record_columns``) or integrated with a ``QuadSpec`` by
+``_BandIntegrals`` record or integrated with a ``QuadSpec`` by
 ``_band_integral``: at finite temperature on the tanh-sinh nodes of
 ``_cell_integrals``, at zero temperature over the filled interval of
-:mod:`.ground`.  The fused kernels (``_band_kernel``, ``_ln_z_kernel``,
-``correlations._contraction_kernel`` and, over F, ``ground._record_kernel``)
-are the only copy of these integrands; the finite-ring oracles of
-:mod:`.oracle` use none of them.
+:mod:`.ground`.  The CLI calls none of these functions: it reads the record
+columns of ``_record_columns`` for a block of cells, a point being a block
+of one, from the same engine runs.  The fused kernels (``_band_kernel``,
+``_ln_z_kernel``, ``correlations._contraction_kernel`` and, over F,
+``ground._record_kernel``) are the only copy of these integrands; the
+finite-ring oracles of :mod:`.oracle` use none of them.
 """
 
 from __future__ import annotations

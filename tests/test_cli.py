@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from staggered_xx import (
@@ -28,6 +30,7 @@ from staggered_xx import (
 from staggered_xx import cli, quadrature
 from staggered_xx.cli import main
 from staggered_xx.entanglement import c2
+from point_reference import library_point
 
 
 def run_cli(argv, capsys):
@@ -234,6 +237,14 @@ def _point_cells(argv, capsys, q=FINITE_T):
 
 
 ALL_Q = ",".join(cli.QUANTITIES)
+ORACLE_Q = ",".join(cli._ORACLE_CHOICES)
+
+
+def _library_cells(argv, q=FINITE_T):
+    """The row ``point`` prints at ``argv``, from the library functions (``point_reference``)."""
+    opts = cli._Options(vars(cli._parse(["point", *argv, "--q", q])), str)
+    record, flags = library_point(opts.params(), opts.thermal() or Thermal.zero(), q.split(","))
+    return [fmt12(v) for v in record.values()] + [";".join(flags)]
 
 
 _EDGE = ";".join(f"{n}:tolerance" for n in ("m", "c1_odd", "c1_even", "c2_odd", "c2_even",
@@ -243,10 +254,10 @@ _EDGE = ";".join(f"{n}:tolerance" for n in ("m", "c1_odd", "c1_even", "c2_odd", 
 @pytest.mark.parametrize(
     "fixed, x, y, q, flagged",
     [
-        # T = 0 cells go through the ground closed forms, as point does
+        # T = 0 cells go through the ground closed forms, as the library does
         (["--j", "0.3", "--b", "0.2"], "T 0 0.003 3", "B 0.5 1.1 2", FINITE_T, {}),
-        # finite-T cells read the batched record columns of their block, and a
-        # point its own one-cell record, beta = 1e5 included
+        # finite-T cells read the batched record columns of their block, and the
+        # library its own one-cell record, beta = 1e5 included
         (["--beta", "1e5", "--b", "0.2"], "B 0.5 0.9 2", "j 0.2 0.4 2", FINITE_T, {}),
         # all eleven at T = 0, b = +-1e200 included (m_t0 and e_mw read the record's F)
         (["--j", "0.3", "--T", "0"], "B 0 1.5 3", "b -1e200 1e200 3", ALL_Q, {}),
@@ -270,7 +281,7 @@ def test_sweep_cells_match_point_by_engine(fixed, x, y, q, flagged, capsys):
     names = (x.split()[0], y.split()[0])
     for (xv, yv), row in cells.items():
         point = [*fixed, *(f"--{n}={v}" for n, v in zip(names, (xv, yv)))]
-        assert row == _point_cells(point, capsys, q), (xv, yv)
+        assert row == _library_cells(point, q), (xv, yv)
 
 
 # the quantities that read each row of a record, in the order of the rows
@@ -290,7 +301,7 @@ def test_one_unconverged_integral_flags_only_its_readers_in_its_cell(
 ):
     # the engine leaves one integral of the cell at B = 0.75 unconverged, at finite T
     # or in the T = 0 record: a sweep flags the quantities that read it in that cell
-    # and nothing else, byte for byte as a point flags them under the same patch
+    # and nothing else, byte for byte as the library functions raise under the same patch
     from staggered_xx import ground, thermo
 
     module, name = (thermo, "_cell_integrals") if temperature != "0" else (ground, "_record_columns")
@@ -308,7 +319,11 @@ def test_one_unconverged_integral_flags_only_its_readers_in_its_cell(
     want = ";".join(f"{n}:tolerance" for n in q.split(",") if n in _READERS[row])
     for (x, y), got in cells.items():
         assert got[-1] == (want if x == "0.75" else ""), (x, y)
-        assert got == _point_cells([*fixed, "--B", x, "--j", y], capsys, q), (x, y)
+        assert got == _library_cells([*fixed, "--B", x, "--j", y], q), (x, y)
+    # and the oracle-only quantities of a point, as the library flags them
+    p, t = ChainParams(1.0, 0.4, 0.2, 0.75), Thermal.from_temperature(float(temperature))
+    oracle = cli._ORACLE_CHOICES
+    assert cli._one_cell(p, t, oracle)[1] == library_point(p, t, oracle)[1]
 
 
 def test_witness_error_comes_before_its_reads(monkeypatch, capsys):
@@ -328,12 +343,12 @@ def test_witness_error_comes_before_its_reads(monkeypatch, capsys):
     want = "c1_odd:tolerance;c1_even:tolerance;c2_odd:tolerance;c2_even:tolerance;witness_lhs:error"
     for (x, y), got in cells.items():
         assert got[-1] == (want if x == "0" else ""), (x, y)
-        assert got == _point_cells([*fixed, "--j", x, "--B", y], capsys), (x, y)
+        assert got == _library_cells([*fixed, "--j", x, "--B", y]), (x, y)
 
 
 def test_negative_radicand_flags_both_parities_of_its_cell_only(monkeypatch, capsys):
     # m pushed to 0.95 in one cell leaves its nearest-neighbour radicands below -1e-9:
-    # both c1 columns of that cell are errors, in a sweep as on one point
+    # both c1 columns of that cell are errors, in a sweep as in the library
     from staggered_xx import thermo
 
     def patched(chains, *args, engine=thermo._cell_integrals):
@@ -347,32 +362,58 @@ def test_negative_radicand_flags_both_parities_of_its_cell_only(monkeypatch, cap
                           "--q", FINITE_T], capsys, 3)
     for (x, y), got in cells.items():
         assert ("c1_odd:error;c1_even:error" in got[-1]) == (x == "0.75"), (x, y)
-        assert got == _point_cells([*fixed, "--B", x, "--j", y], capsys), (x, y)
+        assert got == _library_cells([*fixed, "--B", x, "--j", y]), (x, y)
 
 
-def test_sweep_builds_no_per_cell_objects(monkeypatch, tmp_path):
-    # a sweep block reads its quantities off record columns: no _evaluate, no
-    # _BandIntegrals or QuadResult per cell, at finite T, at T = 0 and on a T axis
+def test_sweep_builds_no_per_cell_objects(monkeypatch, capsys):
+    # every CLI path reads its quantities off record columns, a point and the analytic
+    # column of oracle-compare a block of one cell: no _BandIntegrals or QuadResult per
+    # cell, in a sweep at finite T, at T = 0 and on a T axis, a point at both and
+    # oracle-compare at both
     from staggered_xx import ground, thermo
 
-    grids = [["--T", "0.5", "--x", "B 0 1.5 4", "--y", "j -1 1 3", "--q", FINITE_T],
-             ["--T", "0", "--x", "B 0 1.5 4", "--y", "j -1 1 3", "--q", ALL_Q],
-             ["--x", "T 0 1 4", "--y", "B -1 1 3", "--q", FINITE_T]]
-    out = tmp_path / "sweep.csv"
-    want = []
-    for grid in grids:
-        assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--out", str(out)]) == 0
-        want.append(out.read_bytes())
+    chain = ["--j", "0.3", "--b", "0.2"]
+    commands = [["sweep", *chain, *grid] for grid in (
+        ["--T", "0.5", "--x", "B 0 1.5 4", "--y", "j -1 1 3", "--q", FINITE_T],
+        ["--T", "0", "--x", "B 0 1.5 4", "--y", "j -1 1 3", "--q", ALL_Q],
+        ["--x", "T 0 1 4", "--y", "B -1 1 3", "--q", FINITE_T],
+    )] + [
+        ["point", *chain, "--B", "0.5", "--T", "0.5", "--q", FINITE_T],
+        ["point", *chain, "--B", "0.5", "--T", "0", "--q", ALL_Q],
+        ["oracle-compare", *chain, "--B", "0.4", "--beta", "2", "--q", ORACLE_Q],
+        ["oracle-compare", *chain, "--B", "0.4", "--T", "0", "--sizes", "4,6,8", "--q", ORACLE_Q],
+    ]
+    want = [run_cli(argv, capsys) for argv in commands]
+    # T = 0 rings of up to 8 sites are far from the chain: gaps above tol
+    assert [code for code, _, _ in want] == [0] * 6 + [3]
 
     def refused(*args, **kwargs):
         raise AssertionError("per-cell object built")
 
-    for owner, name in ((cli, "_evaluate"), (ground, "_BandIntegrals"), (ground, "QuadResult"),
+    for owner, name in ((ground, "_BandIntegrals"), (ground, "QuadResult"),
                         (thermo, "QuadResult"), (quadrature, "QuadResult")):
         monkeypatch.setattr(owner, name, refused)
-    for grid, data in zip(grids, want):
-        assert main(["sweep", "--j", "0.3", "--b", "0.2", *grid, "--out", str(out)]) == 0
-        assert out.read_bytes() == data
+    for argv, got in zip(commands, want):
+        assert run_cli(argv, capsys) == got, argv
+
+
+@pytest.mark.parametrize("beta", [2.0, math.inf], ids=["finite-T", "T=0"])
+def test_oracle_correlator_columns_are_the_library_values_bit_for_bit(beta):
+    # the g1_* and zz1_* columns take the operations of CorrelatorPair.at and
+    # zz_correlator in their order, so a block gives their floats at each of its
+    # cells (b = 0 and a saturated chain included); a reordered product of the
+    # two <sz> differs in about one value in seven
+    rng = random.Random(7)
+    chains = [ChainParams(1.0, 0.3, 0.0, 0.4), ChainParams(1.0, 0.2, 0.1, 3.0)] + [
+        ChainParams(1.0, rng.uniform(-1.5, 1.5), rng.uniform(-1, 1), rng.uniform(-2, 2))
+        for _ in range(30)
+    ]
+    names = [f"{q}_{s}" for q in ("g1", "zz1") for s in ("odd", "even")]
+    cols, marks = cli._quantity_columns(cli._columns(chains), np.full(len(chains), beta), names)
+    assert not any(map(any, marks))
+    t = Thermal(beta)
+    want = [[f(p, t, s, 1) for p in chains] for f in (g_site, zz_correlator) for s in ("odd", "even")]
+    assert [[v.hex() for v in col] for col in cols] == [[w.hex() for w in col] for col in want]
 
 
 def _no_cells(monkeypatch):
@@ -627,10 +668,12 @@ def test_oracle_compare_at_a_large_field(capsys):
 def test_oracle_compare_judges_energy_gaps_at_the_chains_scale(shift, code, capsys, monkeypatch):
     # each u gap is an ulp or two of 1e200: in units of max(J, |j|, |b|, |B|)
     # they pass, while a u off by 0.05 of that scale still fails the 0.02 tol
-    exact = cli.thermo.internal_energy
-    monkeypatch.setattr(
-        cli.thermo, "internal_energy", lambda p, t, quad=None: exact(p, t, quad) + shift * 1e200
-    )
+    def shifted(chains, beta, engine=cli.thermo._record_columns):
+        f, value, err, ok = engine(chains, beta)
+        value[0] += shift * 1e200  # the record's u
+        return f, value, err, ok
+
+    monkeypatch.setattr(cli.thermo, "_record_columns", shifted)
     argv = ["oracle-compare", "--b", "1e200", "--beta", "2", "--sizes", "4,6", "--q", "u,m"]
     got, _, err = run_cli(argv, capsys)
     assert got == code
@@ -1118,3 +1161,29 @@ def test_sweep_workers_accepts_only_1(tmp_path, capsys, monkeypatch):
         assert (exc.value.code, stdout) == (2, "")
         assert "argument --workers: invalid choice" in err and workers in err
         assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        # argparse 3.10/3.11 takes the '--' of '--opt=--' for the end of options and
+        # leaves the option an empty list of values
+        (["point", "--q=--"], "--q"),
+        (["point", "--q", "m", "--J=--"], "--J"),
+        (["sweep", "--x=--", "--y", "B 0 1 2", "--q", "m"], "--x"),
+        (["sweep", "--config=--"], "--config"),
+        (["oracle-compare", "--beta", "2", "--q=--"], "--q"),
+        (["qcp-scan", "--axis", "B", "--start", "0", "--stop", "1", "--step=--"], "--step"),
+        (["oracle-compare", "--sizes", "8.5"], "--sizes"),
+    ],
+)
+def test_option_without_a_usable_value_is_a_usage_error(argv, option, tmp_path, capsys,
+                                                        monkeypatch):
+    _no_cells(monkeypatch)
+    out = tmp_path / "result.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([] if argv[0] == "point" else ["--out", str(out)]))
+    stdout, err = capsys.readouterr()
+    assert (exc.value.code, stdout) == (2, "")
+    assert f"error: argument {option}: " in err
+    assert not out.exists()
