@@ -10,6 +10,8 @@ expression over the (7, K) record columns the two give, through the
 recipes the library functions call on one point.  A ``point``, and the
 analytic column of ``oracle-compare``, is a block of one cell, so every
 command evaluates its quantities and flags in ``_quantity_columns`` alone.
+``oracle-compare`` judges them against one exact oracle at every
+temperature, the parity-projected spin ring.
 
 Flags and config files set the same options through the same converters;
 ``--out`` is opened only after a command has run, on exit 0 or 3.
@@ -35,7 +37,8 @@ import numpy as np
 
 from . import entanglement, ground, quadrature, thermo
 from .model import ChainParams, Thermal, _columns
-from .oracle import _DENSE_CAP, _RING_CAP, FiniteChainSpec, dense_ed, finite_free_fermion, spin_ring
+from .oracle import _RING_CAP, FiniteChainSpec, finite_free_fermion, spin_ring
+from .oracle import dense_ed  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
 from .quadrature import ToleranceNotReached
 
 __all__ = [
@@ -336,8 +339,8 @@ def run_oracle_compare(
 ) -> tuple[int, list]:
     """Analytic vs finite-ring values per N; exit code 0 iff gaps shrink below tol.
 
-    The dense_ed column is the exact spin ring: ``spin_ring`` at T > 0 and
-    ``dense_ed`` at T = 0.  The free-fermion column is the periodic fermion
+    The dense_ed column is the exact spin ring, ``spin_ring``, at every
+    temperature up to 128 sites.  The free-fermion column is the periodic fermion
     ring, diagonalized from its own hoppings; it drops the spin ring's
     boundary term, so it is reported but not judged.  Convergence is asserted
     on the spin-ring gaps, which carry that boundary-term discrepancy; an
@@ -351,14 +354,13 @@ def run_oracle_compare(
     # the verdict reads the gaps in order of growing rings
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"ring sizes must increase strictly, got {', '.join(map(str, sizes))}")
-    cap, what, exact = ((_DENSE_CAP, "dense diagonalization", dense_ed) if thermal.is_ground
-                        else (_RING_CAP, "the parity-projected ring", spin_ring))
-    if max(sizes) > cap:
-        raise ConfigError(f"{what} is capped at {cap} sites, got {max(sizes)}")
+    if max(sizes) > _RING_CAP:
+        raise ConfigError(f"the parity-projected ring is capped at {_RING_CAP} sites, got "
+                          f"{max(sizes)}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be a positive finite number, got {tol}")
     specs = [FiniteChainSpec(n, params, thermal) for n in sizes]
-    eds = [exact(spec) for spec in specs]
+    eds = [spin_ring(spec) for spec in specs]
     ffs = [finite_free_fermion(spec) for spec in specs]
     record, flags = _one_cell(params, thermal, quantities)
     if flags:
@@ -556,7 +558,7 @@ def _parse(argv) -> argparse.Namespace:
     qc.add_argument("--step", type=float, required=True)
     qc.add_argument("--out", default="-")
 
-    oc = subs.add_parser("oracle-compare", help="analytic vs exact-diagonalization report")
+    oc = subs.add_parser("oracle-compare", help="analytic vs exact spin-ring report")
     _add_options(oc)
     oc.add_argument("--sizes", type=_ring_sizes, default="8,10,12", help="ring sizes, e.g. 8,10,12")
     oc.add_argument("--q", default="m,g1_odd,g1_even,c1_odd,c1_even", help="quantities")

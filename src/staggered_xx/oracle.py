@@ -9,14 +9,14 @@ Three oracles at desk scale:
   blocks depend on no coupling and are built once per ring size and
   process.  Flipping every spin and reflecting the ring about a bond maps
   sector n_up to N - n_up (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), so
-  at N = 12 only 25 of the 46 blocks are diagonalized.  It alone counts
-  ground states, so it serves T = 0.
+  at N = 12 only 25 of the 46 blocks are diagonalized.
 
-* ``spin_ring``: the same ring at finite temperature, exactly, up to 128
+* ``spin_ring``: the same ring at every temperature, exactly, up to 128
   sites in O(N^3): by Jordan-Wigner, two fermion rings, antiperiodic and
   periodic, each projected onto one fermion parity (Lieb, Schultz &
-  Mattis, Ann. Phys. 16 (1961) 407), summed from positive terms only.
-  ``dense_ed`` is its brute-force check.  Both spin rings keep the
+  Mattis, Ann. Phys. 16 (1961) 407), summed from positive terms only; T = 0
+  is the beta -> inf limit of the same sums.  ``dense_ed`` is its
+  brute-force check, level by level.  Both spin rings keep the
   boundary term that the bulk solution drops, so their agreement with the
   analytic module is O(1/N) convergence data, never exact equality.
 
@@ -45,7 +45,6 @@ import numpy as np
 
 from .model import ChainParams, Thermal
 from .correlations import CorrelatorPair
-from .entanglement import wootters
 
 __all__ = [
     "DimensionTooLarge",
@@ -366,18 +365,12 @@ def _ed_result(chain, u, sz, populations, coherence, degeneracy) -> EDResult:
     m_s = 0.5 * (sz_even - sz_odd)
     rho2, g, zz, conc = {}, {}, {}, {}
     for key, (p11, p10, p01, p00), coh in zip(_PAIR_KEYS, populations, coherence):
-        rho = np.array(
-            [
-                [p11, 0.0, 0.0, 0.0],
-                [0.0, p10, coh, 0.0],
-                [0.0, coh, p01, 0.0],
-                [0.0, 0.0, 0.0, p00],
-            ]
-        )
-        rho2[key] = rho
+        rho2[key] = rho = np.diag([p11, p10, p01, p00])
+        rho[1, 2] = rho[2, 1] = coh
         g[key] = -2.0 * float(coh)
         zz[key] = float(p11 - p10 - p01 + p00)
-        conc[key] = wootters(rho)
+        # the X state's concurrence (Wootters, PRL 80, 2245), clipped as ``wootters`` clips it
+        conc[key] = min(max(2.0 * float(abs(coh) - math.sqrt(p11 * p00)), 0.0), 1.0)
 
     den = abs(p.J - p.j) + abs(p.J + p.j)
     witness_lhs = 4.0 * abs(u + p.B * m + p.b * m_s) / den if den > 0 else math.nan
@@ -400,7 +393,7 @@ def _ed_result(chain, u, sz, populations, coherence, degeneracy) -> EDResult:
 
 
 def spin_ring(chain: FiniteChainSpec) -> EDResult:
-    """Exact thermal expectations on the periodic spin ring, from its two fermion rings.
+    """Exact thermal/ground expectations on the periodic spin ring, from its two fermion rings.
 
     Sector s = 0 (even fermion number: the antiperiodic ring) and s = 1 (odd: periodic)
     are diagonalized in the Bloch blocks of :func:`_bloch_blocks` at k = pi q / L, q odd
@@ -411,13 +404,14 @@ def spin_ring(chain: FiniteChainSpec) -> EDResult:
     largest y, built by (S0, S1) <- (S0 + y S1, S1 + y S0) from positive terms, so a rare
     parity keeps its relative precision; a mode left out (y = 0) is the identity.  Joint
     occupations of mode pairs are ratios of these sums, and p11 and p00 are (1/2) sum_ab
-    |K_ab|^2 times one, K_ab = v_ia v_kb - v_ib v_ka the amplitude of c_k c_i.
+    |K_ab|^2 times one, K_ab = v_ia v_kb - v_ib v_ka the amplitude of c_k c_i.  At T = 0
+    every level within ``dense_ed``'s cut of the lowest weighs alike: y over the largest
+    y is 1 for a mode that close to the cheapest and 0 past it, and so on for the largest
+    y itself and the ratio of the sectors.
     """
     n, p, t = chain.n_sites, chain.params, chain.thermal
     if n > _RING_CAP:
         raise DimensionTooLarge(f"the parity-projected ring is capped at {_RING_CAP} sites")
-    if t.is_ground:
-        raise ValueError("the parity-projected ring is exact at finite temperature only")
     half = n // 2  # q odd (s = 0) or even (s = 1), with q and -q modulo 2 L in each row
     q = 2 * np.arange(half) + 1 - half + (half + np.arange(2)[:, None]) % 2
     phase = np.exp(1j * np.pi * q / half)
@@ -438,10 +432,12 @@ def spin_ring(chain: FiniteChainSpec) -> EDResult:
     tau, mag = (filled.sum(1) + [0, 1]) % 2, np.abs(eps)  # tau: the parity of |F|
     least = mag.min(1)
     low = np.minimum(eps, 0.0).sum(1) + tau * least + math.ldexp(p.B, -e) * n  # lowest levels
+    cut = _DEGENERACY_TOL * abs(low.min())  # dense_ed's: levels this close are degenerate
     with np.errstate(over="ignore"):  # past 2^1000 a weight is 0 all the same
-        d = np.minimum(np.ldexp(t.beta * (mag - least[:, None]), e), 2.0**1000)
-        floor = np.minimum(np.ldexp(t.beta * least, e), 2.0**1000)[:, None]  # -ln(largest y)
-        big = np.ldexp(t.beta * (low[1] - low[0]), e)
+        # beta x for d, floor = -ln(largest y) and big; at T = 0, 0 within the cut, else +-2^1000
+        d, floor, big = (np.where(abs(x) <= cut, 0.0, np.copysign(2.0**1000, x)) if t.is_ground
+                         else np.clip(np.ldexp(t.beta * x, e), -2.0**1000, 2.0**1000)
+                         for x in (mag - least[:, None], least[:, None], low[1] - low[0]))
     sums = np.zeros((2, 2, n + 1, n + 1))  # [parity, sector, a, b]
     sums[0] = 1.0
     factor = np.exp([-d - 2.0 * floor, -d])  # y times, and over, the largest y
@@ -487,7 +483,6 @@ def spin_ring(chain: FiniteChainSpec) -> EDResult:
     energy = math.ldexp(mean(eps * occ) / n + math.ldexp(p.B, -e), e)
     # dense_ed's ground states: the lowest levels within its cut, each with the ways to flip
     # the modes that close to zero (in the right parity) or else one of the cheapest
-    cut = _DEGENERACY_TOL * abs(low.min())
     zero, cheapest = (mag <= cut).sum(1), (mag <= least[:, None] + cut).sum(1)
     count = np.where(zero > 0, 2.0 ** (zero - 1), np.where(tau, cheapest, 1))
     return _ed_result(chain, energy, sz, populations, coherence,

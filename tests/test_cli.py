@@ -746,9 +746,9 @@ def test_unconverged_ground_energy_exits_qcp_scan_3(monkeypatch, capsys):
     assert err == "qcp-scan: ground-energy quadrature did not reach tolerance\n"
 
 
-def test_oracle_compare_rings_past_the_dense_cap_at_finite_temperature(monkeypatch, capsys):
-    # at T > 0 the dense_ed column is the parity-projected ring; dense ED never runs
-    monkeypatch.setattr(cli, "dense_ed", lambda spec: pytest.fail("dense_ed ran at T > 0"))
+def test_oracle_compare_rings_past_the_dense_cap_at_every_temperature(monkeypatch, capsys):
+    # the dense_ed column is the parity-projected ring at T > 0 and T = 0; dense ED never runs
+    monkeypatch.setattr(cli, "dense_ed", lambda spec: pytest.fail("dense_ed ran"))
     code, out, err = run_cli(
         ["oracle-compare", "--j", "0.3", "--b", "0.2", "--B", "0.4", "--beta", "2",
          "--sizes", "8,16,32,64"], capsys,
@@ -761,6 +761,15 @@ def test_oracle_compare_rings_past_the_dense_cap_at_finite_temperature(monkeypat
         # the finite-size gaps fall geometrically, down to rounding at N = 64
         assert gaps[0] > 1e-4 and gaps[-1] < 1e-14, (name, gaps)
         assert all(b < a / 50 for a, b in zip(gaps, gaps[1:])), (name, gaps)
+    # the gapped ground state, polarized by B: every ring equals the bulk up to rounding
+    code, out, err = run_cli(
+        ["oracle-compare", "--j", "0.4", "--b", "0.2", "--B", "1.5", "--T", "0",
+         "--sizes", "8,16,32,64,128", "--q", ORACLE_Q], capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)[1]
+    assert [r[1] for r in rows] == ["8", "16", "32", "64", "128"] * 10
+    assert all(float(r[4]) < 1e-14 for r in rows), rows
 
 
 def test_oracle_compare_cli(tmp_path):
@@ -825,9 +834,9 @@ def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path,
     def no_ed(*args, **kwargs):
         raise AssertionError("a finite ring was computed before --q was checked")
 
-    # at finite T the ring is spin_ring, at T = 0 dense_ed: neither may run
-    monkeypatch.setattr(cli, "dense_ed", no_ed)
+    # the CLI's oracles: neither may run
     monkeypatch.setattr(cli, "spin_ring", no_ed)
+    monkeypatch.setattr(cli, "finite_free_fermion", no_ed)
     out = tmp_path / "oracle.csv"
     out.write_bytes(b"previous result\r\n")
     for dest in ([], ["--out", str(out)]):
@@ -848,7 +857,8 @@ def test_oracle_compare_rejects_bad_quantities_before_work(q, message, tmp_path,
         (["--tol", "-1"], "tol must be a positive finite number"),
         (["--tol", "nan"], "tol must be a positive finite number"),
         (["--tol", "0"], "tol must be a positive finite number"),
-        (["--T", "0", "--sizes", "8,12,14"], "dense diagonalization is capped at 12 sites, got 14"),
+        (["--T", "0", "--sizes", "8,64,130"],
+         "the parity-projected ring is capped at 128 sites, got 130"),
         (["--sizes", "8,64,130"], "the parity-projected ring is capped at 128 sites, got 130"),
     ],
 )
@@ -857,8 +867,8 @@ def test_oracle_compare_rejects_bad_sizes_and_tol_before_work(argv, message, mon
     def no_ed(*args, **kwargs):
         raise AssertionError("a finite ring was computed before --sizes/--tol were checked")
 
-    monkeypatch.setattr(cli, "dense_ed", no_ed)
     monkeypatch.setattr(cli, "spin_ring", no_ed)
+    monkeypatch.setattr(cli, "finite_free_fermion", no_ed)
     temperature = [] if "--T" in argv else ["--beta", "2"]
     code, stdout, err = run_cli(
         ["oracle-compare", "--j", "0.3", "--b", "0.2", "--B", "0.4", *temperature,

@@ -187,17 +187,22 @@ def test_dense_ed_infinite_temperature_limit():
 
 
 def test_dense_ed_two_site_states_are_physical():
+    # both rings, at T > 0 and T = 0: the X-state closed form of the concurrence is the
+    # general Wootters concurrence of the pair state
     p = ChainParams(J=1.0, j=0.6, b=0.35, B=0.8)
-    res = dense_ed(FiniteChainSpec(8, p, Thermal.finite(2.0)))
-    for key, rho in res.rho2.items():
-        assert rho.shape == (4, 4)
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
-        assert abs(np.trace(rho).real - 1.0) < 1e-10
-        assert np.linalg.eigvalsh(rho).min() > -1e-10
-        # magnetization conservation forbids these coherences
-        for a, b in ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3)):
-            assert abs(rho[a, b]) < 1e-10
-        assert math.isclose(res.concurrence[key], wootters(rho), abs_tol=1e-12)
+    for oracle in (dense_ed, spin_ring):
+        for t in (Thermal.finite(2.0), Thermal.zero()):
+            res = oracle(FiniteChainSpec(8, p, t))
+            for key, rho in res.rho2.items():
+                assert rho.shape == (4, 4)
+                assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+                assert abs(np.trace(rho).real - 1.0) < 1e-10
+                assert np.linalg.eigvalsh(rho).min() > -1e-10
+                # magnetization conservation forbids these coherences
+                for a, b in ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3)):
+                    assert abs(rho[a, b]) < 1e-10
+                assert math.isclose(res.concurrence[key], wootters(rho), abs_tol=1e-12)
+            assert res.concurrence[("even", 1)] > 0.1, (oracle, t)  # the check is not vacuous
 
 
 def test_dense_ed_ground_degeneracy_counting():
@@ -540,31 +545,56 @@ SPIN_RING_CHAINS = [
     (ChainParams(J=1.0, j=1.4, b=-0.2, B=1.1), (4, 6, 8, 10, 12)),  # J < |j|, +-k pairs
     (ChainParams(J=0.8, j=-0.3, b=0.6, B=2.5), (4, 6, 8, 10, 12)),  # polarized by B
     (ChainParams(J=0.0, j=0.0, b=0.5, B=0.5), (4, 6, 8, 10, 12)),  # N/2 free spins
+    (ChainParams(J=1.0, j=0.4, b=0.2, B=1.5), (4, 8, 12)),  # gapped
+    (ChainParams(J=0.0), (4, 8, 12)),  # all zero: 2^N ground states
 ]
 
 
 def _ring_fields(res, p):
     """``_ed_fields`` with energies in units of the chain's scale s, and the witness, whose
     numerator is an energy over den = |J - j| + |J + j|, in units of s / den."""
-    s = max(p.J, abs(p.j), abs(p.b), abs(p.B))
+    s = max(p.J, abs(p.j), abs(p.b), abs(p.B)) or 1.0
     out = _ed_fields(res, s)
     out["witness_lhs"] *= (abs(p.J - p.j) + abs(p.J + p.j)) / s
     return out
 
 
+def _assert_rings_agree(p, n, t):
+    spec = FiniteChainSpec(n, p, t)
+    want, got = _ring_fields(dense_ed(spec), p), _ring_fields(spin_ring(spec), p)
+    assert got.keys() == want.keys()
+    assert got.pop("ground_degeneracy") == want.pop("ground_degeneracy"), (p, n, t)
+    if not t.is_ground:
+        assert got.pop("e_mw") is want.pop("e_mw") is None
+    for key, value in want.items():  # a nan witness (J = j = 0) is nan in both
+        np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-13,
+                                   err_msg=f"{p} {n} {t} {key}")
+
+
 @pytest.mark.parametrize("p, sizes", SPIN_RING_CHAINS, ids=str)
 def test_spin_ring_matches_dense_ed_field_by_field(p, sizes):
-    s = max(p.J, abs(p.j), abs(p.b), abs(p.B))
+    s = max(p.J, abs(p.j), abs(p.b), abs(p.B)) or 1.0
     for n in sizes:
         for beta in (1e-3, 0.5, 3.0, 30.0, 1e3, 1e6):  # in units of the chain's scale
-            spec = FiniteChainSpec(n, p, Thermal.finite(beta / s))
-            want, got = _ring_fields(dense_ed(spec), p), _ring_fields(spin_ring(spec), p)
-            assert got.keys() == want.keys()
-            assert got.pop("ground_degeneracy") == want.pop("ground_degeneracy"), (n, beta)
-            assert got.pop("e_mw") is want.pop("e_mw") is None
-            for key, value in want.items():  # a nan witness (J = j = 0) is nan in both
-                np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-13,
-                                           err_msg=f"{n} {beta} {key}")
+            _assert_rings_agree(p, n, Thermal.finite(beta / s))
+        _assert_rings_agree(p, n, Thermal.zero())
+
+
+def test_spin_ring_matches_dense_ed_at_zero_temperature_over_the_domain():
+    # seeded chains at scales 2^+-400 with zeros, the all-zero chain, J = j = 0, the flat
+    # bands J = +-j and fields of either sign; energies at the chain's scale
+    rng = np.random.default_rng(26)
+    for i in range(100):
+        J, j, b, B = rng.uniform(-2.0, 2.0, 4) * (rng.random(4) > 0.2)
+        if i % 6 == 0:
+            j = rng.choice([-1.0, 1.0]) * J  # flat band
+        elif i % 6 == 1:
+            J = j = 0.0
+        elif i % 12 == 2:
+            J = j = b = B = 0.0
+        scale = 2.0 ** int(rng.integers(-400, 401))
+        p = ChainParams(*(scale * float(v) for v in (abs(J), j, b, B)))
+        _assert_rings_agree(p, int(rng.choice([4, 6, 8, 10, 12])), Thermal.zero())
 
 
 def test_spin_ring_follows_the_chain_scale():
@@ -577,17 +607,29 @@ def test_spin_ring_follows_the_chain_scale():
                 assert _ed_fields(res, s) == want, (unit, n, beta, s)
 
 
+@pytest.mark.parametrize("J, j, b", [(1.0, 0.4, 0.2), (0.6, -1.1, 0.3), (1.0, 1.0, 0.25)])
+def test_spin_ring_counts_ground_states_at_level_crossings(J, j, b):
+    # B puts a mode of momentum k at zero energy up to rounding: levels that differ by
+    # rounding are ground states alike, in both rings, only by the degeneracy cut
+    for n in (4, 6, 8, 10):
+        for k in 2 * np.pi * np.arange(n) / n:
+            B = math.sqrt(4 * b * b + abs(J - j + (J + j) * np.exp(1j * k)) ** 2) / 2
+            _assert_rings_agree(ChainParams(J, j, b, B), n, Thermal.zero())
+
+
 def test_spin_ring_needs_no_band_integral(monkeypatch):
-    from staggered_xx import quadrature, thermo
+    from staggered_xx import ground, quadrature, thermo
 
     def banned(*args, **kwargs):
         raise AssertionError("the ring must not integrate over the band")
 
     monkeypatch.setattr(thermo, "_band_integrals", banned)
+    monkeypatch.setattr(ground, "_record_columns", banned)
     monkeypatch.setattr(quadrature, "_integrate_cells", banned)
     p = ChainParams(J=1.0, j=0.3, b=0.2, B=0.4)
-    res = spin_ring(FiniteChainSpec(16, p, Thermal.finite(2.0)))
-    assert 0.0 < res.magnetization < 1.0
+    for t in (Thermal.finite(2.0), Thermal.zero()):
+        res = spin_ring(FiniteChainSpec(16, p, t))
+        assert 0.0 < res.magnetization < 1.0
 
 
 def test_spin_ring_size_cap_and_temperature():
@@ -595,8 +637,10 @@ def test_spin_ring_size_cap_and_temperature():
     assert spin_ring(FiniteChainSpec(_RING_CAP, p, Thermal.finite(1.0))).n_sites == _RING_CAP
     with pytest.raises(DimensionTooLarge):
         spin_ring(FiniteChainSpec(_RING_CAP + 2, p, Thermal.finite(1.0)))
-    with pytest.raises(ValueError, match="finite temperature"):
-        spin_ring(FiniteChainSpec(8, p, Thermal.zero()))
+    # the ring takes T = 0 as its beta -> inf limit, up to its cap
+    ground = spin_ring(FiniteChainSpec(_RING_CAP, p, Thermal.zero()))
+    assert ground.ground_degeneracy == 1 and 0.0 < ground.e_mw < 1.0
     # the all-zero chain: every mode at zero energy, every state a ground state
-    zero = spin_ring(FiniteChainSpec(_RING_CAP, ChainParams(J=0.0), Thermal.finite(1.0)))
-    assert zero.ground_degeneracy == 2**_RING_CAP and zero.energy_per_site == 0.0
+    for t in (Thermal.finite(1.0), Thermal.zero()):
+        zero = spin_ring(FiniteChainSpec(_RING_CAP, ChainParams(J=0.0), t))
+        assert zero.ground_degeneracy == 2**_RING_CAP and zero.energy_per_site == 0.0
