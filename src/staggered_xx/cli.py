@@ -111,9 +111,7 @@ def _nearest(s: float, zz: bool):
 
 _PARITIES = ("odd", "even")
 _SIGNS = (-1.0, 1.0)  # of the parities
-# a block's record rows (``_quantity_columns``), and those each concurrence reads
-_ROWS = ("u", "m", "m_s", "gu1", "gs1", "gu2", "gs2")
-_READS = {"c1": _ROWS[1:5], "c2": _ROWS[1:]}
+_READS = {"c1": thermo._ROWS[1:5], "c2": thermo._ROWS[1:]}  # the record rows of each concurrence
 _TABLE = {
     "u": _Quantity(("u",), ed=lambda ed: ed.energy_per_site, fermion=lambda ff: ff.u,
                    energy=True),
@@ -259,14 +257,10 @@ _FLAGS = ("", "tolerance", "error")  # by a cell's code
 def _quantity_columns(chains, beta, quantities) -> tuple[list, list]:
     """Each quantity's value column and flag-code column (0 none, 1 tolerance, 2 error), as
     lists, at the cells of the (J, j, b, B) columns ``chains`` and the column ``beta``: a
-    column expression over their record columns (``_Quantity``), from one engine run per
-    temperature, with a cell's flags those the library's exceptions give at its point."""
-    f, value, _, ok = thermo._record_columns(chains, beta)
-    code = np.where(ok, np.where(np.isinf(value), 2, 0), 1)  # 1 tolerance, 2 error
-    zero = chains[2] == 0  # m_s is 0 at b = 0 and reads nothing
-    value[2, zero], code[2, zero] = 0.0, 0
-    c = {**dict(zip(_ROWS, value)), "f": f, "J": chains[0], "j": chains[1]}
-    codes, memo, cols, marks = dict(zip(_ROWS, code)), {}, [], []
+    column expression over their record rows (``_Quantity``, ``thermo._record``), from one
+    engine run per temperature, with a cell's flags those the library's exceptions give."""
+    c, codes, _ = thermo._record(chains, beta)
+    memo, cols, marks = {}, [], []
     for name in quantities:
         q = _TABLE[name]
         v, err = q.column(c, memo) if q.column else (c[q.reads[0]], False)

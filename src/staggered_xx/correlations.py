@@ -24,10 +24,10 @@ For R = 1 the contraction is the whole story,
 is a string-ordered determinant of contractions (see :mod:`.entanglement`
 for the R = 2 case).
 
-At both temperatures the parts are band integrals of
-``thermo._band_integral``; a record holds them for R = 1 and 2 only, and
-larger separations run ``_contraction_kernel``, or over F at T = 0
-``ground._contractions``.  These kernels are the only copy of the
+At both temperatures the parts at R = 1 and 2 are rows of the point's
+band-integral record (``thermo._point``); larger separations run
+``_contraction_kernel`` through ``thermo._band_integral``, or over F at
+T = 0 ``ground._contractions``.  These kernels are the only copy of the
 integrands.  On the Jordan-Wigner fermions of a ring the contraction is
 g_{l,R} = (-1)^R 2 Re <c+_l c_{l+R}>, which is how the free-fermion
 oracle of :mod:`.oracle` reads it, without any integrand.
@@ -42,11 +42,8 @@ import numpy as np
 from . import ground
 from .model import ChainParams, Thermal
 from .quadrature import QuadSpec
-from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
-from .thermo import (
-    _BandIntegrals, _band_integral, _difference_ratio, _point_record, magnetization,
-    staggered_magnetization,
-)
+from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
+from .thermo import _band_integral, _difference_ratio, _point
 
 __all__ = [
     "CorrelatorPair",
@@ -120,13 +117,14 @@ def _contraction_kernel(r: int):
     return 2, f
 
 
-def _transverse_pair(p, t, r, quad) -> CorrelatorPair:
-    """Contraction pair at separation ``r``: the record's band integrals for r <= 2, a
-    kernel of its own for larger r (over F at T = 0); no record holds r > 2."""
-    if r > 2 and t.is_ground and not isinstance(quad, _BandIntegrals):
+def _transverse_pair(p, t, r, quad, read=None) -> CorrelatorPair:
+    """Contraction pair at separation ``r``: for r <= 2 the record's rows, read by ``read``
+    (the point's own reader if None); a kernel of its own for larger r (over F at T = 0)."""
+    if r <= 2:
+        return CorrelatorPair(*(read or _point(p, t, quad))(f"gu{r}", f"gs{r}"))
+    if t.is_ground:
         return CorrelatorPair(*ground._contractions(p, r, quad))
-    kernel = None if r <= 2 else _contraction_kernel(r)
-    return CorrelatorPair(*_band_integral(p, t, quad, f"g{r}", kernel))
+    return CorrelatorPair(*_band_integral(p, t, quad, _contraction_kernel(r)))
 
 
 def g1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> CorrelatorPair:
@@ -172,10 +170,10 @@ def zz_correlator(
 ) -> float:
     """Full longitudinal correlator <sz_l sz_{l+r}>, l of given parity."""
     r = _check_distance(r)
-    rec = _point_record(p, t, quad)
-    sz = sigma_z_pair(p, t, rec)
+    read = _point(p, t, quad)
+    sz = SigmaZ(*read("m", "m_s"))
     right_parity = parity if r % 2 == 0 else _OTHER_PARITY[parity]
-    g = g_site(p, t, parity, r, rec if r <= 2 else quad)
+    g = _transverse_pair(p, t, r, quad, read).at(parity)
     return sz.at(parity) * sz.at(right_parity) - g * g
 
 
@@ -188,11 +186,7 @@ def xx_plus_yy(
 
 def sigma_z_pair(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> SigmaZ:
     """Uniform and staggered parts of the on-site <sz>."""
-    quad = _point_record(p, t, quad)
-    return SigmaZ(
-        uniform=magnetization(p, t, quad),
-        staggered=staggered_magnetization(p, t, quad),
-    )
+    return SigmaZ(*_point(p, t, quad)("m", "m_s"))
 
 
 def correlation_set(
@@ -200,8 +194,8 @@ def correlation_set(
 ) -> CorrelationSet:
     """Bundle <sz> and the transverse pairs for the requested separations; one
     band-integral record serves <sz> and r <= 2, larger r take ``quad``."""
-    rec = _point_record(p, t, quad)
+    read = _point(p, t, quad)
     return CorrelationSet(
-        sigma_z=sigma_z_pair(p, t, rec),
-        g={r: _transverse_pair(p, t, r, rec if r <= 2 else quad) for r in map(_check_distance, rs)},
+        sigma_z=SigmaZ(*read("m", "m_s")),
+        g={r: _transverse_pair(p, t, r, quad, read) for r in map(_check_distance, rs)},
     )

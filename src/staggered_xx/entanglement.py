@@ -32,8 +32,8 @@ import numpy as np
 
 from .model import ChainParams, Thermal
 from .quadrature import QuadSpec
-from .correlations import g1, g_even, parity_sign
-from .thermo import _point_record, magnetization, staggered_magnetization
+from .correlations import g1, parity_sign
+from .thermo import _point
 
 __all__ = [
     "ConcurrencePair",
@@ -168,9 +168,7 @@ def _pair(odd, even, bad) -> ConcurrencePair:
 
 def c1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
     """Nearest-neighbour concurrence on each sublattice."""
-    quad = _point_record(p, t, quad)
-    m, ms, g = magnetization(p, t, quad), staggered_magnetization(p, t, quad), g1(p, t, quad)
-    return _pair(*_c1(m, ms, g.uniform, g.staggered))
+    return _pair(*_c1(*_point(p, t, quad)("m", "m_s", "gu1", "gs1")))
 
 
 def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrencePair:
@@ -181,10 +179,7 @@ def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
     opposite parity: g_{l,1} g_{l+1,1} - g_{l,2} <sz_{l+1}>.  Every
     factor, including the distance-2 contraction, is parity-resolved.
     """
-    quad = _point_record(p, t, quad)
-    m, ms = magnetization(p, t, quad), staggered_magnetization(p, t, quad)
-    g, g2 = g1(p, t, quad), g_even(p, t, 2, quad)
-    return _pair(*_c2(m, ms, g.uniform, g.staggered, g2.uniform, g2.staggered))
+    return _pair(*_c2(*_point(p, t, quad)("m", "m_s", "gu1", "gs1", "gu2", "gs2")))
 
 
 def _witness_lhs(J, j, gu, gs):

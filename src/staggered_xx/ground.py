@@ -19,13 +19,14 @@ has the kinks that ``qcp_scan`` picks up in its second derivative.
 
 Each residual integral is (2/pi) int_F of a kernel, for K chains in their
 own units in one engine call (``_over_filled``), which runs them in the
-blocks of ``quadrature.cell_blocks``: the five integrals of the T = 0
-record every T = 0 quantity reads (``_records``), the energy alone
-(``_energies``: ``energy``, the whole ``qcp_scan`` grid) or a contraction
-at r > 2.  The chains are numpy columns (J, j, b, B) throughout: ``model._in_units`` takes
-them into their units and ``model._filled_interval`` decides F, once for all of them, and
-``qcp_scan`` passes its grid as the column of its axis, so a scan of many points builds no
-ChainParams and holds no Python object per point.
+blocks of ``quadrature.cell_blocks``: the five integrals of the T = 0 record
+(``_record_columns``, whose rows every T = 0 quantity reads through
+``thermo._record``), the energy alone (``_energies``: ``energy``, the whole
+``qcp_scan`` grid) or a contraction at r > 2.  The chains are numpy columns
+(J, j, b, B) throughout: ``model._in_units`` takes them into their units and
+``model._filled_interval`` decides F, once for all of them, and ``qcp_scan``
+passes its grid as the column of its axis, so a scan of many points builds
+no ChainParams and holds no Python object per point.
 """
 
 from __future__ import annotations
@@ -34,19 +35,18 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
-    _SAFE_EXPONENT, ChainParams, PhaseRegion, _columns, _filled_interval, _in_units, _theta,
-    classify_region, critical_fields,
+    _SAFE_EXPONENT, ChainParams, PhaseRegion, Thermal, _columns, _filled_interval, _in_units,
+    _theta, classify_region, critical_fields,
 )
-from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
+from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
 from .quadrature import (
     DEFAULT_QUAD, QuadResult, QuadSpec, ToleranceNotReached, _integrate_cells, require_converged,
 )
-from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
+from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
 
 __all__ = [
     "GroundReport",
@@ -84,42 +84,6 @@ class QcpScan:
     @property
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.values.tolist(), self.d2e.tolist()))
-
-
-class _BandIntegrals(NamedTuple):
-    """The band integrals of one point as per-site ``QuadResult``s: u, m, m_s and the
-    (uniform, staggered) pairs g1 and g2 of separations 1 and 2; at finite T all seven on
-    shared nodes, at T = 0 five over F and two closed (``_records``) with f, the share outside
-    F.  Given as ``quad``, a quantity function reads them; one not held is a ValueError, an
-    unconverged one a ToleranceNotReached, a u past the largest float an OverflowError."""
-
-    u: QuadResult
-    m: QuadResult
-    m_s: QuadResult
-    g1: tuple
-    g2: tuple
-    f: float | None = None
-
-    def integral(self, name: str):
-        if name not in self._fields:
-            raise ValueError(f"the band integrals of one point hold no {name}")
-        got = getattr(self, name)
-        if isinstance(got, tuple):
-            return tuple(map(require_converged, got))
-        if math.isinf(value := require_converged(got)):
-            raise OverflowError(f"{name} is past the largest float")
-        return value
-
-
-def _as_records(f, value, err, ok) -> list[_BandIntegrals]:
-    """The ``_BandIntegrals`` of record columns: f (NaN at finite T) and the (7, K) values,
-    error estimates and flags in field order, pairs flattened."""
-    records = []
-    for f, *cell in zip(f.tolist(), value.T.tolist(), err.T.tolist(), ok.T.tolist()):
-        hot = math.isnan(f)  # two pieces split at the crossing, else F
-        u, m, m_s, gu1, gs1, gu2, gs2 = (QuadResult(*r, 2 if hot else 1) for r in zip(*cell))
-        records.append(_BandIntegrals(u, m, m_s, (gu1, gs1), (gu2, gs2), None if hot else f))
-    return records
 
 
 def _fill(p: ChainParams) -> tuple[float, float, float]:
@@ -161,9 +125,7 @@ def _over_filled(chains, n: int, kernel, quad: QuadSpec | None):
             return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc)
 
         edges = np.column_stack([units.lo[rows], units.hi[rows]])
-        # where b^2 and (j sin q)^2 underflow, theta is 0 and the engine flags the cell
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v, e, ok[:, rows] = _integrate_cells(integrands, n, edges, quad)
+        v, e, ok[:, rows] = _integrate_cells(integrands, n, edges, quad)
         value[:, rows], err[:, rows] = 2.0 / math.pi * v, 2.0 / math.pi * e
     return units, value, err, ok
 
@@ -189,9 +151,9 @@ _OVER_F = [0, 2, 3, 4, 6]  # the record rows of ``_record_kernel``'s five integr
 
 
 def _record_columns(chains, quad: QuadSpec | None):
-    """The share outside F and the (7, K) T = 0 record columns (``_as_records``) of the chains
-    given as (J, j, b, B) columns: one run of the five integrands of ``_record_kernel``; m and
-    the uniform part of g2 are closed forms, and a u past the largest float is infinite."""
+    """The share f outside F and the T = 0 record columns (``thermo._record_columns``) of the
+    chains given as (J, j, b, B) columns: one run of the five integrands of ``_record_kernel``;
+    m and the uniform part of g2 are closed forms, and a u past the largest float is inf."""
     units, *run = _over_filled(chains, 5, _record_kernel, quad)
     shape = (7, len(units.k))
     value, err, ok = np.empty(shape), np.zeros(shape), np.ones(shape, bool)
@@ -205,11 +167,6 @@ def _record_columns(chains, quad: QuadSpec | None):
     return units.out, value, err, ok
 
 
-def _records(chains, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
-    """The T = 0 ``_BandIntegrals`` records of the chains given as (J, j, b, B) columns."""
-    return _as_records(*_record_columns(chains, quad))
-
-
 def _energies(chains, quad: QuadSpec | None) -> np.ndarray:
     """Ground-state energies per site of the chains given as (J, j, b, B) columns, each in
     its own units, from one ``_over_filled`` call of -theta alone."""
@@ -219,12 +176,10 @@ def _energies(chains, quad: QuadSpec | None) -> np.ndarray:
     return np.ldexp(value - np.abs(units.B) * units.out, units.k)
 
 
-def energy(p: ChainParams, quad=None) -> float:
+def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
     """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi), in the chain's
-    own units: read from a T = 0 record ``quad``, else integrated alone, as ``qcp_scan`` does;
-    past the largest float, the record's OverflowError either way."""
-    if isinstance(quad, _BandIntegrals):
-        return quad.integral("u")
+    own units, integrated alone as ``qcp_scan`` does; past the largest float an OverflowError,
+    as the T = 0 record reports it."""
     with np.errstate(over="ignore"):
         u = _energies(_columns([p]), quad).item()
     if math.isinf(u):
@@ -232,24 +187,20 @@ def energy(p: ChainParams, quad=None) -> float:
     return u
 
 
-def magnetization_t0(p: ChainParams, quad=None) -> float:
-    """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi): read from the T = 0
-    record ``quad``, else decided from F alone."""
-    if isinstance(quad, _BandIntegrals):
-        return quad.integral("m")
+def magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> float:
+    """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi), decided from F."""
     return _m_t0(_fill(p)[2], p.B).item()  # m is odd in B
 
 
-def staggered_magnetization_t0(p: ChainParams, quad=None) -> float:
-    """Ground-state staggered magnetization, (2/pi) int_F b/theta dq, from the T = 0 record
-    ``quad`` (integrated if a QuadSpec or None); exactly 0 at b = 0.
+def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> float:
+    """Ground-state staggered magnetization, (2/pi) int_F b/theta dq, read from the point's
+    T = 0 record; exactly 0 at b = 0.
 
     |b|/theta <= 1, so the tolerance holds for m_s where int_F dq/theta diverges.
     """
-    if p.b == 0:
-        return 0.0
-    rec = quad if isinstance(quad, _BandIntegrals) else _records(_columns([p]), quad)[0]
-    return rec.integral("m_s")
+    from .thermo import staggered_magnetization  # thermo imports this module
+
+    return staggered_magnetization(p, Thermal.zero(), quad)
 
 
 def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float, float]:
@@ -278,24 +229,25 @@ def _meyer_wallach(f, ms):
     return 1.0 - f * f - ms * ms
 
 
-def meyer_wallach(p: ChainParams, quad=None) -> float:
-    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2, f and m_s
-    from the T = 0 record ``quad`` (m_s integrated if a QuadSpec or None).
+def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:
+    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2, f decided from
+    F and m_s read from the point's T = 0 record.
 
     f = 1 - 2|F|/pi is |m|, except that it stays 1 on the all-zero chain
     (saturated at B = 0), whose measure is 0.
     """
-    f = quad.f if isinstance(quad, _BandIntegrals) else _fill(p)[2]
-    return _meyer_wallach(f, staggered_magnetization_t0(p, quad))
+    return _meyer_wallach(_fill(p)[2], staggered_magnetization_t0(p, quad))
 
 
 def ground_report(p: ChainParams, quad: QuadSpec | None = None) -> GroundReport:
-    rec = _records(_columns([p]), quad)[0]
+    from .thermo import _point  # thermo imports this module
+
+    read = _point(p, Thermal.zero(), quad)  # the point's T = 0 record
     return GroundReport(
         region=classify_region(p),
-        energy=energy(p, rec),
+        energy=read("u")[0],
         m_g=magnetization_t0(p),
-        e_mw=meyer_wallach(p, rec),
+        e_mw=_meyer_wallach(*read("f", "m_s")),
         qcp_fields=critical_fields(p),
     )
 

@@ -159,11 +159,19 @@ def theta_of_q(p: ChainParams, q):
 def _theta(J, j, b, c, s):
     """theta from c = cos q, s = sin q and couplings within 2^+-500, unchecked: theta^2
     as min(J, |j|)^2 + b^2 + |J^2 - j^2| (c^2 if J > |j| else s^2), non-negative
-    terms that stay constant to the last bit on the flat band J = |j|."""
+    terms that stay constant to the last bit on the flat band J = |j|.  Below 2^-500,
+    where they may underflow, the terms are taken in units of 2^-600, scaled exactly."""
     aj = abs(j)
     d = (J - aj) * (J + aj)
     w = np.where(d > 0, c, s)
-    return np.sqrt(np.minimum(J, aj) ** 2 + b**2 + abs(d) * (w * w))
+    m, ww = np.minimum(J, aj), w * w
+    th = np.sqrt(m**2 + b**2 + abs(d) * ww)
+    if th.min(initial=math.inf) < 2.0**-500:  # one reduction on the common path
+        with np.errstate(over="ignore"):  # at the other nodes, which keep th
+            squares = (np.ldexp(m, 600) ** 2 + np.ldexp(b, 600) ** 2
+                       + np.ldexp(abs(d) * np.ldexp(ww, 1000), 200))  # ww <= 1, |d| ww < 2^-1000
+        th = np.where(th < 2.0**-500, np.ldexp(np.sqrt(squares), -600), th)
+    return th
 
 
 def theta_bounds(p: ChainParams) -> tuple[float, float]:

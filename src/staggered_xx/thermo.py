@@ -11,15 +11,17 @@ and its first derivatives are single integrals over q in [0, pi]:
 where u is the energy per site and m, m_s the uniform and staggered
 magnetizations (m = (1/beta) d(lnZ/N)/dB, m_s = (1/beta) d(lnZ/N)/db,
 u = -d(lnZ/N)/dbeta; these identities are enforced in the test suite).
-Every band integral, here and in :mod:`.correlations`, is read from a
-``_BandIntegrals`` record or integrated with a ``QuadSpec`` by
-``_band_integral``: at finite temperature on the tanh-sinh nodes of
-``_cell_integrals``, at zero temperature over the filled interval of
-:mod:`.ground`.  The CLI calls none of these functions: it reads the record
-columns of ``_record_columns`` for a block of cells, a point being a block
-of one, from the same engine runs.  The fused kernels (``_band_kernel``,
-``_ln_z_kernel``, ``correlations._contraction_kernel`` and, over F,
-``ground._record_kernel``) are the only copy of these integrands; the
+The seven band integrals every quantity of the CLI reads (u, m, m_s and the
+parts of g1 and g2) form one record, whose rows and flag codes ``_record``
+gives for a block of cells: at finite temperature from one run of the
+tanh-sinh nodes of ``_cell_integrals``, at zero temperature from one over the
+filled interval of :mod:`.ground`.  The CLI reads them for a block, a point
+being a block of one; the library functions here and in :mod:`.correlations`,
+:mod:`.entanglement` and :mod:`.ground` read the named rows of one point
+through ``_point``, one engine run per call.  ln Z and the contractions at
+r > 2 run kernels of their own (``_band_integral``).  The fused kernels
+(``_band_kernel``, ``_ln_z_kernel``, ``correlations._contraction_kernel`` and,
+over F, ``ground._record_kernel``) are the only copy of these integrands; the
 finite-ring oracles of :mod:`.oracle` use none of them.
 """
 
@@ -32,10 +34,11 @@ import numpy as np
 
 from . import ground
 from .model import ChainParams, Thermal, _columns, _crossing, _in_units, _theta
-from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
-from .ground import _BandIntegrals
-from .quadrature import DEFAULT_QUAD, QuadResult, QuadSpec, _integrate_cells, require_converged
-from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 1)
+from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
+from .quadrature import (
+    DEFAULT_QUAD, QuadResult, QuadSpec, ToleranceNotReached, _integrate_cells, require_converged,
+)
+from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
 
 __all__ = [
     "ZeroTemperatureUnsupported",
@@ -96,7 +99,7 @@ def _cell_integrals(chains, beta, n: int, kernel, quad: QuadSpec | None = None):
 
 
 def _band_kernel(q, c, s, th, J, j, b, B, beta):
-    """The seven integrands of a ``_BandIntegrals`` record, in its field order."""
+    """The seven integrands of the record, in the order of ``_ROWS``."""
     lp, lm = B + th, B - th
     tp, tm = np.tanh(beta * lp), np.tanh(beta * lm)
     ratio = _difference_ratio(beta, B, th, tp - tm)
@@ -105,10 +108,15 @@ def _band_kernel(q, c, s, th, J, j, b, B, beta):
             -s * j * s * ratio, c2 * (tp + tm), c2 * b * ratio)
 
 
+# the record's band integrals (``_record``), in the order of its (7, K) columns
+_ROWS = ("u", "m", "m_s", "gu1", "gs1", "gu2", "gs2")
+
+
 def _record_columns(chains, beta, quad: QuadSpec | None = None):
-    """f (NaN at finite T) and the (7, K) record columns (``ground._as_records``) of cells
-    given as (J, j, b, B) and beta columns: one engine run of ``_band_kernel`` over the
-    finite-T cells, one of ``ground._record_columns`` over those at T = 0 (beta inf)."""
+    """f (NaN at finite T) and the (7, K) values, error estimates and flags of the record
+    rows (``_ROWS``) of cells given as (J, j, b, B) and beta columns: one engine run of
+    ``_band_kernel`` over the finite-T cells, one of ``ground._record_columns`` over those
+    at T = 0 (beta inf)."""
     hot = np.isfinite(beta)
     if hot.all():
         k, value, err, ok = _cell_integrals(chains, beta, 7, _band_kernel, quad)
@@ -126,27 +134,40 @@ def _record_columns(chains, beta, quad: QuadSpec | None = None):
     return columns
 
 
-def _band_integrals(cells, quad: QuadSpec | None = None) -> list[_BandIntegrals]:
-    """The ``_BandIntegrals`` records of cells ``(p, t)`` at any temperature."""
-    beta = np.array([t.beta for _, t in cells])
-    return ground._as_records(*_record_columns(_columns(p for p, _ in cells), beta, quad))
+def _record(chains, beta, quad: QuadSpec | None = None):
+    """The record every quantity reads at cells given as (J, j, b, B) and beta columns, from
+    ``_record_columns``: a dict of (K,) rows, those of ``_ROWS``, f and the couplings J and j;
+    the flag codes of the ``_ROWS`` (0 none, 1 tolerance, 2 error: past the largest float);
+    and their (7, K) error estimates.  m_s is 0 at b = 0 and reads nothing."""
+    f, value, err, ok = _record_columns(chains, beta, quad)
+    code = np.where(ok, np.where(np.isinf(value), 2, 0), 1)
+    zero = chains[2] == 0
+    value[2, zero], code[2, zero] = 0.0, 0
+    rows = {**dict(zip(_ROWS, value)), "f": f, "J": chains[0], "j": chains[1]}
+    return rows, dict(zip(_ROWS, code)), err
 
 
-def _point_record(p: ChainParams, t: Thermal, quad) -> _BandIntegrals:
-    """What a composite call passes to each quantity it reads: ``quad`` itself if it is a
-    record, else the point's one-cell record integrated with the QuadSpec ``quad`` (or None)."""
-    return quad if isinstance(quad, _BandIntegrals) else _band_integrals([(p, t)], quad)[0]
+def _point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None):
+    """The reader of the one-cell ``_record`` of (p, t): ``read(*names)`` gives the named
+    rows as floats, raising at the first that failed, in the order named: a
+    ToleranceNotReached with its QuadResult, or an OverflowError."""
+    rows, codes, err = _record(_columns([p]), np.array([t.beta]), quad)
+
+    def read(*names):
+        for name in filter(codes.__contains__, names):  # f, J and j are never flagged
+            if codes[name][0] == 2:
+                raise OverflowError(f"{name} is past the largest float")
+            if codes[name][0] == 1:
+                cell = rows[name].item(), err[_ROWS.index(name)].item()
+                raise ToleranceNotReached(QuadResult(*cell, False, 1 if t.is_ground else 2))
+        return tuple(rows[name].item() for name in names)
+
+    return read
 
 
-def _band_integral(p: ChainParams, t: Thermal, quad, name: str, kernel=None):
-    """Band integral ``name`` (a pair for ``g<r>``) of the point (p, t), per site.  The one
-    record-or-spec decision: a ``_BandIntegrals`` ``quad`` is read; a QuadSpec (or None)
-    integrates the record of ``_point_record``, or, at finite T, the n-tuple of
-    ``kernel`` = (n, f) for the rest."""
-    if isinstance(quad, _BandIntegrals):
-        return quad.integral(name)
-    if kernel is None:
-        return _point_record(p, t, quad).integral(name)
+def _band_integral(p: ChainParams, t: Thermal, quad: QuadSpec | None, kernel):
+    """The n band integrals of ``kernel`` = (n, f) (``_cell_integrals``) at the finite-T
+    point (p, t), per site, for what the record does not hold."""
     run = _cell_integrals(_columns([p]), np.array([t.beta]), *kernel, quad)
     cell = zip(*(a[:, 0].tolist() for a in run[1:]))
     return tuple(require_converged(QuadResult(v, e, c, 2)) for v, e, c in cell)
@@ -191,35 +212,29 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
     # past beta 2^999 in its own units ln Z is linear in beta: below the kernel's cap
     e = max(0, math.frexp(t.beta)[1] + _in_units(*_columns([p]))[0].item() - 999)
     t_e = Thermal(math.ldexp(t.beta, -e))
-    return math.ldexp(_band_integral(p, t_e, quad, "ln_z", (1, _ln_z_kernel))[0], e)
+    return math.ldexp(_band_integral(p, t_e, quad, (1, _ln_z_kernel))[0], e)
 
 
 def internal_energy(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Energy per site, integrated in the chain's own units (``model._in_units``); at
     T = 0 the ground energy of :mod:`.ground`."""
-    return _band_integral(p, t, quad, "u")
+    return _point(p, t, quad)("u")[0]
 
 
 def magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Uniform magnetization per site, in [-1, 1], odd in B; closed at T = 0."""
-    return _band_integral(p, t, quad, "m")
+    return _point(p, t, quad)("m")[0]
 
 
 def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Staggered magnetization per site, odd in b; exactly 0 at b = 0."""
     if p.b == 0:
         return 0.0
-    return _band_integral(p, t, quad, "m_s")
+    return _point(p, t, quad)("m_s")[0]
 
 
 def thermo_point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ThermoPoint:
     """All four quantities in one record; finite temperature only.  ln Z takes ``quad``
     and its own kernel; u, m and m_s read one band-integral record."""
     ln_z = ln_z_per_site(p, t, quad)  # refuses T = 0 before the record is built
-    rec = _point_record(p, t, quad)
-    return ThermoPoint(
-        ln_z_per_site=ln_z,
-        u=internal_energy(p, t, rec),
-        m=magnetization(p, t, rec),
-        m_s=staggered_magnetization(p, t, rec),
-    )
+    return ThermoPoint(ln_z, *_point(p, t, quad)("u", "m", "m_s"))

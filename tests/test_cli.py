@@ -367,9 +367,9 @@ def test_negative_radicand_flags_both_parities_of_its_cell_only(monkeypatch, cap
 
 def test_sweep_builds_no_per_cell_objects(monkeypatch, capsys):
     # every CLI path reads its quantities off record columns, a point and the analytic
-    # column of oracle-compare a block of one cell: no _BandIntegrals or QuadResult per
-    # cell, in a sweep at finite T, at T = 0 and on a T axis, a point at both and
-    # oracle-compare at both
+    # column of oracle-compare a block of one cell: no one-point reader (thermo._point)
+    # or QuadResult per cell, in a sweep at finite T, at T = 0 and on a T axis, a point
+    # at both and oracle-compare at both
     from staggered_xx import ground, thermo
 
     chain = ["--j", "0.3", "--b", "0.2"]
@@ -390,7 +390,7 @@ def test_sweep_builds_no_per_cell_objects(monkeypatch, capsys):
     def refused(*args, **kwargs):
         raise AssertionError("per-cell object built")
 
-    for owner, name in ((ground, "_BandIntegrals"), (ground, "QuadResult"),
+    for owner, name in ((thermo, "_point"), (ground, "QuadResult"),
                         (thermo, "QuadResult"), (quadrature, "QuadResult")):
         monkeypatch.setattr(owner, name, refused)
     for argv, got in zip(commands, want):
@@ -655,6 +655,25 @@ def test_sweep_where_beta_overflows_the_chains_units(capsys):
         assert run_cli(point, capsys) == (0, f"u,m,c1_odd,err_flags\r\n{','.join(row[2:])}\r\n", "")
 
 
+def test_m_s_where_theta_squares_underflow_at_an_end_of_f_matches_the_ring(capsys):
+    # b^2 and (j sin q)^2 underflow near q = 0, an end of F, although theta = |b| is a
+    # normal float there: the point prints m_s and e_mw, unflagged, within 1e-10 of the
+    # 128-site ring
+    from staggered_xx import FiniteChainSpec, spin_ring
+
+    argv = ["point", "--J=0", "--j=-3.9e-145", "--b=-2.2e-262", "--B=0", "--T=0",
+            "--q", "m_s,e_mw"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    header, (row,) = parse_csv(out)
+    got = dict(zip(header, row))
+    assert got["err_flags"] == ""
+    p = ChainParams(0.0, -3.9e-145, -2.2e-262, 0.0)
+    ring = spin_ring(FiniteChainSpec(128, p, Thermal.zero()))
+    assert abs(float(got["m_s"]) - ring.staggered_magnetization) <= 1e-10
+    assert abs(float(got["e_mw"]) - ring.e_mw) <= 1e-10
+
+
 def test_oracle_compare_at_a_large_field(capsys):
     code, out, _ = run_cli(
         ["oracle-compare", "--b", "1e200", "--beta", "2", "--sizes", "4,6", "--q", "m"], capsys
@@ -668,8 +687,8 @@ def test_oracle_compare_at_a_large_field(capsys):
 def test_oracle_compare_judges_energy_gaps_at_the_chains_scale(shift, code, capsys, monkeypatch):
     # each u gap is an ulp or two of 1e200: in units of max(J, |j|, |b|, |B|)
     # they pass, while a u off by 0.05 of that scale still fails the 0.02 tol
-    def shifted(chains, beta, engine=cli.thermo._record_columns):
-        f, value, err, ok = engine(chains, beta)
+    def shifted(chains, beta, quad=None, engine=cli.thermo._record_columns):
+        f, value, err, ok = engine(chains, beta, quad)
         value[0] += shift * 1e200  # the record's u
         return f, value, err, ok
 

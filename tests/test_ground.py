@@ -13,6 +13,7 @@ from staggered_xx import (
     GroundReport,
     PhaseRegion,
     QcpScan,
+    Thermal,
     band_crossings,
     classify_region,
     critical_fields,
@@ -134,7 +135,11 @@ def test_energy_past_the_largest_float_is_an_overflow_error():
     with pytest.raises(OverflowError, match="u is past the largest float"):
         energy(p)
     with pytest.raises(OverflowError, match="u is past the largest float"):
-        energy(p, staggered_xx.ground._records(_columns([p]))[0])
+        staggered_xx.internal_energy(p, Thermal.zero())  # the record's u
+    with pytest.raises(OverflowError, match="u is past the largest float"):
+        staggered_xx.ground_report(p)
+    rows, codes, _ = staggered_xx.thermo._record(_columns([p]), np.array([math.inf]))
+    assert rows["u"][0] == -math.inf and codes["u"][0] == 2
 
 
 def test_magnetization_odd_and_staggered_odd():

@@ -84,6 +84,30 @@ def test_theta_and_xi_scale_exactly_at_extreme_couplings():
     assert theta_of_q(flat, 0.3) == 1e-170
 
 
+def test_theta_keeps_its_digits_where_its_squares_underflow():
+    # (J, j, b) = (0, -3.9e-145, -2.2e-262): near q = 0, b^2 and (j sin q)^2 fall below
+    # the smallest float although theta >= |b| is a normal float; below 2^-500 theta takes
+    # its terms in units of 2^-600, and matches 40-digit arithmetic
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    J, j, b = 0.0, -3.9e-145, -2.2e-262
+    q = np.array([0.0, 1e-118, 1e-30, 5e-23, 1e-10, 0.5, math.pi / 2])
+    got = _theta(J, j, b, np.cos(q), np.sin(q))
+    for g, x in zip(got.tolist(), q.tolist()):
+        want = mp.sqrt(mp.mpf(b) ** 2 + (mp.mpf(j) * mp.sin(mp.mpf(x))) ** 2)
+        assert abs(g - want) <= 1e-15 * want, (x, g, want)
+    # where the squares stay normal the units change no bit: theta of a chain scaled
+    # by 2^-505 (below 2^-500 at every node) is that of the unit chain, scaled exactly
+    q = np.linspace(0.0, math.pi, 29)
+    c, s = np.cos(q), np.sin(q)
+    for J, j, b in ((1.0, 0.5, 0.3), (1.0, 1.4, 0.2), (1.0, -0.7, 0.0), (0.0, 1.0, 0.25),
+                    (1.0, 0.0, 0.0), (1.0, 1.0, 0.3), (0.0, 0.0, 0.0)):
+        small = (math.ldexp(v, -505) for v in (J, j, b))
+        assert np.array_equal(_theta(*small, c, s), np.ldexp(_theta(J, j, b, c, s), -505))
+
+
 def test_theta_rejects_momenta_outside_half_zone():
     p = ChainParams(J=1.0, j=0.5)
     with pytest.raises(ValueError):

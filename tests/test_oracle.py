@@ -623,7 +623,7 @@ def test_spin_ring_needs_no_band_integral(monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("the ring must not integrate over the band")
 
-    monkeypatch.setattr(thermo, "_band_integrals", banned)
+    monkeypatch.setattr(thermo, "_record_columns", banned)
     monkeypatch.setattr(ground, "_record_columns", banned)
     monkeypatch.setattr(quadrature, "_integrate_cells", banned)
     p = ChainParams(J=1.0, j=0.3, b=0.2, B=0.4)

@@ -32,7 +32,8 @@ from staggered_xx import (
     staggered_magnetization,
     witness,
 )
-from staggered_xx.thermo import _band_integrals
+from staggered_xx.cli import _quantity_columns
+from staggered_xx.model import _columns
 from point_reference import library_point
 
 SEEDED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -43,19 +44,29 @@ chains = st.builds(lambda j, b, B: ChainParams(1.0, j, b, B), couplings, couplin
 betas = st.floats(-2.0, math.log10(50.0)).map(lambda e: Thermal.finite(10.0**e))
 
 
-def values(p, t, quad=None) -> dict:
-    """The finite-T quantities by name; ``quad`` as the library functions take it."""
-    pair1, pair2 = c1(p, t, quad), c2(p, t, quad)
+def values(p, t) -> dict:
+    """The finite-T quantities by name, from the library functions."""
+    pair1, pair2 = c1(p, t), c2(p, t)
     return {
-        "u": internal_energy(p, t, quad),
-        "m": magnetization(p, t, quad),
-        "m_s": staggered_magnetization(p, t, quad),
+        "u": internal_energy(p, t),
+        "m": magnetization(p, t),
+        "m_s": staggered_magnetization(p, t),
         "c1_odd": pair1.odd,
         "c1_even": pair1.even,
         "c2_odd": pair2.odd,
         "c2_even": pair2.even,
-        "witness_lhs": witness(p, t, quad).lhs,
+        "witness_lhs": witness(p, t).lhs,
     }
+
+
+def block_values(cells) -> list[dict]:
+    """The quantities of ``values`` at each of the cells (p, t) of one block, from the record
+    columns the CLI reads (``cli._quantity_columns``), none flagged."""
+    names = ("u", "m", "m_s", "c1_odd", "c1_even", "c2_odd", "c2_even", "witness_lhs")
+    beta = np.array([t.beta for _, t in cells])
+    cols, marks = _quantity_columns(_columns([p for p, _ in cells]), beta, names)
+    assert not any(map(any, marks))
+    return [dict(zip(names, row)) for row in zip(*cols)]
 
 
 def assert_close(got: dict, want: dict, tol: float = TOL) -> None:
@@ -161,12 +172,11 @@ def test_scale_covariance(p, beta, e):
             want = values(p, t)
             u = want.pop("u")
             # the library's own integration (a one-cell record at finite T),
-            # and at finite T the batch, on a row that also holds the unscaled cell
-            engines = [None]
+            # and at finite T the record columns of a block that also holds the unscaled cell
+            gots = [values(big, scaled_t)]
             if not t.is_ground:
-                engines.append(_band_integrals([(p, t), (big, scaled_t)])[1])
-            for quad in engines:
-                got = values(big, scaled_t, quad)
+                gots.append(block_values([(p, t), (big, scaled_t)])[1])
+            for got in gots:
                 assert_energy(got.pop("u"), u, s)
                 assert_close(got, want, 1e-10)
         assert_energy(energy(big), energy(p), s)
@@ -209,7 +219,7 @@ RANGES = {
 @example((ChainParams(4.8e-239, -2.8e-298, 6.3e-266, -1.1e111), Thermal(2.2e235), "B", -1.0))
 # beta lam past the largest float: tanh reads its limit, with no warning
 @example((ChainParams(5.0e-88, -7.9e-290, 4.6e-80, 6.0e269), Thermal(1.3e86), "b", -2.0))
-# theta underflows to 0 at an end of F: m_s is flagged, with no warning
+# theta's squares underflow at an end of F: taken in units of 2^-600, m_s is a value
 @example((ChainParams(0.0, -3.9e-145, -2.2e-262, 0.0), Thermal.zero(), "j", 0.0))
 def test_every_point_and_short_scan_of_the_domain_is_in_range_flagged_or_refused(point):
     from staggered_xx.cli import QUANTITIES, T0_ONLY_QUANTITIES, run_point

@@ -183,8 +183,8 @@ STRUCTURAL_POINTS = [
 
 
 def _band_integrands(p, t):
-    """The seven integrands of a ``_BandIntegrals`` record (``thermo._band_kernel``) at a
-    finite-T point, each a function of q alone."""
+    """The seven integrands of the record (``thermo._band_kernel``) at a finite-T point,
+    each a function of q alone."""
     from staggered_xx.thermo import _band_kernel
 
     def one(k):
@@ -195,10 +195,23 @@ def _band_integrands(p, t):
     return tuple(one(k) for k in range(7))
 
 
-def _record_values(rec):
-    """u, m, m_s and both parts of g1 and g2 from a ``_BandIntegrals`` record."""
-    return (rec.integral("u"), rec.integral("m"), rec.integral("m_s"),
-            *rec.integral("g1"), *rec.integral("g2"))
+def _record_rows(cells):
+    """The record rows the CLI reads (``thermo._record``) of the cells (p, t) of one block:
+    per cell u, m, m_s and both parts of g1 and g2, and their flag codes."""
+    from staggered_xx.model import _columns
+    from staggered_xx.thermo import _ROWS, _record
+
+    beta = np.array([t.beta for _, t in cells])
+    rows, codes, _ = _record(_columns([p for p, _ in cells]), beta)
+    return ([tuple(rows[name][k].item() for name in _ROWS) for k in range(len(cells))],
+            [tuple(codes[name][k].item() for name in _ROWS) for k in range(len(cells))])
+
+
+def _record_values(cells):
+    """The record rows of ``_record_rows``, each cell's flagged nothing."""
+    values, codes = _record_rows(cells)
+    assert not any(map(any, codes)), codes
+    return values
 
 
 def _reference_values(p, beta):
@@ -221,8 +234,6 @@ def _library_values(p, t):
 
 @pytest.mark.parametrize("p", STRUCTURAL_POINTS, ids=str)
 def test_batched_band_integrals_match_quadpack(p):
-    from staggered_xx.thermo import _band_integrals
-
     # one row holds every temperature at scale 1 and the same states at
     # 2^+-560, which the batch integrates in their own units; energies are
     # compared in those units
@@ -233,8 +244,8 @@ def test_batched_band_integrals_match_quadpack(p):
         for s in (1.0, 2.0**560, 2.0**-560)
         for beta in betas
     ]
-    for (s, beta, _, _), rec in zip(row, _band_integrals([(q, t) for _, _, q, t in row])):
-        for k, (a, b) in enumerate(zip(_record_values(rec), want[beta])):
+    for (s, beta, _, _), got in zip(row, _record_values([(q, t) for _, _, q, t in row])):
+        for k, (a, b) in enumerate(zip(got, want[beta])):
             if k == 0:
                 a = a / s
             assert abs(a - b) < 1e-10, (s, beta, k, a, b)
@@ -257,39 +268,39 @@ def _pair_concurrence(coherence, sz_l, sz_r, g):
     ids=str,
 )
 def test_quantity_functions_read_band_integrals_record(p, beta):
+    # each library function reads its rows of the point's record, the rows the CLI
+    # reads (one cell of thermo._record), bit for bit, through their recipes
     from staggered_xx import (
-        ConcurrencePair, CorrelatorPair, c1, c2, correlation_set, g1, g_even, g_site,
-        internal_energy, ln_z_per_site, magnetization, staggered_magnetization, witness,
+        ConcurrencePair, CorrelatorPair, c1, c2, g1, g_even, internal_energy, magnetization,
+        staggered_magnetization, witness,
     )
-    from staggered_xx.thermo import _band_integrals
+    from staggered_xx.thermo import _point
 
     t = Thermal.finite(beta)
-    (rec,) = _band_integrals([(p, t)])
-    assert internal_energy(p, t, rec) == rec.u.value
-    assert magnetization(p, t, rec) == rec.m.value
-    assert staggered_magnetization(p, t, rec) == rec.m_s.value
-    g, g2 = (CorrelatorPair(*(r.value for r in pair)) for pair in (rec.g1, rec.g2))
-    assert g1(p, t, rec) == g
-    assert g_even(p, t, 2, rec) == g2
-    m, ms = rec.m.value, rec.m_s.value
+    ((u, m, ms, gu1, gs1, gu2, gs2),) = _record_values([(p, t)])
+    assert internal_energy(p, t) == u
+    assert magnetization(p, t) == m
+    assert staggered_magnetization(p, t) == ms
+    g, g2 = CorrelatorPair(gu1, gs1), CorrelatorPair(gu2, gs2)
+    assert g1(p, t) == g
+    assert g_even(p, t, 2) == g2
     want1, want2 = {}, {}
     for parity, s in (("odd", -1.0), ("even", 1.0)):
         gp, g_mid, g2_l = g.uniform + s * g.staggered, g.uniform - s * g.staggered, g2.at(parity)
         want1[parity] = _pair_concurrence(abs(gp), m + s * ms, m - s * ms, gp)
         coherence = abs(gp * g_mid - g2_l * (m - s * ms))
         want2[parity] = _pair_concurrence(coherence, m + s * ms, m + s * ms, g2_l)
-    assert c1(p, t, rec) == ConcurrencePair(**want1)
-    assert c2(p, t, rec) == ConcurrencePair(**want2)
+    assert c1(p, t) == ConcurrencePair(**want1)
+    assert c2(p, t) == ConcurrencePair(**want2)
     # the witness reads the exchange energy J gu1 + j gs1
     lhs = 4.0 * abs(p.J * g.uniform + p.j * g.staggered) / (abs(p.J - p.j) + abs(p.J + p.j))
-    assert witness(p, t, rec).lhs == lhs
+    assert witness(p, t).lhs == lhs
     # ln Z and separations other than 1 and 2 are not in the record
-    with pytest.raises(ValueError, match="ln_z"):
-        ln_z_per_site(p, t, rec)
-    with pytest.raises(ValueError, match="g3"):
-        g_site(p, t, "odd", 3, rec)
-    with pytest.raises(ValueError, match="g3"):
-        correlation_set(p, t, quad=rec)
+    read = _point(p, t)
+    assert read("u", "gu2") == (u, gu2) and math.isnan(read("f")[0])  # f holds at T = 0 only
+    for name in ("ln_z", "gu3", "gs3"):
+        with pytest.raises(KeyError, match=name):
+            read(name)
 
 
 def test_batched_error_estimate_is_honest():
@@ -339,7 +350,7 @@ def test_batched_error_estimate_is_honest():
 
 
 def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
-    from staggered_xx.thermo import _band_integrals
+    from staggered_xx import thermo
     from staggered_xx.quadrature import _integrate_cells
 
     # four levels resolve beta <= 10 but not the layers at beta = 1e3: in one
@@ -348,12 +359,13 @@ def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
     row = [(p, Thermal.finite(beta)) for beta in (0.01, 1e3, 10.0)]
     with monkeypatch.context() as m:
         _levels(m, 4)
-        hot, cold, warm = _band_integrals(row)
-    for rec, (_, t) in ((hot, row[0]), (warm, row[2])):
-        assert _record_values(rec) == pytest.approx(_reference_values(p, t.beta), abs=1e-10)
-    for name in ("u", "m", "m_s", "g1", "g2"):
-        with pytest.raises(ToleranceNotReached):
-            cold.integral(name)
+        (hot, _, warm), (hot_codes, cold_codes, warm_codes) = _record_rows(row)
+        for name in thermo._ROWS:
+            with pytest.raises(ToleranceNotReached):
+                thermo._point(*row[1])(name)
+    assert hot_codes == warm_codes == (0,) * 7 and cold_codes == (1,) * 7
+    for got, (_, t) in ((hot, row[0]), (warm, row[2])):
+        assert got == pytest.approx(_reference_values(p, t.beta), abs=1e-10)
     # a NaN in one integrand of one cell at the third level, where its other
     # integrand, a constant, has converged: that cell leaves with NaN values
     # and no converged flag, the others converge, and the record reads a NaN
@@ -369,19 +381,35 @@ def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
     want = [[math.pi / 2] * 2, [1.1981402347355922] * 2]  # int_0^(pi/2) sqrt(sin q)
     np.testing.assert_allclose(value[:, [0, 2]], want, rtol=0, atol=1e-12)
     assert np.all(ok[:, [0, 2]])
-    broken = hot._replace(m=QuadResult(math.nan, math.nan, False, 2))
-    with pytest.raises(ToleranceNotReached):
-        broken.integral("m")
-    assert broken.integral("u") == hot.integral("u")
-    # the finite-T engine refuses a T = 0 cell; _band_integrals gives it the ground record
-    from staggered_xx.ground import _records
+    # a record row the engine leaves unconverged is read as a ToleranceNotReached that
+    # carries its QuadResult, and the cell's other rows read as before
+    def broken_m(chains, *args, engine=thermo._cell_integrals):
+        k, value, err, ok = engine(chains, *args)
+        value[1], err[1], ok[1] = math.nan, math.nan, False
+        return k, value, err, ok
+
+    with monkeypatch.context() as m:
+        m.setattr(thermo, "_cell_integrals", broken_m)
+        read = thermo._point(*row[0])
+        with pytest.raises(ToleranceNotReached) as raised:
+            read("u", "m")
+        assert read("u")[0] == hot[0]
+    got = raised.value.result
+    assert (math.isnan(got.value), math.isnan(got.error), got.converged, got.n_panels) == (
+        True, True, False, 2)
+    # the finite-T engine refuses a T = 0 cell; a block gives it the ground record columns
+    from staggered_xx import ground
     from staggered_xx.model import _columns
     from staggered_xx.thermo import _band_kernel, _cell_integrals
 
     with pytest.raises(ValueError, match="finite temperature"):
         _cell_integrals(_columns([p]), np.array([math.inf]), 7, _band_kernel)
-    assert _band_integrals([row[0], (p, Thermal.zero())]) == [hot, *_records(_columns([p]))]
-    assert _band_integrals([]) == []
+    both = thermo._record_columns(_columns([p, p]), np.array([row[0][1].beta, math.inf]))
+    for cell, want in ((0, thermo._record_columns(_columns([p]), np.array([row[0][1].beta]))),
+                       (1, ground._record_columns(_columns([p]), None))):
+        for got_c, want_c in zip(both, want):
+            np.testing.assert_array_equal(got_c[..., cell], want_c[..., 0])
+    assert _record_rows([]) == ([], [])
 
 
 def _kernel_run(kernel, n, cols, edges):
@@ -474,19 +502,17 @@ def test_large_beta_band_integrals_match_an_independent_reference():
     # u, m, m_s and the g1, g2 pairs against QUADPACK on the model's formulas
     # written out again (band_reference.py); the thermal layers are down to
     # 1e-8 wide.  Every point goes through the library functions, each on a
-    # one-cell record, and, all 60 as one sweep row, through the batch.
+    # one-cell record, and, all 60 as one sweep row, through the record columns.
     from band_reference import band_integrals
-
-    from staggered_xx.thermo import _band_integrals
 
     points = _large_beta_points()
     cells = [(ChainParams(*point[:4]), Thermal.finite(point[4])) for point in points]
     misses = []
-    for point, (p, t), rec in zip(points, cells, _band_integrals(cells)):
+    for point, (p, t), batch in zip(points, cells, _record_values(cells)):
         want, err = band_integrals(*point)
         assert err < 1e-12, (point, err)
         want = (want["u"], want["m"], want["m_s"], *want["g1"], *want["g2"])
-        for engine, got in (("library", _library_values(p, t)), ("batch", _record_values(rec))):
+        for engine, got in (("library", _library_values(p, t)), ("batch", batch)):
             off = np.max(np.abs(np.subtract(got, want)))
             if off > 1e-10:
                 misses.append((point, engine, off))

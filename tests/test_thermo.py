@@ -155,21 +155,24 @@ def test_zero_temperature_integrals_match_closed_forms():
 def _check_ground_record(p, s):
     from band_reference import band_integrals
     from staggered_xx import g_odd
-    from staggered_xx.thermo import _band_integrals
+    from staggered_xx.model import _columns
+    from staggered_xx.thermo import _record
 
     t0 = Thermal.zero()
     want, err = band_integrals(p.J, p.j, p.b, p.B, rs=(1, 2, 3))
     assert err < 1e-12
     scaled = ChainParams(*(s * v for v in (p.J, p.j, p.b, p.B)))
-    (rec,) = _band_integrals([(scaled, t0)])
+    rows, codes, _ = _record(_columns([scaled]), np.array([math.inf]))
+    assert not any(code.any() for code in codes.values())
+    rec = {name: row.item() for name, row in rows.items()}
     g3 = g_odd(scaled, t0, 3)
     got = {
-        "u": (rec.integral("u") / s, internal_energy(scaled, t0) / s, ground.energy(scaled) / s),
-        "m": (rec.integral("m"), magnetization(scaled, t0), ground.magnetization_t0(scaled)),
-        "m_s": (rec.integral("m_s"), staggered_magnetization(scaled, t0),
+        "u": (rec["u"] / s, internal_energy(scaled, t0) / s, ground.energy(scaled) / s),
+        "m": (rec["m"], magnetization(scaled, t0), ground.magnetization_t0(scaled)),
+        "m_s": (rec["m_s"], staggered_magnetization(scaled, t0),
                 ground.staggered_magnetization_t0(scaled)),
-        "g1": rec.integral("g1"),
-        "g2": rec.integral("g2"),
+        "g1": (rec["gu1"], rec["gs1"]),
+        "g2": (rec["gu2"], rec["gs2"]),
         "g3": (g3.uniform, g3.staggered),
     }
     for name, values in got.items():
