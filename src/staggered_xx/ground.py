@@ -187,7 +187,7 @@ def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
     return u
 
 
-def magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> float:
+def magnetization_t0(p: ChainParams) -> float:
     """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi), decided from F."""
     return _m_t0(_fill(p)[2], p.B).item()  # m is odd in B
 

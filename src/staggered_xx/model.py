@@ -164,12 +164,12 @@ def _theta(J, j, b, c, s):
     aj = abs(j)
     d = (J - aj) * (J + aj)
     w = np.where(d > 0, c, s)
-    m, ww = np.minimum(J, aj), w * w
-    th = np.sqrt(m**2 + b**2 + abs(d) * ww)
+    m = np.minimum(J, aj)
+    th = np.sqrt(m**2 + b**2 + abs(d) * (w * w))
     if th.min(initial=math.inf) < 2.0**-500:  # one reduction on the common path
         with np.errstate(over="ignore"):  # at the other nodes, which keep th
             squares = (np.ldexp(m, 600) ** 2 + np.ldexp(b, 600) ** 2
-                       + np.ldexp(abs(d) * np.ldexp(ww, 1000), 200))  # ww <= 1, |d| ww < 2^-1000
+                       + np.ldexp(abs(d) * np.ldexp(w, 500) ** 2, 200))  # w <= 1, |d| w^2 < 2^-1000
         th = np.where(th < 2.0**-500, np.ldexp(np.sqrt(squares), -600), th)
     return th
 

@@ -370,7 +370,7 @@ def test_sweep_builds_no_per_cell_objects(monkeypatch, capsys):
     # column of oracle-compare a block of one cell: no one-point reader (thermo._point)
     # or QuadResult per cell, in a sweep at finite T, at T = 0 and on a T axis, a point
     # at both and oracle-compare at both
-    from staggered_xx import ground, thermo
+    from staggered_xx import correlations, entanglement, ground, thermo
 
     chain = ["--j", "0.3", "--b", "0.2"]
     commands = [["sweep", *chain, *grid] for grid in (
@@ -390,8 +390,10 @@ def test_sweep_builds_no_per_cell_objects(monkeypatch, capsys):
     def refused(*args, **kwargs):
         raise AssertionError("per-cell object built")
 
-    for owner, name in ((thermo, "_point"), (ground, "QuadResult"),
-                        (thermo, "QuadResult"), (quadrature, "QuadResult")):
+    # the reader is patched in every module that binds it by name
+    for owner, name in ((thermo, "_point"), (correlations, "_point"), (entanglement, "_point"),
+                        (ground, "QuadResult"), (thermo, "QuadResult"),
+                        (quadrature, "QuadResult")):
         monkeypatch.setattr(owner, name, refused)
     for argv, got in zip(commands, want):
         assert run_cli(argv, capsys) == got, argv

@@ -98,6 +98,13 @@ def test_theta_keeps_its_digits_where_its_squares_underflow():
     for g, x in zip(got.tolist(), q.tolist()):
         want = mp.sqrt(mp.mpf(b) ** 2 + (mp.mpf(j) * mp.sin(mp.mpf(x))) ** 2)
         assert abs(g - want) <= 1e-15 * want, (x, g, want)
+    # on a unit chain with b = 1e-200, (sin q)^2 is itself below the smallest normal
+    # float at q = 1e-160: sin q is scaled before it is squared
+    for x in (1e-160, 1e-170, 1e-300):
+        got = _theta(0.0, 1.0, 1e-200, np.cos([x]), np.sin([x])).item()
+        want = mp.sqrt(mp.mpf(1e-200) ** 2 + mp.sin(mp.mpf(x)) ** 2)
+        assert abs(got - want) <= 1e-15 * want, (x, got, want)
+        assert abs(theta_of_q(ChainParams(0.0, 1.0, 1e-200, 0.0), x) - want) <= 1e-15 * want
     # where the squares stay normal the units change no bit: theta of a chain scaled
     # by 2^-505 (below 2^-500 at every node) is that of the unit chain, scaled exactly
     q = np.linspace(0.0, math.pi, 29)
