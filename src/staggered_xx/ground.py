@@ -11,7 +11,7 @@ w the width of F,
 
 and the compensated, saturated and flat-band closed forms are special
 cases.  The transverse contractions of :mod:`.correlations` are read off
-F too: tf+ + tf- is 2 sign(B) off F and its mirror pi - F, and tf+ - tf-
+F too: tf+ + tf- is 2 sign(B) off F and its reflection pi - F, and tf+ - tf-
 is 2 on them, so each part is a smooth integral over F, closed for the
 uniform part at even r.  Where F starts to shrink and where it vanishes,
 at the critical fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy
@@ -86,24 +86,24 @@ class QcpScan:
         return list(zip(self.values.tolist(), self.d2e.tolist()))
 
 
-def _fill(p: ChainParams) -> tuple[float, float, float]:
-    """F = [lo, hi] and the share of the half zone outside it, for the one chain ``p``."""
-    return tuple(v.item() for v in _fills(*_columns([p])))
-
-
-def _fills(J, j, b, B) -> tuple[np.ndarray, ...]:
-    """Columns lo, hi of F and the share of the half zone outside it, 1 - 2(hi - lo)/pi.
-
-    Summed from the endpoints: for F = [xi, pi/2] the share is 2 xi/pi
-    itself, not 1 minus a number close to 1.
-    """
-    _, lo, hi = _filled_interval(J, j, b, np.abs(B))
-    return lo, hi, (1.0 - 2.0 * hi / math.pi) + 2.0 * lo / math.pi
-
-
 # Columns of K chains in their own units 2^k (``model._in_units``), with F = [lo, hi] and
-# the share ``out`` outside it (``_fills``).
+# the share ``out`` of the half zone outside it, 1 - 2(hi - lo)/pi.
 _Units = namedtuple("_Units", "k J j b B lo hi out")
+
+
+def _units(J, j, b, B) -> _Units:
+    """The ``_Units`` of the chains given as (J, j, b, B) columns: F decided in their units.
+    The share is summed from the endpoints: for F = [xi, pi/2] it is 2 xi/pi itself, not 1
+    minus a number close to 1."""
+    k, J, j, b, B = _in_units(J, j, b, B)
+    _, lo, hi = _filled_interval(J, j, b, np.abs(B))
+    return _Units(k, J, j, b, B, lo, hi, (1.0 - 2.0 * hi / math.pi) + 2.0 * lo / math.pi)
+
+
+def _fill(p: ChainParams) -> _Units:
+    """The ``_Units`` of the one chain ``p``, as floats: F decided as every record read
+    decides it."""
+    return _Units(*(v.item() for v in _units(*_columns([p]))))
 
 
 def _over_filled(chains, n: int, kernel, quad: QuadSpec | None):
@@ -111,13 +111,12 @@ def _over_filled(chains, n: int, kernel, quad: QuadSpec | None):
     (2/pi) int_F, error estimates and flags of ``n`` integrands ``kernel(q, c, s, th, J, j,
     b)`` (theta; (cells, 1) columns): one ``quadrature._integrate_cells`` call over the
     non-empty F."""
-    k, J, j, b, B = _in_units(*chains)
-    units = _Units(k, J, j, b, B, *_fills(J, j, b, B))
+    units = _units(*chains)
     rows = np.flatnonzero(units.lo < units.hi)
-    value, err = np.zeros((n, len(k))), np.zeros((n, len(k)))
-    ok = np.ones((n, len(k)), bool)
+    value, err = np.zeros((n, len(units.k))), np.zeros((n, len(units.k)))
+    ok = np.ones((n, len(units.k)), bool)
     if rows.size:  # 0 exactly over an empty F
-        J, j, b = (v[rows, None] for v in (J, j, b))
+        J, j, b = (v[rows, None] for v in (units.J, units.j, units.b))
 
         def integrands(q, cells):
             c, s = np.cos(q), np.sin(q)
@@ -189,7 +188,8 @@ def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
 
 def magnetization_t0(p: ChainParams) -> float:
     """Ground-state uniform magnetization per site, sign(B) (1 - 2|F|/pi), decided from F."""
-    return _m_t0(_fill(p)[2], p.B).item()  # m is odd in B
+    units = _fill(p)
+    return _m_t0(units.out, units.B).item()  # m is odd in B, taken in the chain's units
 
 
 def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> float:
@@ -236,7 +236,7 @@ def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:
     f = 1 - 2|F|/pi is |m|, except that it stays 1 on the all-zero chain
     (saturated at B = 0), whose measure is 0.
     """
-    return _meyer_wallach(_fill(p)[2], staggered_magnetization_t0(p, quad))
+    return _meyer_wallach(_fill(p).out, staggered_magnetization_t0(p, quad))
 
 
 def ground_report(p: ChainParams, quad: QuadSpec | None = None) -> GroundReport:

@@ -7,9 +7,7 @@ Three oracles at desk scale:
   translation by two sites, is the unit cell).  H is real, so blocks k and
   L - k (L = N/2) are conjugates and only k = 0 .. L/2 are kept.  The
   blocks depend on no coupling and are built once per ring size and
-  process.  Flipping every spin and reflecting the ring about a bond maps
-  sector n_up to N - n_up (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), so
-  at N = 12 only 25 of the 46 blocks are diagonalized.
+  process.
 
 * ``spin_ring``: the same ring at every temperature, exactly, up to 128
   sites in O(N^3): by Jordan-Wigner, two fermion rings, antiperiodic and
@@ -138,12 +136,9 @@ class _Sector(NamedTuple):
     ``diagonal`` holds, on basis vector i, the sublattice means of sz (odd,
     even) and, per pair key, the pair populations p11, p10, p01, p00.
     ``coherence`` is (col, row, key, value): the nonzeros of each key's
-    sublattice-mean flip operator.  ``mirror`` is None for a block that is
-    diagonalized, else (src, src_pos, phase): the block is the U image of
-    block ``src`` (see :func:`_ring_basis`).
+    sublattice-mean flip operator.
     """
 
-    n_up: int
     real: bool
     reps: np.ndarray
     flat: np.ndarray
@@ -151,7 +146,6 @@ class _Sector(NamedTuple):
     factor: np.ndarray
     diagonal: np.ndarray
     coherence: tuple
-    mirror: tuple | None
 
 
 class _RingBasis(NamedTuple):
@@ -208,14 +202,6 @@ def _ring_basis(n: int) -> _RingBasis:
     H is real, so block L - k is the conjugate of block k: only
     k = 0 .. L/2 are built, and blocks k = 0 and k = L/2 are real.
 
-    U, every spin flipped and site i+1 taken to n - i, keeps the bonds and
-    the staggered field and reverses B, so it takes the block (n_up, k) of
-    H(B) to (n - n_up, L - k) of H(-B) = H(B) + 2 B M, M = 2 n_up - n on
-    the source.  With U r = T2^a r', U |r, k> = e^(-2 pi i k a / L) |r', L - k>,
-    and the conjugate of that is |r', k>.  So a block with 2 n_up > n is not
-    diagonalized: its eigenvectors are those of its partner (n - n_up, k),
-    conjugated and rephased row by row, at energies shifted by 2 B M.
-
     Everything here is independent of the couplings, built once per n and
     read-only.
     """
@@ -228,9 +214,6 @@ def _ring_basis(n: int) -> _RingBasis:
     again = rots[:, 1:] == every[:, None]
     period = np.where(again.any(axis=1), again.argmax(axis=1) + 1, half)
     bits = (every[:, None] >> np.arange(n)) & 1
-    # U: reverse the bit order, then flip every bit
-    mirrored = ((every[:, None] >> np.arange(n)[::-1]) & 1) @ (1 << np.arange(n))
-    mirrored ^= (1 << n) - 1
 
     bonds = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
     # per key, the L pairs whose first site has its parity: their mean is
@@ -257,7 +240,7 @@ def _ring_basis(n: int) -> _RingBasis:
         return col, row, m, factor * np.sqrt(period[reps[col]] / period[rep[target]])
 
     pop = bits.sum(axis=1)
-    sectors, index = [], {}
+    sectors = []
     for n_up in range(n + 1):
         sector = every[(pop == n_up) & (rep == every)]
         for k in range(half // 2 + 1):
@@ -271,21 +254,8 @@ def _ring_basis(n: int) -> _RingBasis:
             flat = np.concatenate([row * d + col, np.arange(d) * (d + 1)])
             col, row, m, value = scatter(k, reps, *_flips(reps, pairs, both=False))
             coherence = _frozen(col, row, m // half, value / half)
-            mirror = None
-            if 2 * n_up > n:
-                src = index[n - n_up, k]
-                source = mirrored[sectors[src].reps]  # U r = T2^a r'
-                # src_pos[i]: the partner row whose U image is in the orbit of reps[i]
-                src_pos = np.empty(d, dtype=np.int64)
-                src_pos[where[rep[source]]] = np.arange(d)
-                a = (k * shift[source[src_pos]]) % half
-                phase = np.where(a == 0, 1.0, -1.0) if real else np.exp(2j * np.pi * a / half)
-                mirror = (src, *_frozen(src_pos, phase))
-            index[n_up, k] = len(sectors)
-            sectors.append(
-                _Sector(n_up, real, *_frozen(reps, flat, bond, factor, diagonal[reps]),
-                        coherence, mirror)
-            )
+            sectors.append(_Sector(real, *_frozen(reps, flat, bond, factor, diagonal[reps]),
+                                   coherence))
             where[reps] = -1
     (spins,) = _frozen(2.0 * bits - 1.0)
     return _RingBasis(spins, tuple(sectors))
@@ -303,23 +273,13 @@ def _hamiltonian(s: _Sector, j_bond: np.ndarray, energy: np.ndarray) -> np.ndarr
 
 def _block_eigensystems(n: int, p: ChainParams) -> list:
     """Diagonalize H in every (total magnetization, T2 momentum) block of
-    :func:`_ring_basis`, the U images through their partners."""
+    :func:`_ring_basis`."""
     basis = _ring_basis(n)
     signs = _site_signs(n)
     j_bond = p.J + signs * p.j
     energy = -(basis.spins @ (p.B + signs * p.b))
-    blocks = []
-    for s in basis.sectors:
-        if s.mirror is None:
-            evals, evecs = np.linalg.eigh(_hamiltonian(s, j_bond, energy))
-        else:
-            src, src_pos, phase = s.mirror
-            source = blocks[src]
-            m_src = 2 * basis.sectors[src].n_up - n
-            evals = source.evals + 2.0 * p.B * m_src
-            evecs = source.evecs[src_pos].conj() * phase[:, None]
-        blocks.append(_Block(1 if s.real else 2, evals, evecs, s.diagonal, s.coherence))
-    return blocks
+    return [_Block(1 if s.real else 2, *np.linalg.eigh(_hamiltonian(s, j_bond, energy)),
+                   s.diagonal, s.coherence) for s in basis.sectors]
 
 
 def dense_ed(chain: FiniteChainSpec) -> EDResult:
@@ -420,7 +380,11 @@ def spin_ring(chain: FiniteChainSpec) -> EDResult:
     # keeps |amplitude|^2 on a site exact
     real, mod = h.real.copy(), np.abs(h[..., 0, 1])
     real[..., 0, 1] = real[..., 1, 0] = mod
-    gauge = np.where(mod > 0, h[..., 1, 0] / np.where(mod > 0, mod, 1.0), 1.0)
+    # h10 / mod takes 1 / mod, past the largest float below about 2^-1024: below 2^-500 both
+    # are divided at 2^600 times, exactly, so that a quotient that was finite keeps its bits
+    num, den = (np.where(mod < 2.0**-500, x * 2.0**600, x)
+                for x in (h[..., 1, 0], np.where(mod > 0, mod, 1.0)))
+    gauge = np.where(mod > 0, num / den, 1.0)
     eps, u = np.linalg.eigh(real)  # mode b of momentum m: eps[s, m, b], amplitudes u[s, m, :, b]
     eps = eps.reshape(2, n)
     # amplitudes on sites 1 .. 4 (cells 0 and 1): v[s, site, 2 m + b]
@@ -509,7 +473,7 @@ def _bloch_blocks(p: ChainParams, n: int, phase=None) -> tuple[int, np.ndarray]:
     return e, t0 + t1 * hop + t1.T * hop.conj()
 
 
-def finite_free_fermion(chain: FiniteChainSpec, rs: tuple = (1, 2, 3)) -> FreeFermionResult:
+def finite_free_fermion(chain: FiniteChainSpec) -> FreeFermionResult:
     """Thermal/ground expectations of the free fermions on the periodic ring.
 
     One ``eigh`` of the stacked Bloch blocks gives the mode energies eps and
@@ -518,8 +482,8 @@ def finite_free_fermion(chain: FiniteChainSpec, rs: tuple = (1, 2, 3)) -> FreeFe
     is (1 - tau) / 2.  ln Z / N, u and m are means over the modes of
     ln(2 cosh(beta eps / 2)), -eps tau / 2 and -tau.  With the one-body
     correlation matrix C_{l,m} = <c^+_l c_m> and gamma = 1 - 2C,
-    <sz_l> = -gamma_ll and, in the library's sign, the contraction is
-    g_{l,r} = (-1)^(r+1) Re gamma_{l,l+r}.
+    <sz_l> = -gamma_ll and, in the library's sign, the contraction at r = 1, 2, 3
+    is g_{l,r} = (-1)^(r+1) Re gamma_{l,l+r}.
     """
     n = chain.n_sites
     if n > _FERMION_CAP:
@@ -545,10 +509,10 @@ def finite_free_fermion(chain: FiniteChainSpec, rs: tuple = (1, 2, 3)) -> FreeFe
     gamma = np.fft.ifft(np.einsum("kai,kbi,ki->kab", vec.conj(), vec, tau), axis=0)
     sz_odd, sz_even = -gamma[0].diagonal().real
     g = {}
-    for r in rs:
+    for r in (1, 2, 3):
         odd, even = ((-1) ** (r + 1) * gamma[(a + r) // 2 % (n // 2), a, (a + r) % 2].real
                      for a in (0, 1))
-        g[int(r)] = CorrelatorPair(0.5 * (even + odd), 0.5 * (even - odd))
+        g[r] = CorrelatorPair(0.5 * (even + odd), 0.5 * (even - odd))
     return FreeFermionResult(
         n_sites=n,
         ln_z=ln_z,

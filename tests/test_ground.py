@@ -107,6 +107,21 @@ def test_meyer_wallach_from_sublattice_moments():
         assert math.isclose(meyer_wallach(p), via_sublattice, abs_tol=1e-10)
 
 
+def test_f_is_decided_in_the_chains_units():
+    # as every record read decides it: |B| past the largest float in the units of
+    # max(J, |j|, |b|) is the record's ValueError, not a saturated chain
+    from staggered_xx.cli import run_point
+
+    p = ChainParams(1e-200, 0.0, 0.0, 1e200)
+    for f in (magnetization_t0, meyer_wallach):
+        with pytest.raises(ValueError, match="past the largest float in the units"):
+            f(p)
+    # B underflows to -0.0 in the chain's units: m is +0.0, as ``point --q m_t0`` prints it
+    p = ChainParams(1e-300, 1e300, 1e-310, -3e-300)
+    record, flags = run_point(p, Thermal.zero(), ["m_t0"])
+    assert magnetization_t0(p).hex() == record["m_t0"].hex() == "0x0.0p+0" and not flags
+
+
 def test_staggered_magnetization_t0_at_a_small_staggered_field():
     # XX chain at B = 0: m_s = (2b/pi) K(1/(1+b^2)) / sqrt(1+b^2), which
     # vanishes like b ln(1/b) while int dq/theta grows like ln(1/b)
@@ -225,7 +240,7 @@ def _energy_one_point(p):
     tolerances."""
     k, J, j, b, B = (v.item() for v in _in_units(*_columns([p])))
     p = ChainParams(J, j, b, B)
-    lo, hi, outside = staggered_xx.ground._fill(p)
+    *_, lo, hi, outside = staggered_xx.ground._fill(p)
     filled = 0.0
     if lo < hi:
         width, total, value = hi - lo, 0.0, math.nan

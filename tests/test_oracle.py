@@ -61,19 +61,38 @@ def kron_hamiltonian(n, p):
     return h
 
 
-def test_sector_spectrum_matches_kron_route():
-    p = ChainParams(J=1.0, j=0.45, b=0.3, B=0.6)
-    for n in (4, 6):
-        h = kron_hamiltonian(n, p)
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12
-        total_sz = sum(site_op(SZ, i, n) for i in range(n))
-        assert np.max(np.abs(h @ total_sz - total_sz @ h)) < 1e-12
-        want = np.sort(np.linalg.eigvalsh(h))
-        from staggered_xx.oracle import _block_eigensystems
+def _edge_chains(rng):
+    chains = [ChainParams(J=float(rng.uniform(0.2, 1.5)), j=float(rng.uniform(-1.5, 1.5)),
+                          b=float(rng.uniform(-1.5, 1.5)), B=float(rng.uniform(-2, 2)))
+              for _ in range(3)]
+    chains += [
+        ChainParams(J=1.0, j=0.45, b=0.3, B=0.0),    # B = 0
+        ChainParams(J=1.0, j=-0.6, b=0.0, B=0.7),    # b = 0
+        ChainParams(J=1.0, j=1.0, b=0.35, B=-0.4),   # j = J
+        ChainParams(J=0.8, j=-0.8, b=0.2, B=0.9),    # j = -J
+        ChainParams(J=0.0),                          # all-zero chain
+    ]
+    return chains + [ChainParams(*(s * v for v in (chains[0].J, chains[0].j, chains[0].b,
+                                                   chains[0].B))) for s in (2.0**560, 2.0**-560)]
 
-        blocks = _block_eigensystems(n, p)
-        got = np.sort(np.concatenate([np.tile(b.evals, b.mult) for b in blocks]))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+def test_sector_spectrum_matches_kron_route():
+    # every block is diagonalized directly: its levels, with their conjugate blocks, are
+    # the whole kron spectrum, to 1e-10 of the chain's scale
+    from staggered_xx.oracle import _block_eigensystems
+
+    rng = np.random.default_rng(17)
+    for n in (4, 6, 8):
+        for p in [ChainParams(J=1.0, j=0.45, b=0.3, B=0.6), *_edge_chains(rng)]:
+            scale = max(p.J, abs(p.j), abs(p.b), abs(p.B)) or 1.0
+            h = kron_hamiltonian(n, p)
+            assert np.max(np.abs(h - h.conj().T)) < 1e-12 * scale
+            total_sz = sum(site_op(SZ, i, n) for i in range(n))
+            assert np.max(np.abs(h @ total_sz - total_sz @ h)) < 1e-12 * scale
+            want = np.sort(np.linalg.eigvalsh(h))
+            blocks = _block_eigensystems(n, p)
+            got = np.sort(np.concatenate([np.tile(b.evals, b.mult) for b in blocks]))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=f"{n} {p}")
 
 
 def partial_trace(rho, a, c, n):
@@ -264,57 +283,6 @@ def test_dense_ed_ground_states_follow_the_chain_scale():
     assert zero.ground_degeneracy == 2**6
 
 
-def _mirror_chains(rng):
-    chains = [ChainParams(J=float(rng.uniform(0.2, 1.5)), j=float(rng.uniform(-1.5, 1.5)),
-                          b=float(rng.uniform(-1.5, 1.5)), B=float(rng.uniform(-2, 2)))
-              for _ in range(3)]
-    chains += [
-        ChainParams(J=1.0, j=0.45, b=0.3, B=0.0),    # partners degenerate
-        ChainParams(J=1.0, j=-0.6, b=0.0, B=0.7),    # b = 0
-        ChainParams(J=1.0, j=1.0, b=0.35, B=-0.4),   # j = J
-        ChainParams(J=0.8, j=-0.8, b=0.2, B=0.9),    # j = -J
-        ChainParams(J=0.0),                          # all-zero chain
-    ]
-    return chains + [ChainParams(*(s * v for v in (chains[0].J, chains[0].j, chains[0].b,
-                                                   chains[0].B))) for s in (2.0**560, 2.0**-560)]
-
-
-def test_mirrored_blocks_are_eigensystems_of_their_own_block():
-    from staggered_xx.oracle import _block_eigensystems, _hamiltonian, _ring_basis, _site_signs
-
-    rng = np.random.default_rng(17)
-    for n in (4, 6, 8, 10):
-        basis = _ring_basis(n)
-        signs = _site_signs(n)
-        mirrored = [i for i, s in enumerate(basis.sectors) if s.mirror is not None]
-        assert len(mirrored) == sum(2 * s.n_up > n for s in basis.sectors) > 0
-        for p in _mirror_chains(rng):
-            scale = max(p.J, abs(p.j), abs(p.b), abs(p.B))
-            j_bond = p.J + signs * p.j
-            energy = -(basis.spins @ (p.B + signs * p.b))
-            blocks = _block_eigensystems(n, p)
-            for i in mirrored:
-                s, b = basis.sectors[i], blocks[i]
-                h = _hamiltonian(s, j_bond, energy)  # as an unmirrored block is built
-                assert np.iscomplexobj(b.evecs) == (not s.real), (n, p, i)
-                residual = np.max(np.abs(h @ b.evecs - b.evecs * b.evals))
-                assert residual <= 1e-12 * scale, (n, p, s.n_up, residual)
-                overlap = b.evecs.conj().T @ b.evecs - np.eye(len(s.reps))
-                assert np.max(np.abs(overlap)) <= 1e-12, (n, p, s.n_up)
-
-
-def test_half_the_magnetization_sectors_are_diagonalized(monkeypatch):
-    from staggered_xx.oracle import _block_eigensystems
-
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
-    for n, want in ((8, 13), (10, 16), (12, 25)):
-        calls.clear()
-        _block_eigensystems(n, ChainParams(J=1.0, j=0.4, b=0.2, B=0.5))
-        assert len(calls) == want, n
-
-
 def test_ring_basis_is_read_only():
     from staggered_xx.oracle import _ring_basis
 
@@ -323,7 +291,6 @@ def test_ring_basis_is_read_only():
         arrays = [basis.spins]
         for s in basis.sectors:
             arrays += [s.reps, s.flat, s.bond, s.factor, s.diagonal, *s.coherence]
-            arrays += list(s.mirror[1:]) if s.mirror is not None else []
         for a in arrays:
             assert isinstance(a, np.ndarray) and not a.flags.writeable
         with pytest.raises(ValueError):
@@ -547,6 +514,9 @@ SPIN_RING_CHAINS = [
     (ChainParams(J=0.0, j=0.0, b=0.5, B=0.5), (4, 6, 8, 10, 12)),  # N/2 free spins
     (ChainParams(J=1.0, j=0.4, b=0.2, B=1.5), (4, 8, 12)),  # gapped
     (ChainParams(J=0.0), (4, 8, 12)),  # all zero: 2^N ground states
+    # |h01| of a Bloch block below 2^-1024 in the chain's units: 1 / |h01| overflows
+    (ChainParams(J=1.0, B=1e300), (4, 8, 12)),
+    (ChainParams(1.0, 0.4, 0.2, 1e300), (4, 8, 12)),
 ]
 
 

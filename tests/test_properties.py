@@ -28,12 +28,14 @@ from staggered_xx import (
     internal_energy,
     ln_z_per_site,
     magnetization,
+    magnetization_t0,
     meyer_wallach,
     staggered_magnetization,
     witness,
 )
 from staggered_xx.cli import _quantity_columns
 from staggered_xx.model import _columns
+from staggered_xx.quadrature import ToleranceNotReached
 from point_reference import library_point
 
 SEEDED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -257,3 +259,31 @@ def test_every_point_and_short_scan_of_the_domain_is_in_range_flagged_or_refused
             return
     assert len(scan.values) == 3 and np.isfinite(scan.d2e).all()
     assert all(start <= v <= stop for v in scan.peaks)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(fuzz_points())
+# |B| past the largest float in the chain's units: the record's ValueError
+@example((ChainParams(1e-200, 0.0, 0.0, 1e200), Thermal.zero(), "B", 0.0))
+# B underflows to -0.0 in the chain's units: m is +0.0
+@example((ChainParams(1e-300, 1e300, 1e-310, -3e-300), Thermal.zero(), "B", 0.0))
+def test_m_t0_and_e_mw_are_those_of_the_zero_temperature_record(point):
+    """``magnetization_t0`` and ``meyer_wallach`` decide F as the T = 0 record does: they
+    equal its m and e_mw, as ``point`` prints them, bit for bit wherever it is defined."""
+    from staggered_xx.cli import run_point
+
+    p = point[0]
+    try:
+        record, flags = run_point(p, Thermal.zero(), ["m_t0", "e_mw"])
+    except ValueError as exc:
+        for f in (magnetization_t0, meyer_wallach):
+            with pytest.raises(type(exc)):
+                f(p)
+        return
+    assert magnetization_t0(p).hex() == record["m_t0"].hex()
+    if flags:  # m_s did not converge or is past the largest float
+        assert flags == ["e_mw:" + flags[0].split(":")[1]], flags
+        with pytest.raises((ToleranceNotReached, OverflowError)):
+            meyer_wallach(p)
+    else:
+        assert meyer_wallach(p).hex() == record["e_mw"].hex()

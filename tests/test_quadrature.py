@@ -444,9 +444,9 @@ def _seeded_cells(k, zone):
             x = (band_crossings(p) or (math.pi / 2,))[0]
             cols.append((p.J, p.j, p.b, p.B, 10.0 ** rng.uniform(-2.0, 3.0)))
             edges.append((0.0, x, math.pi / 2))
-        elif (f := _fill(p))[0] < f[1]:
+        elif (f := _fill(p)).lo < f.hi:
             cols.append((p.J, p.j, p.b))
-            edges.append(f[:2])
+            edges.append((f.lo, f.hi))
     if k > 1:
         cols[0] = (math.nan, *cols[0][1:])
         if zone == "finite":
