@@ -92,10 +92,8 @@ def _sublattice(pair: str, parity: str) -> dict:
 
 def _witness_column(c, memo):
     """The witness's column, and its DegenerateCoupling cells (J = j = 0)."""
-    scale = np.maximum(c["J"], np.abs(c["j"]))
-    k, degenerate = np.frexp(scale)[1], scale == 0
-    J = np.where(degenerate, 1.0, np.ldexp(c["J"], -k))  # not 0 / 0 where it is an error
-    return entanglement._witness_lhs(J, np.ldexp(c["j"], -k), c["gu1"], c["gs1"]), degenerate
+    J, j, degenerate = entanglement._coupling_units(c["J"], c["j"])
+    return entanglement._witness_lhs(J, j, c["gu1"], c["gs1"]), degenerate
 
 
 def _nearest(s: float, zz: bool):

@@ -24,10 +24,10 @@ For R = 1 the contraction is the whole story,
 is a string-ordered determinant of contractions (see :mod:`.entanglement`
 for the R = 2 case).
 
-At both temperatures the parts at R = 1 and 2 are rows of the point's
-band-integral record (``thermo._point``); larger separations run
-``_contraction_kernel`` through ``thermo._band_integral``, or over F at
-T = 0 ``ground._contractions``.  These kernels are the only copy of the
+At both temperatures the parts are rows of a band-integral record of the
+point (``thermo._point``): at R = 1 and 2 of the record every quantity
+reads, at a larger R of a record of that pair alone, integrated by
+``thermo._kernel`` (over F ``ground._kernel``), the only copy of the
 integrands.  On the Jordan-Wigner fermions of a ring the contraction is
 g_{l,R} = (-1)^R 2 Re <c+_l c_{l+R}>, which is how the free-fermion
 oracle of :mod:`.oracle` reads it, without any integrand.
@@ -39,11 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ground
 from .model import ChainParams, Thermal
 from .quadrature import QuadSpec
 from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
-from .thermo import _band_integral, _difference_ratio, _point
+from .thermo import _point
 
 __all__ = [
     "CorrelatorPair",
@@ -103,28 +102,12 @@ def _check_distance(r: int) -> int:
     return int(r)
 
 
-def _contraction_kernel(r: int):
-    """(2, f) for ``thermo._cell_integrals``: the (uniform, staggered) integrands of the
-    distance-``r`` contraction.  The formal r = 0 gives those of m and m_s."""
-
-    def f(q, c, s, th, J, j, b, B, beta):
-        tp, tm = np.tanh(beta * (B + th)), np.tanh(beta * (B - th))
-        ratio = _difference_ratio(beta, B, th, tp - tm)
-        if r % 2 == 0:
-            return np.cos(q * r) * (tp + tm), np.cos(q * r) * b * ratio
-        return -np.cos(q * r) * J * c * ratio, -np.sin(q * r) * j * s * ratio
-
-    return 2, f
-
-
 def _transverse_pair(p, t, r, quad, read=None) -> CorrelatorPair:
     """Contraction pair at separation ``r``: for r <= 2 the record's rows, read by ``read``
-    (the point's own reader if None); a kernel of its own for larger r (over F at T = 0)."""
-    if r <= 2:
-        return CorrelatorPair(*(read or _point(p, t, quad))(f"gu{r}", f"gs{r}"))
-    if t.is_ground:
-        return CorrelatorPair(*ground._contractions(p, r, quad))
-    return CorrelatorPair(*_band_integral(p, t, quad, _contraction_kernel(r)))
+    (the point's own reader if None); for larger r those of a record of r alone."""
+    if r > 2:
+        read = _point(p, t, quad, (r,), False)
+    return CorrelatorPair(*(read or _point(p, t, quad))(f"gu{r}", f"gs{r}"))
 
 
 def g1(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> CorrelatorPair:

@@ -182,6 +182,14 @@ def c2(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> ConcurrenceP
     return _pair(*_c2(*_point(p, t, quad)("m", "m_s", "gu1", "gs1", "gu2", "gs2")))
 
 
+def _coupling_units(J, j):
+    """J and j in units of max(J, |j|), scaled exactly, and where that is 0 (the witness a
+    DegenerateCoupling; J reads 1 there, not 0 / 0); of floats or columns."""
+    scale = np.maximum(J, np.abs(j))
+    k, degenerate = np.frexp(scale)[1], scale == 0
+    return np.where(degenerate, 1.0, np.ldexp(J, -k)), np.ldexp(j, -k), degenerate
+
+
 def _witness_lhs(J, j, gu, gs):
     """The witness from g1's parts, J and j in units of max(J, |j|); floats or columns."""
     return 4.0 * abs(J * gu + j * gs) / (abs(J - j) + abs(J + j))
@@ -190,10 +198,9 @@ def _witness_lhs(J, j, gu, gs):
 def witness(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> WitnessValue:
     """Thermodynamic entanglement witness from the exchange energy, a scale-free ratio taken
     in units of max(J, |j|), where neither underflows however large |b| is."""
-    scale = max(p.J, abs(p.j))
-    if scale == 0:
+    J, j, degenerate = _coupling_units(p.J, p.j)
+    if degenerate:
         raise DegenerateCoupling("witness bound requires J or j nonzero")
-    k = math.frexp(scale)[1]
     g = g1(p, t, quad)
-    lhs = _witness_lhs(math.ldexp(p.J, -k), math.ldexp(p.j, -k), g.uniform, g.staggered)
+    lhs = float(_witness_lhs(J, j, g.uniform, g.staggered))
     return WitnessValue(lhs=lhs, detected=lhs > 1.0)

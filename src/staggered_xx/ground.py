@@ -17,11 +17,11 @@ uniform part at even r.  Where F starts to shrink and where it vanishes,
 at the critical fields sqrt(j^2 + b^2) and sqrt(J^2 + b^2), the energy
 has the kinks that ``qcp_scan`` picks up in its second derivative.
 
-Each residual integral is (2/pi) int_F of a kernel, for K chains in their
-own units in one engine call (``_over_filled``), which runs them in the
-blocks of ``quadrature.cell_blocks``: the five integrals of the T = 0 record
-(``_record_columns``, whose rows every T = 0 quantity reads through
-``thermo._record``), the energy alone (``_energies``: ``energy``, the whole
+Each residual integral is (2/pi) int_F of ``_kernel``, a row of a T = 0
+record that is no closed form (``_record_columns``, whose rows every T = 0
+quantity reads through ``thermo._record``), for K chains in their own units
+in one engine call that runs them in the blocks of ``quadrature.cell_blocks``:
+the record every quantity reads, the energy alone (``energy``, the whole
 ``qcp_scan`` grid) or a contraction at r > 2.  The chains are numpy columns
 (J, j, b, B) throughout: ``model._in_units`` takes them into their units and
 ``model._filled_interval`` decides F, once for all of them, and ``qcp_scan``
@@ -38,14 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import thermo  # which imports this module: read at call time
 from .model import (
     _SAFE_EXPONENT, ChainParams, PhaseRegion, Thermal, _columns, _filled_interval, _in_units,
     _theta, classify_region, critical_fields,
 )
 from .model import theta_of_q  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
-from .quadrature import (
-    DEFAULT_QUAD, QuadResult, QuadSpec, ToleranceNotReached, _integrate_cells, require_converged,
-)
+from .quadrature import DEFAULT_QUAD, QuadResult, QuadSpec, ToleranceNotReached, _integrate_cells
 from .quadrature import integrate  # noqa: F401  patched by bench/tracer.py (ROADMAP item 2)
 
 __all__ = [
@@ -106,33 +105,25 @@ def _fill(p: ChainParams) -> _Units:
     return _Units(*(v.item() for v in _units(*_columns([p]))))
 
 
-def _over_filled(chains, n: int, kernel, quad: QuadSpec | None):
-    """The ``_Units`` of the chains given as (J, j, b, B) columns, and (n, K) values
-    (2/pi) int_F, error estimates and flags of ``n`` integrands ``kernel(q, c, s, th, J, j,
-    b)`` (theta; (cells, 1) columns): one ``quadrature._integrate_cells`` call over the
-    non-empty F."""
-    units = _units(*chains)
-    rows = np.flatnonzero(units.lo < units.hi)
-    value, err = np.zeros((n, len(units.k))), np.zeros((n, len(units.k)))
-    ok = np.ones((n, len(units.k)), bool)
-    if rows.size:  # 0 exactly over an empty F
-        J, j, b = (v[rows, None] for v in (units.J, units.j, units.b))
+def _kernel(rs, energy):
+    """The integrands ``f(q, c, s, th, J, j, b)`` (theta; (cells, 1) columns) over F of the
+    T = 0 record rows ``thermo._names(rs, energy)`` that are no closed form, in their
+    order: the energy's -theta if ``energy``, then at each r in ``rs`` b cos(qr)/theta at
+    even r (m_s's b/theta at r = 0) and -(J cos q cos(qr), j sin q sin(qr))/theta at odd r."""
 
-        def integrands(q, cells):
-            c, s = np.cos(q), np.sin(q)
-            Jc, jc, bc = J[cells], j[cells], b[cells]
-            return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc)
+    def f(q, c, s, th, J, j, b):
+        out = [-th] if energy else []
+        for r in rs:
+            if r == 0:
+                out.append(b / th)
+            elif r % 2 == 0:
+                out.append(b * np.cos(q * r) / th)
+            else:  # at r = 1 cos q and sin q themselves, a cos and a sin fewer per node
+                cr, sr = (c, s) if r == 1 else (np.cos(q * r), np.sin(q * r))
+                out += [-J * cr * c / th, -j * sr * s / th]
+        return out
 
-        edges = np.column_stack([units.lo[rows], units.hi[rows]])
-        v, e, ok[:, rows] = _integrate_cells(integrands, n, edges, quad)
-        value[:, rows], err[:, rows] = 2.0 / math.pi * v, 2.0 / math.pi * e
-    return units, value, err, ok
-
-
-def _record_kernel(q, c, s, th, J, j, b):
-    """The five integrands over F of a T = 0 record: the energy's -theta, m_s's b/theta,
-    g1's -J cos^2 q/theta and -j sin^2 q/theta, and g2's b cos 2q/theta."""
-    return -th, b / th, -J * c * c / th, -j * s * s / th, b * np.cos(2.0 * q) / th
+    return f
 
 
 def _even_uniform(B: float, lo: float, hi: float, r: int) -> float:
@@ -146,44 +137,46 @@ def _m_t0(out, B):
     return np.where(B != 0, np.copysign(out, B), 0.0)
 
 
-_OVER_F = [0, 2, 3, 4, 6]  # the record rows of ``_record_kernel``'s five integrals
-
-
-def _record_columns(chains, quad: QuadSpec | None):
+def _record_columns(chains, quad: QuadSpec | None, rs, energy):
     """The share f outside F and the T = 0 record columns (``thermo._record_columns``) of the
-    chains given as (J, j, b, B) columns: one run of the five integrands of ``_record_kernel``;
-    m and the uniform part of g2 are closed forms, and a u past the largest float is inf."""
-    units, *run = _over_filled(chains, 5, _record_kernel, quad)
-    shape = (7, len(units.k))
-    value, err, ok = np.empty(shape), np.zeros(shape), np.ones(shape, bool)
-    value[_OVER_F], err[_OVER_F], ok[_OVER_F] = run
-    value[1] = _m_t0(units.out, units.B)
-    value[5] = [_even_uniform(B, lo, hi, 2)
+    chains given as (J, j, b, B) columns: one ``quadrature._integrate_cells`` call of
+    ``_kernel`` over the non-empty F, 0 exactly over an empty F; m (r = 0) and the uniform
+    part at even r > 0 are closed forms, and a u past the largest float is inf."""
+    units = _units(*chains)
+    # the rows F integrates: u, and the staggered part at every r and the uniform at odd r
+    over = np.array([True] * energy + [x for r in rs for x in (r % 2 == 1, True)])
+    shape = (len(over), len(units.k))
+    value, err, ok = np.zeros(shape), np.zeros(shape), np.ones(shape, bool)
+    rows = np.flatnonzero(units.lo < units.hi)
+    if rows.size:
+        J, j, b = (v[rows, None] for v in (units.J, units.j, units.b))
+        kernel, integrated = _kernel(rs, energy), np.ix_(over, rows)
+
+        def integrands(q, cells):
+            c, s = np.cos(q), np.sin(q)
+            Jc, jc, bc = J[cells], j[cells], b[cells]
+            return kernel(q, c, s, _theta(Jc, jc, bc, c, s), Jc, jc, bc)
+
+        edges = np.column_stack([units.lo[rows], units.hi[rows]])
+        v, e, ok[integrated] = _integrate_cells(integrands, over.sum(), edges, quad)
+        value[integrated], err[integrated] = 2.0 / math.pi * v, 2.0 / math.pi * e
+    for i, r in enumerate(rs):
+        if r % 2 == 0:
+            value[energy + 2 * i] = _m_t0(units.out, units.B) if r == 0 else [
+                _even_uniform(B, lo, hi, r)
                 for B, lo, hi in zip(units.B.tolist(), units.lo.tolist(), units.hi.tolist())]
-    with np.errstate(over="ignore"):
-        value[0] = np.ldexp(value[0] - np.abs(units.B) * units.out, units.k)
-        err[0] = np.ldexp(err[0], units.k)
+    if energy:
+        with np.errstate(over="ignore"):
+            value[0] = np.ldexp(value[0] - np.abs(units.B) * units.out, units.k)
+            err[0] = np.ldexp(err[0], units.k)
     return units.out, value, err, ok
-
-
-def _energies(chains, quad: QuadSpec | None) -> np.ndarray:
-    """Ground-state energies per site of the chains given as (J, j, b, B) columns, each in
-    its own units, from one ``_over_filled`` call of -theta alone."""
-    units, (value,), (err,), (ok,) = _over_filled(chains, 1, lambda q, c, s, th, *_: (-th,), quad)
-    if not ok.all():
-        raise ToleranceNotReached(QuadResult(value[~ok][0], err[~ok][0], False, 1))
-    return np.ldexp(value - np.abs(units.B) * units.out, units.k)
 
 
 def energy(p: ChainParams, quad: QuadSpec | None = None) -> float:
     """Ground-state energy per site, -(2/pi) int_F theta - |B| (1 - 2|F|/pi), in the chain's
-    own units, integrated alone as ``qcp_scan`` does; past the largest float an OverflowError,
-    as the T = 0 record reports it."""
-    with np.errstate(over="ignore"):
-        u = _energies(_columns([p]), quad).item()
-    if math.isinf(u):
-        raise OverflowError("u is past the largest float")
-    return u
+    own units: the T = 0 record of u alone, integrated as ``qcp_scan`` integrates it; past
+    the largest float an OverflowError."""
+    return thermo._point(p, Thermal.zero(), quad, (), True)("u")[0]
 
 
 def magnetization_t0(p: ChainParams) -> float:
@@ -198,30 +191,7 @@ def staggered_magnetization_t0(p: ChainParams, quad: QuadSpec | None = None) -> 
 
     |b|/theta <= 1, so the tolerance holds for m_s where int_F dq/theta diverges.
     """
-    from .thermo import staggered_magnetization  # thermo imports this module
-
-    return staggered_magnetization(p, Thermal.zero(), quad)
-
-
-def _contractions(p: ChainParams, r: int, quad: QuadSpec | None) -> tuple[float, float]:
-    """Ground-state (uniform, staggered) transverse contraction at separation r by a
-    kernel of its own (a T = 0 record holds r = 1 and 2).
-    Even r: (-(2 sign(B)/pi) int_F cos(qr) dq, (2/pi) int_F b cos(qr)/theta dq);
-    odd r: -(2/pi) int_F (J cos(qr) cos q, j sin(qr) sin q)/theta dq.  Every
-    kernel over theta is bounded by 1.
-    """
-    even = r % 2 == 0
-
-    def kernel(q, c, s, th, J, j, b):
-        if even:
-            return (b * np.cos(q * r) / th,)
-        return -J * np.cos(q * r) * c / th, -j * np.sin(q * r) * s / th
-
-    units, *run = _over_filled(_columns([p]), 2 - even, kernel, quad)
-    got = tuple(require_converged(QuadResult(*x, 1)) for x in zip(*(a[:, 0].tolist() for a in run)))
-    if not even:
-        return got
-    return (_even_uniform(units.B.item(), units.lo.item(), units.hi.item(), r), *got)
+    return thermo.staggered_magnetization(p, Thermal.zero(), quad)
 
 
 def _meyer_wallach(f, ms):
@@ -230,19 +200,17 @@ def _meyer_wallach(f, ms):
 
 
 def meyer_wallach(p: ChainParams, quad: QuadSpec | None = None) -> float:
-    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2, f decided from
-    F and m_s read from the point's T = 0 record.
+    """Meyer-Wallach global entanglement of the ground state, 1 - f^2 - m_s^2, f and m_s read
+    from the point's T = 0 record.
 
     f = 1 - 2|F|/pi is |m|, except that it stays 1 on the all-zero chain
     (saturated at B = 0), whose measure is 0.
     """
-    return _meyer_wallach(_fill(p).out, staggered_magnetization_t0(p, quad))
+    return _meyer_wallach(*thermo._point(p, Thermal.zero(), quad)("f", "m_s"))
 
 
 def ground_report(p: ChainParams, quad: QuadSpec | None = None) -> GroundReport:
-    from .thermo import _point  # thermo imports this module
-
-    read = _point(p, Thermal.zero(), quad)  # the point's T = 0 record
+    read = thermo._point(p, Thermal.zero(), quad)  # the point's T = 0 record
     return GroundReport(
         region=classify_region(p),
         energy=read("u")[0],
@@ -316,7 +284,9 @@ def qcp_scan(
     grid = start + step * np.arange(n)
     chains = [np.broadcast_to(v, n) for v in _columns([p])]  # one row, read n times
     chains[("J", "j", "b", "B").index(axis)] = grid
-    e = _energies(chains, q)
+    _, (e,), (err,), (ok,) = _record_columns(chains, q, (), True)
+    if not ok.all():
+        raise ToleranceNotReached(QuadResult(e[~ok][0], err[~ok][0], False, 1))
     d2e = (e[:-2] - 2.0 * e[1:-1] + e[2:]) / step**2
     inner = grid[1:-1]
     # Worst-case second-difference error from independent per-point energy

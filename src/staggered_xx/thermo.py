@@ -11,18 +11,19 @@ and its first derivatives are single integrals over q in [0, pi]:
 where u is the energy per site and m, m_s the uniform and staggered
 magnetizations (m = (1/beta) d(lnZ/N)/dB, m_s = (1/beta) d(lnZ/N)/db,
 u = -d(lnZ/N)/dbeta; these identities are enforced in the test suite).
-The seven band integrals every quantity of the CLI reads (u, m, m_s and the
-parts of g1 and g2) form one record, whose rows and flag codes ``_record``
-gives for a block of cells: at finite temperature from one run of the
-tanh-sinh nodes of ``_cell_integrals``, at zero temperature from one over the
-filled interval of :mod:`.ground`.  The CLI reads them for a block, a point
-being a block of one; the library functions here and in :mod:`.correlations`,
-:mod:`.entanglement` and :mod:`.ground` read the named rows of one point
-through ``_point``, one engine run per call.  ln Z and the contractions at
-r > 2 run kernels of their own (``_band_integral``).  The fused kernels
-(``_band_kernel``, ``_ln_z_kernel``, ``correlations._contraction_kernel`` and,
-over F, ``ground._record_kernel``) are the only copy of these integrands; the
-finite-ring oracles of :mod:`.oracle` use none of them.
+Every band integral but ln Z is a row of a record, whose rows, flag codes and
+error estimates ``_record`` gives for a block of cells: u if asked for, then
+the (uniform, staggered) contraction pair of :mod:`.correlations` at each
+separation r asked for, r = 0 being (m, m_s).  At finite temperature one run
+of the tanh-sinh nodes of ``_cell_integrals`` gives them, at zero temperature
+one over the filled interval of :mod:`.ground`.  The CLI reads the record of
+u and r = 0, 1, 2 (``_ROWS``) for a block, a point being a block of one; the
+library functions here and in :mod:`.correlations`, :mod:`.entanglement` and
+:mod:`.ground` read the named rows of one point through ``_point``, one engine
+run per call, of that record, of a contraction at r > 2 alone or of the T = 0
+energy alone.  ``_kernel`` and, over F, ``ground._kernel`` are the only copy
+of these integrands, ``_ln_z_kernel`` that of ln Z; the finite-ring oracles of
+:mod:`.oracle` use none of them.
 """
 
 from __future__ import annotations
@@ -98,79 +99,97 @@ def _cell_integrals(chains, beta, n: int, kernel, quad: QuadSpec | None = None):
     return k, value / math.pi, err / math.pi, ok
 
 
-def _band_kernel(q, c, s, th, J, j, b, B, beta):
-    """The seven integrands of the record, in the order of ``_ROWS``."""
-    lp, lm = B + th, B - th
-    tp, tm = np.tanh(beta * lp), np.tanh(beta * lm)
-    ratio = _difference_ratio(beta, B, th, tp - tm)
-    c2 = np.cos(2.0 * q)
-    return (-(lp * tp + lm * tm), tp + tm, b * ratio, -c * J * c * ratio,
-            -s * j * s * ratio, c2 * (tp + tm), c2 * b * ratio)
+def _names(rs, energy) -> tuple:
+    """The record rows of ``_kernel(rs, energy)``, in its order."""
+    pairs = (("m", "m_s") if r == 0 else (f"gu{r}", f"gs{r}") for r in rs)
+    return (("u",) if energy else ()) + sum(pairs, ())
 
 
-# the record's band integrals (``_record``), in the order of its (7, K) columns
-_ROWS = ("u", "m", "m_s", "gu1", "gs1", "gu2", "gs2")
+def _kernel(rs, energy):
+    """The integrands ``f`` for ``_cell_integrals`` of the record rows ``_names(rs,
+    energy)``: u's if ``energy``, then the (uniform, staggered) contraction at each r in
+    ``rs`` (:mod:`.correlations`), cos(qr) (tf+ + tf-, b (tf+ - tf-)/theta) at even r and
+    -(J cos q cos(qr), j sin q sin(qr)) (tf+ - tf-)/theta at odd r, tf = tanh(beta lam);
+    the formal r = 0 gives m and m_s."""
+
+    def f(q, c, s, th, J, j, b, B, beta):
+        lp, lm = B + th, B - th
+        tp, tm = np.tanh(beta * lp), np.tanh(beta * lm)
+        ratio = _difference_ratio(beta, B, th, tp - tm)
+        both = tp + tm
+        out = [-(lp * tp + lm * tm)] if energy else []
+        for r in rs:
+            if r == 0:
+                out += [both, b * ratio]
+            elif r % 2 == 0:
+                w = np.cos(q * r)
+                out += [w * both, w * b * ratio]
+            else:  # at r = 1 cos q and sin q themselves, a cos and a sin fewer per node
+                cr, sr = (c, s) if r == 1 else (np.cos(q * r), np.sin(q * r))
+                out += [-cr * J * c * ratio, -sr * j * s * ratio]
+        return out
+
+    return f
 
 
-def _record_columns(chains, beta, quad: QuadSpec | None = None):
-    """f (NaN at finite T) and the (7, K) values, error estimates and flags of the record
-    rows (``_ROWS``) of cells given as (J, j, b, B) and beta columns: one engine run of
-    ``_band_kernel`` over the finite-T cells, one of ``ground._record_columns`` over those
+# the rows of the record every CLI quantity reads: u, m, m_s and the parts of g1 and g2
+_ROWS = _names((0, 1, 2), True)
+
+
+def _record_columns(chains, beta, quad: QuadSpec | None = None, rs=(0, 1, 2), energy=True):
+    """f (NaN at finite T) and the (n, K) values, error estimates and flags of the n record
+    rows ``_names(rs, energy)`` of cells given as (J, j, b, B) and beta columns: one engine
+    run of ``_kernel`` over the finite-T cells, one of ``ground._record_columns`` over those
     at T = 0 (beta inf)."""
-    hot = np.isfinite(beta)
+    hot, n = np.isfinite(beta), len(_names(rs, energy))
     if hot.all():
-        k, value, err, ok = _cell_integrals(chains, beta, 7, _band_kernel, quad)
-        with np.errstate(over="ignore"):  # u out of the cell's units; past the largest float, inf
-            value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)
+        k, value, err, ok = _cell_integrals(chains, beta, n, _kernel(rs, energy), quad)
+        if energy:  # u out of the cell's units; past the largest float, inf
+            with np.errstate(over="ignore"):
+                value[0], err[0] = np.ldexp(value[0], k), np.ldexp(err[0], k)
         return np.full(len(beta), math.nan), value, err, ok
     if not hot.any():
-        return ground._record_columns(chains, quad)
-    shape = (7, len(beta))  # the finite-T cells first, then those at T = 0
+        return ground._record_columns(chains, quad, rs, energy)
+    shape = (n, len(beta))  # the finite-T cells first, then those at T = 0
     columns = (np.empty(len(beta)), np.empty(shape), np.empty(shape), np.empty(shape, bool))
-    for cells, part in ((hot, _record_columns(chains[:, hot], beta[hot], quad)),
-                        (~hot, ground._record_columns(chains[:, ~hot], quad))):
+    for cells, part in ((hot, _record_columns(chains[:, hot], beta[hot], quad, rs, energy)),
+                        (~hot, ground._record_columns(chains[:, ~hot], quad, rs, energy))):
         for column, piece in zip(columns, part):
             column[..., cells] = piece
     return columns
 
 
-def _record(chains, beta, quad: QuadSpec | None = None):
-    """The record every quantity reads at cells given as (J, j, b, B) and beta columns, from
-    ``_record_columns``: a dict of (K,) rows, those of ``_ROWS``, f and the couplings J and j;
-    the flag codes of the ``_ROWS`` (0 none, 1 tolerance, 2 error: past the largest float);
-    and their (7, K) error estimates.  m_s is 0 at b = 0 and reads nothing."""
-    f, value, err, ok = _record_columns(chains, beta, quad)
-    code = np.where(ok, np.where(np.isinf(value), 2, 0), 1)
-    zero = chains[2] == 0
-    value[2, zero], code[2, zero] = 0.0, 0
-    rows = {**dict(zip(_ROWS, value)), "f": f, "J": chains[0], "j": chains[1]}
-    return rows, dict(zip(_ROWS, code)), err
+def _record(chains, beta, quad: QuadSpec | None = None, rs=(0, 1, 2), energy=True):
+    """The record at cells given as (J, j, b, B) and beta columns, from ``_record_columns``:
+    a dict of (K,) rows, those of ``_names(rs, energy)``, f and the couplings J and j; and
+    by row name of those the flag codes (0 none, 1 tolerance, 2 error: past the largest
+    float) and the error estimates.  m_s is 0 at b = 0 and reads nothing."""
+    names = _names(rs, energy)
+    f, value, err, ok = _record_columns(chains, beta, quad, rs, energy)
+    codes = dict(zip(names, np.where(ok, np.where(np.isinf(value), 2, 0), 1)))
+    rows = dict(zip(names, value))
+    if "m_s" in rows:
+        zero = chains[2] == 0
+        rows["m_s"][zero], codes["m_s"][zero] = 0.0, 0
+    return {**rows, "f": f, "J": chains[0], "j": chains[1]}, codes, dict(zip(names, err))
 
 
-def _point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None):
+def _point(p: ChainParams, t: Thermal, quad: QuadSpec | None = None, rs=(0, 1, 2), energy=True):
     """The reader of the one-cell ``_record`` of (p, t): ``read(*names)`` gives the named
     rows as floats, raising at the first that failed, in the order named: a
     ToleranceNotReached with its QuadResult, or an OverflowError."""
-    rows, codes, err = _record(_columns([p]), np.array([t.beta]), quad)
+    rows, codes, err = _record(_columns([p]), np.array([t.beta]), quad, rs, energy)
 
     def read(*names):
         for name in filter(codes.__contains__, names):  # f, J and j are never flagged
             if codes[name][0] == 2:
                 raise OverflowError(f"{name} is past the largest float")
             if codes[name][0] == 1:
-                cell = rows[name].item(), err[_ROWS.index(name)].item()
+                cell = rows[name].item(), err[name].item()
                 raise ToleranceNotReached(QuadResult(*cell, False, 1 if t.is_ground else 2))
         return tuple(rows[name].item() for name in names)
 
     return read
-
-
-def _band_integral(p: ChainParams, t: Thermal, quad: QuadSpec | None, kernel):
-    """The n band integrals of ``kernel`` = (n, f) (``_cell_integrals``) at the finite-T
-    point (p, t), per site, for what the record does not hold."""
-    run = _cell_integrals(_columns([p]), np.array([t.beta]), *kernel, quad)
-    cell = zip(*(a[:, 0].tolist() for a in run[1:]))
-    return tuple(require_converged(QuadResult(v, e, c, 2)) for v, e, c in cell)
 
 
 def _sech2(x):
@@ -211,8 +230,8 @@ def ln_z_per_site(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
         )
     # past beta 2^999 in its own units ln Z is linear in beta: below the kernel's cap
     e = max(0, math.frexp(t.beta)[1] + _in_units(*_columns([p]))[0].item() - 999)
-    t_e = Thermal(math.ldexp(t.beta, -e))
-    return math.ldexp(_band_integral(p, t_e, quad, (1, _ln_z_kernel))[0], e)
+    run = _cell_integrals(_columns([p]), np.array([math.ldexp(t.beta, -e)]), 1, _ln_z_kernel, quad)
+    return math.ldexp(require_converged(QuadResult(*(a.item() for a in run[1:]), 2)), e)
 
 
 def internal_energy(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
@@ -228,8 +247,6 @@ def magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> f
 
 def staggered_magnetization(p: ChainParams, t: Thermal, quad: QuadSpec | None = None) -> float:
     """Staggered magnetization per site, odd in b; exactly 0 at b = 0."""
-    if p.b == 0:
-        return 0.0
     return _point(p, t, quad)("m_s")[0]
 
 

@@ -28,9 +28,9 @@ from staggered_xx import (
     xx_plus_yy,
     zz_correlator,
 )
-from staggered_xx.correlations import _check_distance, _contraction_kernel, parity_sign
+from staggered_xx.correlations import _check_distance, parity_sign
 from staggered_xx.entanglement import ConcurrencePair
-from staggered_xx.thermo import _cell_integrals, _difference_ratio
+from staggered_xx.thermo import _cell_integrals, _difference_ratio, _kernel
 
 T0 = Thermal.zero()
 XX = ChainParams(J=1.0, j=0.0, b=0.0, B=0.0)
@@ -85,7 +85,7 @@ def test_distance_zero_integrands_reduce_to_magnetizations():
     for _ in range(5):
         p, t = random_point(rng)
         chain = np.array([[p.J], [p.j], [p.b], [p.B]])
-        _, value, _, ok = _cell_integrals(chain, np.array([t.beta]), *_contraction_kernel(0))
+        _, value, _, ok = _cell_integrals(chain, np.array([t.beta]), 2, _kernel((0,), False))
         assert ok.all()
         val_u, val_s = value[:, 0]
         assert math.isclose(val_u, magnetization(p, t), abs_tol=1e-10)
@@ -240,14 +240,18 @@ def test_staggered_part_needs_alternating_coupling():
     ],
     ids=str,
 )
-def test_zero_temperature_contractions_match_an_independent_reference(p):
-    # the contractions at T = 0 are integrals over the filled interval F;
-    # QUADPACK integrates the sign-function integrands over the whole zone
+@pytest.mark.parametrize("beta", [0.5, 5.0, 50.0, math.inf])
+def test_contractions_match_an_independent_reference(p, beta):
+    # the contractions at T = 0 are integrals over the filled interval F and at
+    # finite T over the split half zone, r > 2 each in a record of its own;
+    # QUADPACK integrates the tanh or sign-function integrands over the whole zone
     from band_reference import band_integrals
 
-    want, err = band_integrals(p.J, p.j, p.b, p.B, rs=(1, 2, 3, 4))
+    rs = (1, 2, 3, 4, 5)
+    want, err = band_integrals(p.J, p.j, p.b, p.B, beta, rs)
     assert err < 1e-12
-    for r in (1, 2, 3, 4):
-        pair = (g_even if r % 2 == 0 else g_odd)(p, T0, r)
+    t = Thermal(beta)
+    for r in rs:
+        pair = (g_even if r % 2 == 0 else g_odd)(p, t, r)
         got = (pair.uniform, pair.staggered)
         assert np.max(np.abs(np.subtract(got, want[f"g{r}"]))) < 1e-10, (r, got, want[f"g{r}"])

@@ -109,11 +109,14 @@ def test_meyer_wallach_from_sublattice_moments():
 
 def test_f_is_decided_in_the_chains_units():
     # as every record read decides it: |B| past the largest float in the units of
-    # max(J, |j|, |b|) is the record's ValueError, not a saturated chain
+    # max(J, |j|, |b|) is the record's ValueError, not a saturated chain, and at b = 0
+    # not an m_s of 0 either, at both temperatures
     from staggered_xx.cli import run_point
 
     p = ChainParams(1e-200, 0.0, 0.0, 1e200)
-    for f in (magnetization_t0, meyer_wallach):
+    for f in (magnetization_t0, meyer_wallach, staggered_magnetization_t0,
+              lambda p: staggered_xx.staggered_magnetization(p, Thermal.finite(1.0)),
+              lambda p: staggered_xx.staggered_magnetization(p, Thermal.zero())):
         with pytest.raises(ValueError, match="past the largest float in the units"):
             f(p)
     # B underflows to -0.0 in the chain's units: m is +0.0, as ``point --q m_t0`` prints it
@@ -225,7 +228,7 @@ def test_qcp_scan_refuses_a_step_whose_square_is_not_normal(monkeypatch):
     def no_energies(*args):
         raise AssertionError("energy computed before the step was checked")
 
-    monkeypatch.setattr(staggered_xx.ground, "_energies", no_energies)
+    monkeypatch.setattr(staggered_xx.ground, "_integrate_cells", no_energies)
     p = ChainParams(J=1.0, j=0.5, b=0.3)
     for stop, step in ((1e200, 1e196), (1e-160, 1e-163), (1e155, 2e154), (1e-150, 1e-154)):
         with pytest.raises(ValueError, match="step\\^2 must be a normal float"):

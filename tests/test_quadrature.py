@@ -183,12 +183,12 @@ STRUCTURAL_POINTS = [
 
 
 def _band_integrands(p, t):
-    """The seven integrands of the record (``thermo._band_kernel``) at a finite-T point,
-    each a function of q alone."""
-    from staggered_xx.thermo import _band_kernel
+    """The seven integrands of the record (``thermo._kernel`` of its rows) at a finite-T
+    point, each a function of q alone."""
+    from staggered_xx.thermo import _kernel
 
     def one(k):
-        return lambda q: _band_kernel(
+        return lambda q: _kernel((0, 1, 2), True)(
             q, np.cos(q), np.sin(q), theta_of_q(p, q), p.J, p.j, p.b, p.B, t.beta
         )[k]
 
@@ -400,13 +400,13 @@ def test_truncated_levels_or_a_nan_flag_only_their_own_cell(monkeypatch):
     # the finite-T engine refuses a T = 0 cell; a block gives it the ground record columns
     from staggered_xx import ground
     from staggered_xx.model import _columns
-    from staggered_xx.thermo import _band_kernel, _cell_integrals
+    from staggered_xx.thermo import _cell_integrals, _kernel
 
     with pytest.raises(ValueError, match="finite temperature"):
-        _cell_integrals(_columns([p]), np.array([math.inf]), 7, _band_kernel)
+        _cell_integrals(_columns([p]), np.array([math.inf]), 7, _kernel((0, 1, 2), True))
     both = thermo._record_columns(_columns([p, p]), np.array([row[0][1].beta, math.inf]))
     for cell, want in ((0, thermo._record_columns(_columns([p]), np.array([row[0][1].beta]))),
-                       (1, ground._record_columns(_columns([p]), None))):
+                       (1, ground._record_columns(_columns([p]), None, (0, 1, 2), True))):
         for got_c, want_c in zip(both, want):
             np.testing.assert_array_equal(got_c[..., cell], want_c[..., 0])
     assert _record_rows([]) == ([], [])
@@ -461,10 +461,11 @@ def _seeded_cells(k, zone):
 def test_a_cell_reads_the_same_bits_whatever_cells_share_its_run(zone, k):
     # the engine runs K cells in blocks of 64; each cell's values, error
     # estimates and flags are those of the cell run alone, to the last bit
-    from staggered_xx.ground import _record_kernel
-    from staggered_xx.thermo import _band_kernel
+    from staggered_xx import ground, thermo
 
-    kernel, n = (_band_kernel, 7) if zone == "finite" else (_record_kernel, 5)
+    # the record's integrands: all seven at finite T, the five over F at T = 0
+    module, n = (thermo, 7) if zone == "finite" else (ground, 5)
+    kernel = module._kernel((0, 1, 2), True)
     cols, edges = _seeded_cells(k, zone)
     batched = _kernel_run(kernel, n, cols, edges)
     for cell in range(k):

@@ -144,7 +144,7 @@ def _ground_record_cases():
 
 def test_zero_temperature_integrals_match_closed_forms():
     # Every field of the T = 0 record (u, m, m_s and both parts of g1 and g2),
-    # g3 through its own kernel over F, and the library functions that read
+    # g3 from a record of its own over F, and the library functions that read
     # them, against QUADPACK on the sign-function band integrals over the whole
     # zone; the chain (J, j, b, B) s against the reference at s = 1, energies in
     # units of s
@@ -213,7 +213,7 @@ def test_thermo_point_bundles_the_four_quantities():
 
 def test_composite_calls_integrate_one_record(monkeypatch):
     # a composite call builds the point's band-integral record once and passes
-    # it to each quantity it reads; ln Z and r = 3 run their own kernels.  Each
+    # it to each quantity it reads; ln Z and r = 3 each take a run of their own.  Each
     # is one run of the one engine, at finite T over the split half zone and at
     # T = 0 over the filled interval
     from staggered_xx import (
